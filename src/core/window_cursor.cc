@@ -239,10 +239,6 @@ SharedWindowCache::~SharedWindowCache() = default;
 
 void SharedWindowCache::set_fallback_tier(SharedWindowCache* tier) {
   tier_ = tier;
-  if (tier != nullptr && tier->generational_) {
-    std::lock_guard<std::mutex> lock(tier_lease_mu_);
-    tier_lease_ = tier->AcquireTierLease();
-  }
 }
 
 size_t SharedWindowCache::size() const {
@@ -345,6 +341,11 @@ const std::vector<Window>* SharedWindowCache::Get(const EdgeSeries& first,
     const std::vector<Window>* from_tier = nullptr;
     if (tier_->generational_) {
       std::lock_guard<std::mutex> lock(tier_lease_mu_);
+      // Taken at the first fallthrough rather than at attach time: the
+      // engine attaches the tier before phase P1, and a lease that
+      // aged through P1 would start on generations the tier has since
+      // rotated past.
+      if (!tier_lease_.active()) tier_lease_ = tier_->AcquireTierLease();
       from_tier = tier_->LeasedGet(&tier_lease_, first, last, control);
     } else {
       from_tier = tier_->Get(first, last, control);

@@ -227,8 +227,8 @@ class WindowListMru {
 /// dropped generation is freed when the last leased reader drains, not
 /// at rotation. Plain Get() is for non-generational caches only;
 /// generational readers go through AcquireTierLease + LeasedGet (the
-/// per-query cache does this automatically in set_fallback_tier / its
-/// tier fallthrough).
+/// per-query cache does this automatically at its first tier
+/// fallthrough).
 class SharedWindowCache {
  private:
   struct Node;
@@ -349,10 +349,12 @@ class SharedWindowCache {
   /// privately computed ones: both come out of ComputeProcessedWindows
   /// on the same timestamp storage, and tier entries are insert-only
   /// and identity-keyed exactly like ours. Call before handing the
-  /// cache to workers. A generational tier is read through a lease this
-  /// call acquires, so every pointer the tier serves this query stays
-  /// valid until this (per-query) cache is destroyed even if the tier
-  /// rotates or sweeps underneath.
+  /// cache to workers. A generational tier is read through a lease the
+  /// first fallthrough acquires (so it starts on the tier's newest
+  /// generations, however long the query ran before its first miss),
+  /// and every pointer the tier serves this query stays valid until
+  /// this (per-query) cache is destroyed even if the tier rotates or
+  /// sweeps underneath.
   void set_fallback_tier(SharedWindowCache* tier);
   bool has_fallback_tier() const { return tier_ != nullptr; }
 
@@ -412,9 +414,10 @@ class SharedWindowCache {
   std::atomic<int64_t> rotations_{0};
 
   /// This cache's lease on its own fallback tier (generational tiers
-  /// only). Guarded: a solo multithreaded run shares one per-query
-  /// cache across workers; the serving layer runs queries
-  /// single-threaded so the lock is uncontended there.
+  /// only; taken at the first fallthrough). Guarded: a solo
+  /// multithreaded run shares one per-query cache across workers; the
+  /// serving layer runs queries single-threaded so the lock is
+  /// uncontended there.
   std::mutex tier_lease_mu_;
   TierLease tier_lease_;
 

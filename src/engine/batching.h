@@ -6,36 +6,18 @@
 #include <vector>
 
 #include "core/motif.h"
-#include "util/partition.h"
 
 namespace flowmotif {
 
-/// A contiguous range [begin, end) of structural-match indices processed
-/// as one unit by a worker thread.
-using MatchBatch = IndexRange;
-
-/// Partitions [0, num_matches) into contiguous batches — the engine's
-/// name for util/partition's shared chunking heuristic. With
-/// `batch_size` == 0 the size is derived so each thread gets several
-/// batches (dynamic scheduling then absorbs matches of very different
-/// cost — phase-P2 work per match varies by orders of magnitude).
-/// Batches are returned in index order; merging per-batch outputs in
-/// that order reproduces serial processing order.
-inline std::vector<MatchBatch> PartitionMatches(int64_t num_matches,
-                                                int num_threads,
-                                                int64_t batch_size = 0) {
-  return PartitionIndexSpace(num_matches, num_threads, batch_size);
-}
-
 /// Coordinates the deterministic hand-off from parallel phase P1 to
-/// phase P2 in the engine's streamed execution path. P1 shard tasks
+/// phase P2 in the engine's executor (engine/executor.h). P1 shard tasks
 /// (contiguous ranges of structural-match work units) complete in
 /// arbitrary order; a shard's matches are released only once every
 /// earlier shard has completed, so released matches always form a
 /// contiguous prefix of the serial P1 order and each match's global
 /// index — the DiscoveryRank key phase P2 needs — is known at release
 /// time. Thread-safe; a released buffer stays valid until FreeShard
-/// reclaims it (or the merger dies), so streamed runs free each
+/// reclaims it (or the merger dies), so the executor frees each
 /// shard's matches as soon as its last P2 batch retires.
 class ShardPrefixMerger {
  public:
@@ -61,8 +43,8 @@ class ShardPrefixMerger {
                                            std::vector<MatchBinding> matches);
 
   /// Frees a released shard's match buffer. Call only once no consumer
-  /// still reads the buffer (the engine refcounts a shard's P2 batches
-  /// and frees on the last one), so streamed runs hold just the
+  /// still reads the buffer (the executor refcounts a shard's P2
+  /// batches and frees on the last one), so a run holds just the
   /// in-flight window of matches instead of the full materialization.
   void FreeShard(int64_t shard);
 

@@ -121,12 +121,12 @@ TEST_F(FaultInjectionTest, EverySiteModeActionTerminatesAndEngineRecovers) {
     QueryOptions o;
     o.mode = QueryMode::kEnumerate;
     o.delta = w.delta;
-    o.collect_limit = -1;  // materialized: barrier path
-    modes.push_back({"enumerate.barrier", o,
+    o.collect_limit = -1;  // materializes every instance
+    modes.push_back({"enumerate.collecting", o,
                      {failpoint::kEngineStart, failpoint::kP1Unit,
                       failpoint::kP2Batch}});
-    o.collect_limit = 0;  // counters only: streamed path when threads > 1
-    modes.push_back({"enumerate.streamed", o,
+    o.collect_limit = 0;  // counters only
+    modes.push_back({"enumerate.counters", o,
                      {failpoint::kEngineStart, failpoint::kP1Unit,
                       failpoint::kP2Batch}});
   }
@@ -153,7 +153,7 @@ TEST_F(FaultInjectionTest, EverySiteModeActionTerminatesAndEngineRecovers) {
     o.delta = w.delta;
     modes.push_back({"top1", o,
                      {failpoint::kEngineStart, failpoint::kP1Unit,
-                      failpoint::kDpMatch}});
+                      failpoint::kP2Batch, failpoint::kDpMatch}});
   }
   {
     QueryOptions o;
@@ -262,39 +262,47 @@ TEST_F(FaultInjectionTest, MidRunStopExposesExactSerialPrefix) {
 }
 
 TEST_F(FaultInjectionTest, MaxMatchesBudgetTruncatesToExactPrefix) {
+  // The budgeted P1 scan hands its list to the executor as one shard;
+  // every P2 mode must then run exactly over that prefix.
   const Workload& w = SharedWorkload();
   const QueryEngine engine(w.graph);
   const StructuralMatcher matcher(w.graph, w.motif);
   const std::vector<MatchBinding> all = matcher.FindAllMatches();
   constexpr int64_t kCap = 10;
   ASSERT_GT(all.size(), static_cast<size_t>(kCap));
+  const std::vector<MatchBinding> head(all.begin(), all.begin() + kCap);
 
-  for (int threads : {1, 4}) {
-    QueryOptions options;
-    options.mode = QueryMode::kEnumerate;
-    options.delta = w.delta;
-    options.collect_limit = -1;
-    options.num_threads = threads;
-    options.budget.max_matches = kCap;
+  for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,
+                         QueryMode::kTopK, QueryMode::kTop1}) {
+    for (int threads : {1, 4}) {
+      const std::string context =
+          "max_matches mode=" + std::to_string(static_cast<int>(mode)) +
+          " threads=" + std::to_string(threads);
+      SCOPED_TRACE(context);
+      QueryOptions options;
+      options.mode = mode;
+      options.delta = w.delta;
+      options.collect_limit = -1;
+      options.k = 5;
+      options.num_threads = threads;
+      options.budget.max_matches = kCap;
 
-    const QueryResult result = engine.Run(w.motif, options);
-    EXPECT_EQ(result.termination.code, TerminationCode::kBudgetExceeded)
-        << "threads=" << threads;
-    EXPECT_EQ(result.termination.stopped_at, failpoint::kP1Unit);
-    EXPECT_EQ(result.termination.detail, "max_matches");
-    // A soft stop: P2 ran to completion over exactly the first kCap
-    // matches, for every thread count.
-    EXPECT_EQ(result.termination.work_completed, kCap);
-    EXPECT_EQ(result.stats.num_structural_matches, kCap);
+      const QueryResult result = engine.Run(w.motif, options);
+      EXPECT_EQ(result.termination.code, TerminationCode::kBudgetExceeded);
+      EXPECT_EQ(result.termination.stopped_at, failpoint::kP1Unit);
+      EXPECT_EQ(result.termination.detail, "max_matches");
+      // A soft stop: P2 ran to completion over exactly the first kCap
+      // matches, for every thread count.
+      EXPECT_EQ(result.termination.work_completed, kCap);
+      EXPECT_EQ(result.stats.num_structural_matches, kCap);
 
-    const std::vector<MatchBinding> head(all.begin(), all.begin() + kCap);
-    QueryOptions clean;
-    clean.mode = QueryMode::kEnumerate;
-    clean.delta = w.delta;
-    clean.collect_limit = -1;
-    const QueryResult reference = engine.RunOnMatches(w.motif, head, clean);
-    ExpectSamePayload(result, reference,
-                      "max_matches threads=" + std::to_string(threads));
+      QueryOptions clean = options;
+      clean.num_threads = 1;
+      clean.budget = WorkBudget();
+      const QueryResult reference = engine.RunOnMatches(w.motif, head, clean);
+      ASSERT_TRUE(reference.termination.complete());
+      ExpectSamePayload(result, reference, context);
+    }
   }
 }
 

@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/counter.h"
 #include "core/dp.h"
 #include "core/enumerator.h"
+#include "core/motif_catalog.h"
 #include "core/significance.h"
 #include "core/topk.h"
+#include "gen/presets.h"
 #include "test_util.h"
 
 namespace flowmotif {
@@ -170,23 +173,96 @@ TEST(QueryEngineTest, SignificanceAgreesWithAnalyzer) {
 }
 
 TEST(QueryEngineTest, RunOnMatchesAgreesWithRun) {
-  const TimeSeriesGraph g = testing_util::PaperFig2Graph();
-  const QueryEngine engine(g);
-  const std::vector<MatchBinding> matches =
-      StructuralMatcher(g, M33()).FindAllMatches();
+  // The executor's two sources — P1 shards (Run) and an existing list
+  // (RunOnMatches) — must give the same payload at every thread count
+  // and batch layout.
+  const TimeSeriesGraph paper = testing_util::PaperFig2Graph();
+  const DatasetPreset& preset = AllPresets().front();
+  const TimeSeriesGraph generated = GenerateDataset(preset, 0.05);
+  struct Case {
+    const TimeSeriesGraph* graph;
+    Motif motif;
+    Timestamp delta;
+    Flow phi;
+  };
+  const Case cases[] = {
+      {&paper, M33(), 10, 5.0},
+      {&generated, *MotifCatalog::ByName("M(3,2)"), preset.default_delta,
+       preset.default_phi}};
 
-  for (QueryMode mode :
-       {QueryMode::kEnumerate, QueryMode::kCount, QueryMode::kTopK,
-        QueryMode::kTop1}) {
-    QueryOptions options = BaseOptions(mode, 10, 5.0);
-    if (mode == QueryMode::kTopK) options.phi = 0.0;
-    const QueryResult via_run = engine.Run(M33(), options);
-    const QueryResult via_matches =
-        engine.RunOnMatches(M33(), matches, options);
-    EXPECT_EQ(via_matches.stats.num_instances, via_run.stats.num_instances)
-        << static_cast<int>(mode);
-    EXPECT_EQ(via_matches.stats.num_structural_matches,
-              via_run.stats.num_structural_matches);
+  for (const Case& c : cases) {
+    const QueryEngine engine(*c.graph);
+    const std::vector<MatchBinding> matches =
+        StructuralMatcher(*c.graph, c.motif).FindAllMatches();
+    ASSERT_FALSE(matches.empty());
+    for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,
+                           QueryMode::kTopK, QueryMode::kTop1}) {
+      for (int threads : {1, 4}) {
+        for (int64_t batch_size : {int64_t{0}, int64_t{1}}) {
+          SCOPED_TRACE(c.motif.name() + " mode=" +
+                       std::to_string(static_cast<int>(mode)) +
+                       " threads=" + std::to_string(threads) +
+                       " batch=" + std::to_string(batch_size));
+          QueryOptions options = BaseOptions(mode, c.delta, c.phi);
+          if (mode == QueryMode::kTopK) options.phi = 0.0;
+          options.collect_limit = -1;
+          options.k = 5;
+          options.num_threads = threads;
+          options.batch_size = batch_size;
+          const QueryResult via_run = engine.Run(c.motif, options);
+          const QueryResult via_matches =
+              engine.RunOnMatches(c.motif, matches, options);
+          ASSERT_TRUE(via_run.termination.complete());
+          ASSERT_TRUE(via_matches.termination.complete());
+          EXPECT_EQ(via_matches.stats.num_instances,
+                    via_run.stats.num_instances);
+          EXPECT_EQ(via_matches.stats.num_structural_matches,
+                    via_run.stats.num_structural_matches);
+          EXPECT_EQ(via_matches.stats.num_windows_processed,
+                    via_run.stats.num_windows_processed);
+          EXPECT_EQ(via_matches.instances, via_run.instances);
+          ASSERT_EQ(via_matches.topk.size(), via_run.topk.size());
+          for (size_t i = 0; i < via_run.topk.size(); ++i) {
+            EXPECT_EQ(via_matches.topk[i].flow, via_run.topk[i].flow) << i;
+            EXPECT_EQ(via_matches.topk[i].instance, via_run.topk[i].instance)
+                << i;
+          }
+          EXPECT_EQ(via_matches.top1.found, via_run.top1.found);
+          EXPECT_EQ(via_matches.top1.max_flow, via_run.top1.max_flow);
+          EXPECT_EQ(via_matches.top1.best, via_run.top1.best);
+          EXPECT_EQ(via_matches.top1.binding, via_run.top1.binding);
+          // Only Run has a P1 phase to time.
+          EXPECT_EQ(via_matches.stats.phase1_seconds, 0.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, OneThreadRunIsOneBatchWithinWallTime) {
+  // At one thread the executor scans P1 as one shard and runs P2 as one
+  // batch — the layout the serving path relies on — so the summed phase
+  // task times are the phases' wall times and fit in the end-to-end
+  // time, with or without an active (never-tripping) control.
+  const TimeSeriesGraph g = testing_util::PaperFig7Graph();
+  const QueryEngine engine(g);
+  for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,
+                         QueryMode::kTopK, QueryMode::kTop1}) {
+    for (bool with_deadline : {false, true}) {
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " deadline=" + std::to_string(with_deadline));
+      QueryOptions options = BaseOptions(mode, 10, 0.0);
+      options.collect_limit = -1;
+      if (with_deadline) {
+        options.deadline = QueryDeadline::AfterSeconds(3600.0);
+      }
+      const QueryResult result = engine.Run(M33(), options);
+      ASSERT_TRUE(result.termination.complete());
+      ASSERT_GT(result.stats.num_structural_matches, 0);
+      EXPECT_EQ(result.num_batches, 1);
+      EXPECT_LE(result.stats.phase1_seconds + result.stats.phase2_seconds,
+                result.wall_seconds);
+    }
   }
 }
 
@@ -212,8 +288,8 @@ TEST(QueryEngineTest, EmptyGraphNoMatches) {
 
 TEST(QueryEngineTest, ZeroMatchGraphThroughEveryMode) {
   // A single edge can never back M(3,3): the match list is empty, so
-  // every mode — serial, parallel-barrier, and streamed alike — must
-  // come back clean instead of tripping over zero-size partitions.
+  // every mode, serial and parallel alike, must come back clean instead
+  // of tripping over zero-size partitions.
   const TimeSeriesGraph g = testing_util::MakeGraph({{0, 1, 5, 1.0}});
   const QueryEngine engine(g);
   for (int threads : {1, 4}) {
@@ -237,27 +313,26 @@ TEST(QueryEngineTest, ZeroMatchGraphThroughEveryMode) {
   }
 }
 
-TEST(QueryEngineTest, StreamedEnumerateMatchesBarrierCounters) {
-  // collect_limit == 0 takes the streamed P1→P2 pipeline when threads
-  // > 1; collect_limit == -1 takes the barrier path. Their shared
-  // counters must agree.
+TEST(QueryEngineTest, CountersOnlyEnumerateMatchesCollectingCounters) {
+  // Collecting instances (collect_limit == -1) and counting only
+  // (collect_limit == 0) run the same kernel with and without a
+  // visitor; their shared counters must agree.
   const TimeSeriesGraph g = testing_util::PaperFig2Graph();
   const QueryEngine engine(g);
-  QueryOptions barrier = BaseOptions(QueryMode::kEnumerate, 10, 0.0);
-  barrier.num_threads = 4;
-  barrier.collect_limit = -1;
-  const QueryResult from_barrier = engine.Run(M33(), barrier);
+  QueryOptions collecting = BaseOptions(QueryMode::kEnumerate, 10, 0.0);
+  collecting.num_threads = 4;
+  collecting.collect_limit = -1;
+  const QueryResult collected = engine.Run(M33(), collecting);
 
-  QueryOptions streamed = barrier;
-  streamed.collect_limit = 0;
-  const QueryResult from_stream = engine.Run(M33(), streamed);
-  EXPECT_EQ(from_stream.stats.num_instances,
-            from_barrier.stats.num_instances);
-  EXPECT_EQ(from_stream.stats.num_structural_matches,
-            from_barrier.stats.num_structural_matches);
-  EXPECT_EQ(from_stream.stats.num_windows_processed,
-            from_barrier.stats.num_windows_processed);
-  EXPECT_TRUE(from_stream.instances.empty());
+  QueryOptions counters_only = collecting;
+  counters_only.collect_limit = 0;
+  const QueryResult counted = engine.Run(M33(), counters_only);
+  EXPECT_EQ(counted.stats.num_instances, collected.stats.num_instances);
+  EXPECT_EQ(counted.stats.num_structural_matches,
+            collected.stats.num_structural_matches);
+  EXPECT_EQ(counted.stats.num_windows_processed,
+            collected.stats.num_windows_processed);
+  EXPECT_TRUE(counted.instances.empty());
 }
 
 }  // namespace
