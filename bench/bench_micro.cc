@@ -180,10 +180,10 @@ void RunCountMatchLoop(benchmark::State& state, QueryControl* control) {
   const std::vector<MatchBinding>& matches = MicroMatches();
   for (auto _ : state) {
     InstanceCounter::Result result;
-    WindowListMru mru;
+    SharedWindowCache::Reader windows = counter.NewReader();
     for (const MatchBinding& m : matches) {
       if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-      counter.CountMatch(m, &result, &mru);
+      counter.CountMatch(m, &result, &windows);
     }
     benchmark::DoNotOptimize(result.num_instances);
   }

@@ -1,5 +1,6 @@
 #include "core/counter.h"
 
+#include <optional>
 #include <unordered_map>
 
 #include "core/sliding_window.h"
@@ -88,20 +89,24 @@ InstanceCounter::InstanceCounter(const TimeSeriesGraph& graph,
   cache_ = ResolveWindowCache(window_cache, motif, delta, &owned_cache_);
 }
 
+SharedWindowCache::Reader InstanceCounter::NewReader(
+    QueryControl* charge) const {
+  return SharedWindowCache::Reader(cache_, delta_, charge);
+}
+
 int64_t InstanceCounter::CountMatch(const MatchBinding& binding,
                                     Result* result,
-                                    WindowListMru* window_mru) const {
+                                    SharedWindowCache::Reader* windows) const {
   const int m = motif_.num_edges();
   std::vector<const EdgeSeries*> series;
   ResolveMatchSeries(graph_, motif_, binding, &series);
 
-  WindowListMru local_mru;
-  const std::vector<Window>& windows =
-      (window_mru != nullptr ? window_mru : &local_mru)
-          ->GetOrCompute(cache_, *series.front(), *series.back(), delta_,
-                         query_control_);
+  std::optional<SharedWindowCache::Reader> one_match;
+  if (windows == nullptr) windows = &one_match.emplace(NewReader());
+  const std::vector<Window>& match_windows =
+      windows->Get(*series.front(), *series.back());
   if (result != nullptr) {
-    result->num_windows += static_cast<int64_t>(windows.size());
+    result->num_windows += static_cast<int64_t>(match_windows.size());
   }
 
   WindowCursorSet cursors;
@@ -116,7 +121,7 @@ int64_t InstanceCounter::CountMatch(const MatchBinding& binding,
   counter.memo.resize(static_cast<size_t>(m));
 
   int64_t count = 0;
-  for (const Window& window : windows) {
+  for (const Window& window : match_windows) {
     cursors.AdvanceTo(window);
     counter.BeginWindow();
     count += counter.Count(0, cursors.lo(0));
@@ -128,10 +133,10 @@ int64_t InstanceCounter::CountMatch(const MatchBinding& binding,
 InstanceCounter::Result InstanceCounter::RunOnMatches(
     const std::vector<MatchBinding>& matches) const {
   Result result;
-  WindowListMru window_mru;
+  SharedWindowCache::Reader windows = NewReader();
   for (const MatchBinding& binding : matches) {
     ++result.num_structural_matches;
-    result.num_instances += CountMatch(binding, &result, &window_mru);
+    result.num_instances += CountMatch(binding, &result, &windows);
   }
   return result;
 }

@@ -31,12 +31,12 @@ namespace flowmotif {
 /// multiplicative tree into a linear pass per window.
 ///
 /// The per-window machinery rides the shared core/window_cursor layer:
-/// window lists come from a SharedWindowCache (injected per query by
-/// the engine, or privately owned when the motif's (first, last) series
-/// pairs can repeat), the per-level window bounds slide on a
-/// WindowCursorSet instead of one UpperBound per recursion call, and
-/// the recursion's per-element next-edge searches are monotone
-/// galloping advances.
+/// window lists come through a SharedWindowCache::Reader (of the cache
+/// injected by the engine, or of a privately owned one when the motif's
+/// (first, last) series pairs can repeat), the per-level window bounds
+/// slide on a WindowCursorSet instead of one UpperBound per recursion
+/// call, and the recursion's per-element next-edge searches are
+/// monotone galloping advances.
 class InstanceCounter {
  public:
   struct Result {
@@ -46,10 +46,10 @@ class InstanceCounter {
     int64_t memo_hits = 0;  // branches answered from the memo
   };
 
-  /// `window_cache` (optional) is the per-query shared cache; it must
-  /// outlive the counter and be bound to the same delta. It is read
-  /// only when the motif has an interior node — the only shape where a
-  /// (first, last) pair can repeat.
+  /// `window_cache` (optional) is the shared window cache; it must
+  /// outlive the counter and be bound to the same delta. When null, the
+  /// counter owns one iff the motif has an interior node — the only
+  /// shape where a (first, last) pair can repeat.
   InstanceCounter(const TimeSeriesGraph& graph, const Motif& motif,
                   Timestamp delta, Flow phi,
                   SharedWindowCache* window_cache = nullptr);
@@ -63,21 +63,17 @@ class InstanceCounter {
   /// Counts over precomputed structural matches.
   Result RunOnMatches(const std::vector<MatchBinding>& matches) const;
 
-  /// Counts within a single structural match. `window_mru` (optional)
-  /// is a caller-owned one-entry window-list fallback: callers looping
-  /// over serial-order matches (RunOnMatches, the engine's batch runs)
-  /// pass one so consecutive matches sharing a (first, last) pair reuse
-  /// the computed list even when the shared cache declines the pair.
+  /// Counts within a single structural match. The match's window list
+  /// is read through `windows` — a reader a caller looping over matches
+  /// keeps across them (NewReader), which also carries the query
+  /// control charged for the lists it materializes — or, when null,
+  /// through an uncharged reader made for this one match.
   int64_t CountMatch(const MatchBinding& binding, Result* result,
-                     WindowListMru* window_mru = nullptr) const;
+                     SharedWindowCache::Reader* windows = nullptr) const;
 
-  /// Attaches the owning query's lifecycle control (non-owning, may be
-  /// null): every window list CountMatch materializes — through the
-  /// cache or recomputed into the MRU — is billed against its
-  /// WorkBudget at site "cache.windows". QueryControl is internally
-  /// synchronized, so one counter shared across workers charges safely.
-  /// Set before sharing the counter; must outlive every CountMatch.
-  void set_query_control(QueryControl* control) { query_control_ = control; }
+  /// A reader of this counter's window cache, billing `charge` (may be
+  /// null) at site "cache.windows". One per thread.
+  SharedWindowCache::Reader NewReader(QueryControl* charge = nullptr) const;
 
  private:
   const TimeSeriesGraph& graph_;
@@ -88,7 +84,6 @@ class InstanceCounter {
   // interior node (the only shape where a pair repeats).
   std::unique_ptr<SharedWindowCache> owned_cache_;
   SharedWindowCache* cache_;  // null = compute windows per match
-  QueryControl* query_control_ = nullptr;  // budget charging; may be null
 };
 
 }  // namespace flowmotif

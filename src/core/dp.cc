@@ -18,17 +18,21 @@ MaxFlowDpSearcher::MaxFlowDpSearcher(const TimeSeriesGraph& graph,
   cache_ = ResolveWindowCache(window_cache, motif, delta, &owned_cache_);
 }
 
-void MaxFlowDpSearcher::CheckScratch(Scratch* scratch) const {
+void MaxFlowDpSearcher::CheckScratch(Scratch* scratch,
+                                     QueryControl* control) const {
   if (scratch->bound_graph == nullptr) {
     scratch->bound_graph = &graph_;
     scratch->bound_delta = delta_;
+    scratch->windows.emplace(cache_, delta_, control);
     return;
   }
   // Cursor state and buffers are per-run, but guarding the binding
-  // keeps a Scratch from silently crossing graphs or deltas.
+  // keeps a Scratch from silently crossing graphs, deltas or the query
+  // its window reader charges.
   FLOWMOTIF_CHECK(scratch->bound_graph == &graph_ &&
-                  scratch->bound_delta == delta_)
-      << "DP Scratch reused across a different graph or delta";
+                  scratch->bound_delta == delta_ &&
+                  scratch->windows->charge() == control)
+      << "DP Scratch reused across a different graph, delta or control";
 }
 
 const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
@@ -40,9 +44,7 @@ const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
   // only ever move forward within one match's window sweep.
   scratch->cursors.Reset(series);
 
-  return scratch->window_mru.GetOrCompute(cache_, *series.front(),
-                                          *series.back(), delta_,
-                                          query_control_);
+  return scratch->windows->Get(*series.front(), *series.back());
 }
 
 Flow MaxFlowDpSearcher::DpOverWindow(const MatchBinding& binding,
@@ -185,7 +187,7 @@ MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatch(
   Result result;
   WallTimer timer;
   Scratch scratch;
-  CheckScratch(&scratch);
+  CheckScratch(&scratch, /*control=*/nullptr);
   const std::vector<Window>& windows = BeginMatch(binding, &scratch);
   result.num_windows = static_cast<int64_t>(windows.size());
   for (const Window& window : windows) {
@@ -217,7 +219,7 @@ MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
     QueryControl* control) const {
   Result result;
   WallTimer timer;
-  CheckScratch(scratch);
+  CheckScratch(scratch, control);
   for (const MatchBinding* binding = begin; binding != end; ++binding) {
     if (control != nullptr && control->CheckAt(failpoint::kDpMatch)) break;
     const std::vector<Window>& windows = BeginMatch(*binding, scratch);
@@ -239,7 +241,7 @@ MaxFlowDpSearcher::Result MaxFlowDpSearcher::Run() const {
 std::vector<MaxFlowDpSearcher::WindowBest> MaxFlowDpSearcher::RunPerWindow(
     const MatchBinding& binding) const {
   Scratch scratch;
-  CheckScratch(&scratch);
+  CheckScratch(&scratch, /*control=*/nullptr);
   const std::vector<Window>& windows = BeginMatch(binding, &scratch);
   std::vector<WindowBest> bests;
   bests.reserve(windows.size());

@@ -2,6 +2,7 @@
 #define FLOWMOTIF_CORE_DP_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/instance.h"
@@ -37,9 +38,9 @@ class QueryControl;
 /// instead of re-running binary searches, the union timeline is rebuilt
 /// by a k-way merge (UnionTimeline), and flat offset rows
 /// (TimelineOffsets) make every Eq. 2 lookup O(1). Window lists are
-/// served by a SharedWindowCache — injected per query by the engine, or
-/// privately owned when the motif's (first, last) series pairs can
-/// repeat.
+/// read through a SharedWindowCache::Reader of the searcher's cache —
+/// injected by the engine, or privately owned when the motif's
+/// (first, last) series pairs can repeat.
 class MaxFlowDpSearcher {
  public:
   struct Result {
@@ -68,15 +69,15 @@ class MaxFlowDpSearcher {
 
   /// Reusable cross-match state. The DP runs once per window and would
   /// otherwise spend most of its time reallocating the timeline, the
-  /// offset maps, and the table rows; callers that process many batches
-  /// (the engine) hand the same Scratch to successive RunOnMatches calls
-  /// so the buffers survive batch boundaries. Window lists live in the
-  /// searcher's SharedWindowCache, not here — every worker of a query
-  /// shares one cache.
+  /// offset maps, and the table rows; a caller running many match
+  /// ranges hands the same Scratch to successive RunOnMatches calls so
+  /// the buffers survive range boundaries. One Scratch per thread.
   ///
-  /// A Scratch is bound to one (graph, delta) configuration on first use
-  /// and checked on every run. Scratch reuse never changes results: all
-  /// per-window state is fully overwritten.
+  /// A Scratch is bound to one (graph, delta, control) configuration on
+  /// first use and checked on every run; its window reader then leases
+  /// the searcher's cache, so it must not outlive that cache. Scratch
+  /// reuse never changes results: all per-window state is fully
+  /// overwritten.
   struct Scratch {
     // Per-match series resolution (ResolveSeries target, one motif edge
     // per entry).
@@ -95,10 +96,9 @@ class MaxFlowDpSearcher {
     std::vector<Flow> flow_table;
     std::vector<size_t> choice;
 
-    // Per-match window-list fallback when the shared cache declines
-    // the pair (saturated cache or memoization gated off): a one-entry
-    // MRU, so consecutive matches sharing a pair still hit.
-    WindowListMru window_mru;
+    // This thread's reader of the searcher's window cache, charging the
+    // control of the first run — made at first use.
+    std::optional<SharedWindowCache::Reader> windows;
 
     // First-use binding (graph + delta) guarding against accidental
     // reuse across incompatible searchers.
@@ -106,11 +106,10 @@ class MaxFlowDpSearcher {
     Timestamp bound_delta = 0;
   };
 
-  /// `window_cache` (optional) is the per-query shared cache; it must
-  /// outlive the searcher and be bound to the same delta. The searcher
-  /// reads through it — or, when null, through a privately owned cache
-  /// — iff the motif has an interior node (the only shape where a pair
-  /// can repeat); otherwise caching is off regardless.
+  /// `window_cache` (optional) is the shared window cache; it must
+  /// outlive the searcher and be bound to the same delta. When null,
+  /// the searcher owns one iff the motif has an interior node (the only
+  /// shape where a pair can repeat); otherwise caching is off.
   MaxFlowDpSearcher(const TimeSeriesGraph& graph, const Motif& motif,
                     Timestamp delta,
                     SharedWindowCache* window_cache = nullptr);
@@ -139,9 +138,11 @@ class MaxFlowDpSearcher {
                       Scratch* scratch) const;
 
   /// Same with a cooperative cancellation point per match (site
-  /// "dp.match" — this outer loop is the kTop1 hot path). A null
-  /// `control` is the zero-overhead path above; on stop the returned
-  /// Result covers the first matches_processed matches exactly.
+  /// "dp.match" — this outer loop is the kTop1 hot path), and `control`
+  /// billed for every window list the run materializes (site
+  /// "cache.windows"). A null `control` is the zero-overhead path above;
+  /// on stop the returned Result covers the first matches_processed
+  /// matches exactly.
   Result RunOnMatches(const MatchBinding* begin, const MatchBinding* end,
                       Scratch* scratch, QueryControl* control) const;
 
@@ -155,14 +156,6 @@ class MaxFlowDpSearcher {
   /// null when memoization is gated off. Exposed for tests.
   const SharedWindowCache* window_cache() const { return cache_; }
 
-  /// Attaches the owning query's lifecycle control (non-owning, may be
-  /// null): every window list BeginMatch materializes — through the
-  /// cache or recomputed into the scratch MRU — is billed against its
-  /// WorkBudget at site "cache.windows". QueryControl is internally
-  /// synchronized, so one searcher shared across workers charges
-  /// safely. Set before sharing; must outlive every run.
-  void set_query_control(QueryControl* control) { query_control_ = control; }
-
  private:
   /// Runs the DP for one window of one match, using the cursors and
   /// buffers in `scratch` (BeginMatch must have run for this match);
@@ -173,24 +166,22 @@ class MaxFlowDpSearcher {
 
   /// Resolves the match's per-edge series into scratch->series, resets
   /// the window cursors, and returns the match's processed-window list
-  /// (from the shared cache when possible, else served by
-  /// scratch->window_mru).
+  /// (through scratch->windows).
   const std::vector<Window>& BeginMatch(const MatchBinding& binding,
                                         Scratch* scratch) const;
 
-  /// Binds `scratch` to this searcher's (graph, delta) or checks the
-  /// existing binding.
-  void CheckScratch(Scratch* scratch) const;
+  /// Binds `scratch` to this searcher's (graph, delta) and `control` —
+  /// making its window reader — or checks the existing binding.
+  void CheckScratch(Scratch* scratch, QueryControl* control) const;
 
   const TimeSeriesGraph& graph_;
   const Motif motif_;
   Timestamp delta_;
   // Privately owned cache when none is injected and the motif has an
-  // interior node. SharedWindowCache is internally synchronized, so the
-  // const methods above may insert through it.
+  // interior node. Readers of a SharedWindowCache insert concurrently,
+  // so the const methods above may read through it.
   std::unique_ptr<SharedWindowCache> owned_cache_;
   SharedWindowCache* cache_;  // null = compute windows per match
-  QueryControl* query_control_ = nullptr;  // budget charging; may be null
 };
 
 }  // namespace flowmotif

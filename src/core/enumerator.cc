@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "util/logging.h"
 #include "util/timer.h"
@@ -162,9 +163,14 @@ void FlowMotifEnumerator::Recurse(Context* ctx, int level,
   }
 }
 
-bool FlowMotifEnumerator::EnumerateMatch(const MatchBinding& binding,
-                                         const InstanceVisitor& visitor,
-                                         EnumerationResult* result) const {
+SharedWindowCache::Reader FlowMotifEnumerator::NewReader() const {
+  return SharedWindowCache::Reader(cache_, options_.delta,
+                                   options_.query_control);
+}
+
+bool FlowMotifEnumerator::EnumerateMatch(
+    const MatchBinding& binding, const InstanceVisitor& visitor,
+    EnumerationResult* result, SharedWindowCache::Reader* windows) const {
   const int m = motif_.num_edges();
   Context ctx;
   ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
@@ -174,39 +180,29 @@ bool FlowMotifEnumerator::EnumerateMatch(const MatchBinding& binding,
   ctx.visitor = &visitor;
   ctx.result = result;
 
-  // The match's processed-window list, read through the per-query
-  // shared cache when the motif's (first, last) series pairs can repeat
-  // (else computed into the local buffer, exactly as before PR 4).
-  std::vector<Window> local_windows;
-  const std::vector<Window>* windows = nullptr;
-  if (cache_ != nullptr) {
-    windows = cache_->Get(*ctx.series.front(), *ctx.series.back(),
-                          options_.query_control);
-  }
-  if (windows == nullptr) {
-    ComputeProcessedWindows(*ctx.series.front(), *ctx.series.back(),
-                            options_.delta, &local_windows);
-    ChargeComputedWindows(options_.query_control, local_windows.size(), 0);
-    windows = &local_windows;
-  }
+  // The match's processed-window list; the reader keeps it valid for
+  // the whole sweep below (the visitor never reads through it).
+  std::optional<SharedWindowCache::Reader> one_match;
+  if (windows == nullptr) windows = &one_match.emplace(NewReader());
+  const std::vector<Window>& processed =
+      windows->Get(*ctx.series.front(), *ctx.series.back());
 
   if (options_.ablation_no_window_skip) {
     // Ablation: run every anchor position; remember which ones the skip
     // rule would have processed so redundant emissions can be counted.
-    const std::vector<Window>& kept = *windows;
     const std::vector<Window> all_windows =
         ComputeAllWindows(*ctx.series.front(), options_.delta);
-    size_t kept_cursor = 0;
+    size_t processed_cursor = 0;
     result->num_windows_processed +=
         static_cast<int64_t>(all_windows.size());
     for (const Window& window : all_windows) {
       if (ctx.stop) break;
-      while (kept_cursor < kept.size() &&
-             kept[kept_cursor].start < window.start) {
-        ++kept_cursor;
+      while (processed_cursor < processed.size() &&
+             processed[processed_cursor].start < window.start) {
+        ++processed_cursor;
       }
       ctx.window_is_redundant =
-          kept_cursor >= kept.size() || !(kept[kept_cursor] == window);
+          processed_cursor >= processed.size() || !(processed[processed_cursor] == window);
       ctx.AdvanceToWindow(window);
       ctx.min_flow_so_far = std::numeric_limits<Flow>::infinity();
       Recurse(&ctx, 0, window.start);
@@ -214,8 +210,8 @@ bool FlowMotifEnumerator::EnumerateMatch(const MatchBinding& binding,
     return !ctx.stop;
   }
 
-  result->num_windows_processed += static_cast<int64_t>(windows->size());
-  for (const Window& window : *windows) {
+  result->num_windows_processed += static_cast<int64_t>(processed.size());
+  for (const Window& window : processed) {
     if (ctx.stop) break;
     ctx.AdvanceToWindow(window);
     ctx.min_flow_so_far = std::numeric_limits<Flow>::infinity();
@@ -255,11 +251,13 @@ EnumerationResult FlowMotifEnumerator::Run(
   WallTimer total_timer;
   double phase2_seconds = 0.0;
 
+  SharedWindowCache::Reader windows = NewReader();
   StructuralMatcher matcher(graph_, motif_);
   matcher.FindAll([&](const MatchBinding& binding) {
     ++result.num_structural_matches;
     WallTimer p2_timer;
-    const bool keep_going = EnumerateMatch(binding, visitor, &result);
+    const bool keep_going =
+        EnumerateMatch(binding, visitor, &result, &windows);
     phase2_seconds += p2_timer.ElapsedSeconds();
     return keep_going;
   });
@@ -275,9 +273,10 @@ EnumerationResult FlowMotifEnumerator::RunOnMatches(
     const InstanceVisitor& visitor) const {
   EnumerationResult result;
   WallTimer timer;
+  SharedWindowCache::Reader windows = NewReader();
   for (const MatchBinding& binding : matches) {
     ++result.num_structural_matches;
-    if (!EnumerateMatch(binding, visitor, &result)) break;
+    if (!EnumerateMatch(binding, visitor, &result, &windows)) break;
   }
   result.phase2_seconds = timer.ElapsedSeconds();
   return result;

@@ -227,15 +227,15 @@ JoinMotifEnumerator::Result JoinMotifEnumerator::Run(
   // scan total, and the two-phase engine sharing the query's cache
   // reuses the very same lists. -----------------------------------------
   SharedWindowCache local_cache(delta_);
-  SharedWindowCache* cache = cache_ != nullptr ? cache_ : &local_cache;
-  WindowListMru window_mru;  // fallback if the cache saturates
+  SharedWindowCache::Reader reader(cache_ != nullptr ? cache_ : &local_cache,
+                                   delta_);
   for (const Partial& partial : frontier) {
     const EdgeSeries& first_series =
         graph_.pair(partial.slices.front().first).series;
     const EdgeSeries& last_series =
         graph_.pair(partial.slices.back().first).series;
     const std::vector<Window>& windows =
-        window_mru.GetOrCompute(cache, first_series, last_series, delta_);
+        reader.Get(first_series, last_series);
     const auto window_at = std::partition_point(
         windows.begin(), windows.end(), [&partial](const Window& w) {
           return w.start < partial.anchor;

@@ -17,6 +17,7 @@ std::vector<MatchActivityAnalyzer::MatchActivity>
 MatchActivityAnalyzer::TopMatches(int64_t top_n) const {
   FLOWMOTIF_CHECK_GE(top_n, 0);
   FlowMotifEnumerator enumerator(graph_, motif_, options_);
+  SharedWindowCache::Reader windows = enumerator.NewReader();
   StructuralMatcher matcher(graph_, motif_);
 
   std::vector<MatchActivity> activities;
@@ -40,7 +41,7 @@ MatchActivityAnalyzer::TopMatches(int64_t top_n) const {
               std::max(activity.last_window_start, view.window.start);
           return true;
         },
-        &scratch);
+        &scratch, &windows);
     if (activity.instance_count > 0) {
       activities.push_back(std::move(activity));
     }

@@ -29,9 +29,12 @@ std::vector<EnumerationResult> MultiMotifEnumerator::Run(
     const Visitor& visitor) const {
   std::vector<EnumerationResult> results(motifs_.size());
   std::vector<FlowMotifEnumerator> enumerators;
+  std::vector<SharedWindowCache::Reader> readers;
   enumerators.reserve(motifs_.size());
+  readers.reserve(motifs_.size());
   for (const Motif& motif : motifs_) {
     enumerators.emplace_back(graph_, motif, options_);
+    readers.push_back(enumerators.back().NewReader());
   }
 
   WallTimer total_timer;
@@ -46,8 +49,8 @@ std::vector<EnumerationResult> MultiMotifEnumerator::Run(
         return visitor(motif_idx, view);
       };
     }
-    const bool keep_going =
-        enumerators[motif_idx].EnumerateMatch(binding, wrapped, &result);
+    const bool keep_going = enumerators[motif_idx].EnumerateMatch(
+        binding, wrapped, &result, &readers[motif_idx]);
     phase2_seconds += p2_timer.ElapsedSeconds();
     result.phase2_seconds += p2_timer.ElapsedSeconds();
     return keep_going;

@@ -12,12 +12,6 @@ namespace flowmotif {
 
 namespace {
 
-/// Cap of the per-Analyze cross-graph window cache. Every entry is hit
-/// N+1 times across the ensemble (and once per motif in AnalyzeAll), so
-/// a larger cap than the per-query default pays for itself; memory stays
-/// bounded at max_entries window lists.
-constexpr size_t kEnsembleCacheEntries = 4096;
-
 /// Longest contiguous completed-task prefix — the only part of a
 /// stopped ensemble the report may use: parallel tasks beyond the first
 /// never-ran task completed out of canonical order.
@@ -204,10 +198,11 @@ SignificanceAnalyzer::PreparedMotif SignificanceAnalyzer::Prepare(
   PreparedMotif prepared;
   prepared.enum_options.delta = options_.delta;
   prepared.enum_options.phi = options_.phi;
-  // One cross-graph cache for the whole ensemble: the views share the
-  // real graph's timestamp storage, and the cache keys on that identity,
-  // so a window list computed for any task is a hit for every other —
-  // per-permutation window work drops to (almost) zero.
+  // One cache for the whole ensemble, read for every motif shape: the
+  // views share the real graph's timestamp storage, and the cache keys
+  // on that identity, so a window list computed for any task is a hit
+  // for every other — per-permutation window work drops to (almost)
+  // zero.
   prepared.enum_options.shared_window_cache = cache;
   prepared.enum_options.query_control = options_.control;
 
@@ -260,9 +255,7 @@ SignificanceAnalyzer::MotifReport SignificanceAnalyzer::BuildReport(
 SignificanceAnalyzer::MotifReport SignificanceAnalyzer::Analyze(
     const Motif& motif) const {
   QueryControl* const control = options_.control;
-  SharedWindowCache cache(options_.delta, kEnsembleCacheEntries,
-                          /*cross_graph=*/true);
-  cache.set_query_control(control);
+  SharedWindowCache cache(options_.delta);
   const PreparedMotif prepared = Prepare(motif, &cache);
 
   // Record-once / replay-many fast path: one timestamp-only recording
@@ -356,9 +349,7 @@ std::vector<SignificanceAnalyzer::MotifReport> SignificanceAnalyzer::AnalyzeAll(
   // the price of the paper's one-set-of-randomized-datasets setup;
   // single-motif Analyze regenerates per call instead.
   QueryControl* const control = options_.control;
-  SharedWindowCache cache(options_.delta, kEnsembleCacheEntries,
-                          /*cross_graph=*/true);
-  cache.set_query_control(control);
+  SharedWindowCache cache(options_.delta);
   std::vector<std::vector<Flow>> permuted_flows;  // replay ensemble, lazy
   std::vector<TimeSeriesGraph> views;             // fallback ensemble, lazy
   bool permuted_flows_ready = false;

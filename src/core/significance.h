@@ -32,7 +32,7 @@ namespace flowmotif {
 /// resident; AnalyzeAll holds all N for the duration of the set).
 /// Everything timestamp-derived is shared across the whole ensemble:
 /// structural matches are computed once (reuse_matches), and one
-/// cross-graph SharedWindowCache serves all N+1 graphs — window lists
+/// ensemble SharedWindowCache serves all N+1 graphs — window lists
 /// are computed once (usually on the real graph) and hit N times, for
 /// every motif shape, since the cache keys on timestamp-storage
 /// identity.
@@ -129,7 +129,7 @@ class SignificanceAnalyzer {
   // The analyzer keeps a reference to the graph: temporaries would dangle.
   SignificanceAnalyzer(TimeSeriesGraph&&, const Options&) = delete;
 
-  /// Analyzes one motif with one cross-graph window cache warm for all
+  /// Analyzes one motif with one ensemble window cache warm for all
   /// N+1 graphs. Views are drawn in waves of pool-width (1 when
   /// serial), so at most one wave of flow arrays is resident at a time
   /// — the cache outlives the waves, so later waves still hit every
@@ -147,7 +147,7 @@ class SignificanceAnalyzer {
 
  private:
   /// Per-motif flow-independent setup shared by all N+1 counting tasks:
-  /// enumeration options bound to the cross-graph cache, plus the
+  /// enumeration options bound to the ensemble cache, plus the
   /// structural matches of the real graph when reuse_matches is set.
   struct PreparedMotif {
     EnumerationOptions enum_options;

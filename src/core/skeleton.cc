@@ -366,14 +366,11 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
   std::vector<const EdgeSeries*> series(static_cast<size_t>(m));
   std::vector<size_t> base(static_cast<size_t>(m));
   WindowCursorSet cursors;
-  WindowListMru window_mru;
-  // Same cache policy as the counting/enumeration paths: when the
-  // motif's (first, last) pairs cannot repeat and the cache is not
-  // cross-graph, reading through it costs a hash probe and a dead
-  // insertion per match — the MRU alone serves run-locality hits.
+  // Same cache policy as the counting/enumeration paths.
   std::unique_ptr<SharedWindowCache> owned_cache;
-  SharedWindowCache* resolved_cache =
-      ResolveWindowCache(cache, motif, delta, &owned_cache);
+  SharedWindowCache::Reader windows(
+      ResolveWindowCache(cache, motif, delta, &owned_cache), delta,
+      options.query_control);
 
   std::vector<Recorder::EdgeRec> edges;
   Recorder rec;
@@ -397,10 +394,8 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
     }
     rec.BeginMatch(series);
 
-    const std::vector<Window>& windows = window_mru.GetOrCompute(
-        resolved_cache, *series.front(), *series.back(), delta,
-        options.query_control);
-    if (rec.RecordMatchWindows(&cursors, series, windows)) {
+    if (rec.RecordMatchWindows(&cursors, series,
+                               windows.Get(*series.front(), *series.back()))) {
       match_viable_[match_index] = 1;
     }
     if (rec.over_budget) {
@@ -460,9 +455,9 @@ void EnumerationSkeleton::RecordSweepDescending(
   std::vector<bool> dead(n, false);
 
   // Per-match window lists, one per delta, out of a single scan of the
-  // match's boundary series. The one-entry MRU mirrors WindowListMru:
-  // interior-node motifs present the same (first, last) identity pair
-  // in runs, and the lists depend only on those identities.
+  // match's boundary series. A one-entry MRU keyed on the (first, last)
+  // identity pair: the lists depend only on those identities, and
+  // consecutive matches of an interior-node motif may share them.
   std::vector<std::vector<Window>> windows;
   StorageIdentity mru_first;
   StorageIdentity mru_last;

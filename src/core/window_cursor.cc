@@ -19,13 +19,6 @@ bool MotifHasInteriorNode(const Motif& motif) {
   return false;
 }
 
-bool ShouldUseWindowCache(const SharedWindowCache* cache,
-                          const Motif& motif) {
-  return cache != nullptr &&
-         (cache->cross_graph() || cache->has_fallback_tier() ||
-          MotifHasInteriorNode(motif));
-}
-
 void ChargeComputedWindows(QueryControl* control, size_t num_windows,
                            size_t container_bytes) {
   if (control == nullptr) return;
@@ -40,10 +33,7 @@ void ChargeComputedWindows(QueryControl* control, size_t num_windows,
 SharedWindowCache* ResolveWindowCache(
     SharedWindowCache* injected, const Motif& motif, Timestamp delta,
     std::unique_ptr<SharedWindowCache>* owned) {
-  if (ShouldUseWindowCache(injected, motif)) {
-    // Injected cache: read when pairs repeat within one graph (interior
-    // node) or when the cache is cross-graph (a permutation ensemble
-    // re-presents every pair once per view).
+  if (injected != nullptr) {
     FLOWMOTIF_CHECK_EQ(injected->delta(), delta)
         << "shared window cache bound to a different delta";
     return injected;
@@ -125,24 +115,6 @@ void TimelineOffsets::Build(const std::vector<const EdgeSeries*>& series,
   }
 }
 
-const std::vector<Window>& WindowListMru::GetOrCompute(
-    SharedWindowCache* cache, const EdgeSeries& first,
-    const EdgeSeries& last, Timestamp delta, QueryControl* charge) {
-  if (cache != nullptr) {
-    const std::vector<Window>* cached = cache->Get(first, last, charge);
-    if (cached != nullptr) return *cached;
-  }
-  if (first_id_ == first.timestamp_identity() &&
-      last_id_ == last.timestamp_identity()) {
-    return windows_;
-  }
-  ComputeProcessedWindows(first, last, delta, &windows_);
-  first_id_ = first.timestamp_identity();
-  last_id_ = last.timestamp_identity();
-  ChargeComputedWindows(charge, windows_.size(), 0);
-  return windows_;
-}
-
 namespace {
 
 /// Smallest power of two >= n (n <= 2^63).
@@ -150,6 +122,13 @@ size_t NextPowerOfTwo(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
   return p;
+}
+
+size_t PairHash(const StorageIdentity& first_id,
+                const StorageIdentity& last_id) {
+  const std::hash<StorageIdentity> hash;
+  const size_t h = hash(first_id);
+  return h ^ (hash(last_id) + 0x9e3779b9u + (h << 6) + (h >> 2));
 }
 
 }  // namespace
@@ -162,19 +141,19 @@ struct SharedWindowCache::Node {
 };
 
 /// One entry pool: a fixed open-hashed bucket array of insert-only node
-/// chains plus a reservation counter. A non-generational cache owns
-/// exactly one for its lifetime; a generational cache rotates through
-/// shared_ptr-owned ones, each freed when the last lease drops it.
+/// chains plus a reservation counter. Shared_ptr-owned by the cache and
+/// by the leases of its readers; freed when the last of them drops it.
 struct SharedWindowCache::Generation {
-  explicit Generation(size_t cap)
+  Generation(size_t cap, std::atomic<int64_t>* live_count)
       : max_entries(cap),
-        // Load factor <= 1 at saturation; the bucket array is fixed for
-        // the generation's lifetime, which is what keeps reads
-        // lock-free.
-        buckets(NextPowerOfTwo(cap == 0 ? 1 : cap)) {
+        // Load factor <= 1 when full; the bucket array is fixed for the
+        // generation's lifetime, which is what keeps reads lock-free.
+        buckets(NextPowerOfTwo(cap == 0 ? 1 : cap)),
+        live(live_count) {
     for (std::atomic<Node*>& bucket : buckets) {
       bucket.store(nullptr, std::memory_order_relaxed);
     }
+    live->fetch_add(1, std::memory_order_relaxed);
   }
 
   ~Generation() {
@@ -186,63 +165,25 @@ struct SharedWindowCache::Generation {
         node = next;
       }
     }
+    live->fetch_sub(1, std::memory_order_relaxed);
   }
 
   const size_t max_entries;
   std::vector<std::atomic<Node*>> buckets;
   std::atomic<size_t> size{0};
+  std::atomic<int64_t>* const live;  // the owning cache's gauge
 };
 
-namespace {
-
-size_t HashIdentity(const StorageIdentity& id) {
-  const size_t h = std::hash<const void*>()(id.storage);
-  return h ^ (std::hash<size_t>()(id.epoch) + 0x9e3779b9u + (h << 6) +
-              (h >> 2));
-}
-
-size_t PairHash(const StorageIdentity& first_id,
-                const StorageIdentity& last_id) {
-  const size_t h = HashIdentity(first_id);
-  return h ^ (HashIdentity(last_id) + 0x9e3779b9u + (h << 6) + (h >> 2));
-}
-
-}  // namespace
-
-SharedWindowCache::SharedWindowCache(Timestamp delta, size_t max_entries,
-                                     bool cross_graph)
-    : SharedWindowCache(delta, max_entries, cross_graph,
-                        /*generational=*/false) {}
-
-SharedWindowCache::SharedWindowCache(Timestamp delta, size_t max_entries,
-                                     bool cross_graph, bool generational)
+SharedWindowCache::SharedWindowCache(Timestamp delta, size_t max_entries)
     : delta_(delta),
       max_entries_(max_entries),
-      cross_graph_(cross_graph),
-      generational_(generational) {
+      cur_(std::make_shared<Generation>(max_entries, &live_generations_)) {
   FLOWMOTIF_CHECK_GE(delta, 0);
-  if (generational_) {
-    cur_ = std::make_shared<Generation>(max_entries_);
-  } else {
-    base_ = std::make_unique<Generation>(max_entries_);
-  }
-}
-
-std::unique_ptr<SharedWindowCache> SharedWindowCache::MakeGenerational(
-    Timestamp delta, size_t max_entries_per_generation) {
-  return std::unique_ptr<SharedWindowCache>(
-      new SharedWindowCache(delta, max_entries_per_generation,
-                            /*cross_graph=*/false, /*generational=*/true));
 }
 
 SharedWindowCache::~SharedWindowCache() = default;
 
-void SharedWindowCache::set_fallback_tier(SharedWindowCache* tier) {
-  tier_ = tier;
-}
-
 size_t SharedWindowCache::size() const {
-  if (!generational_) return base_->size.load(std::memory_order_acquire);
   std::lock_guard<std::mutex> lock(gen_mu_);
   size_t total = cur_->size.load(std::memory_order_acquire);
   if (prev_ != nullptr) total += prev_->size.load(std::memory_order_acquire);
@@ -263,9 +204,9 @@ SharedWindowCache::Node* SharedWindowCache::FindIn(
 
 bool SharedWindowCache::TryReserve(Generation* gen) {
   // Reserve a slot before building. The CAS loop (rather than a
-  // blind fetch_add with rollback) keeps `size()` <= max_entries even
-  // transiently, and once saturated every further miss costs one
-  // relaxed load — no contended RMW on the shared counter.
+  // blind fetch_add with rollback) keeps a generation's size <=
+  // max_entries even transiently, and a full generation costs one
+  // relaxed load per miss — no contended RMW on the shared counter.
   size_t reserved = gen->size.load(std::memory_order_relaxed);
   while (true) {
     if (reserved >= gen->max_entries) return false;
@@ -277,7 +218,7 @@ bool SharedWindowCache::TryReserve(Generation* gen) {
   }
 }
 
-const std::vector<Window>* SharedWindowCache::InsertReserved(Generation* gen,
+const std::vector<Window>& SharedWindowCache::InsertReserved(Generation* gen,
                                                              Node* node) {
   std::atomic<Node*>& bucket =
       gen->buckets[PairHash(node->first_id, node->last_id) &
@@ -294,10 +235,9 @@ const std::vector<Window>* SharedWindowCache::InsertReserved(Generation* gen,
          other = other->next) {
       if (other->first_id == node->first_id &&
           other->last_id == node->last_id) {
-        const std::vector<Window>* windows = &other->windows;
         delete node;
         gen->size.fetch_sub(1, std::memory_order_acq_rel);
-        return windows;
+        return other->windows;
       }
     }
     scanned_until = expected;
@@ -305,145 +245,103 @@ const std::vector<Window>* SharedWindowCache::InsertReserved(Generation* gen,
     if (bucket.compare_exchange_weak(expected, node,
                                      std::memory_order_release,
                                      std::memory_order_acquire)) {
-      return &node->windows;
+      return node->windows;
     }
   }
 }
 
-const std::vector<Window>* SharedWindowCache::Get(const EdgeSeries& first,
-                                                  const EdgeSeries& last,
-                                                  QueryControl* charge) {
-  FLOWMOTIF_CHECK(!generational_)
-      << "generational caches are read through a TierLease (LeasedGet)";
+SharedWindowCache::Reader::Reader(SharedWindowCache* cache, Timestamp delta,
+                                  QueryControl* charge)
+    : cache_(cache != nullptr && cache->max_entries() > 0 ? cache : nullptr),
+      delta_(delta),
+      charge_(charge) {
+  if (cache != nullptr) {
+    FLOWMOTIF_CHECK_EQ(cache->delta(), delta)
+        << "window cache reader bound to a different delta";
+  }
+}
+
+const std::vector<Window>& SharedWindowCache::Reader::Get(
+    const EdgeSeries& first, const EdgeSeries& last) {
+  if (cache_ != nullptr) return cache_->Lookup(this, first, last);
+  ComputeProcessedWindows(first, last, delta_, &own_);
+  ChargeComputedWindows(charge_, own_.size(), 0);
+  return own_;
+}
+
+void SharedWindowCache::Renew(Reader* reader) {
+  // Generations dropped here are released after the lock: freeing one
+  // deletes up to max_entries lists, and other readers' leases wait on
+  // the lock.
+  std::shared_ptr<Generation> old_cur = std::move(reader->cur_);
+  std::shared_ptr<Generation> old_prev = std::move(reader->prev_);
+  std::shared_ptr<Generation> unpublished;
+  std::lock_guard<std::mutex> lock(gen_mu_);
+  if (old_cur == cur_) {
+    // This reader found the newest generation full: rotate. The old
+    // previous generation leaves the publication path here; its nodes
+    // live on until every reader leasing it moves on.
+    unpublished = std::move(prev_);
+    prev_ = std::move(cur_);
+    cur_ = std::make_shared<Generation>(max_entries_, &live_generations_);
+    rotations_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Lease the cache's current pair (another reader — or a sweep — may
+  // already have moved it past the full generation this reader saw).
+  reader->cur_ = cur_;
+  reader->prev_ = prev_;
+}
+
+const std::vector<Window>& SharedWindowCache::Lookup(Reader* reader,
+                                                     const EdgeSeries& first,
+                                                     const EdgeSeries& last) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
+  if (reader->cur_ == nullptr) Renew(reader);
   // The key is the timestamp-storage identity, not the series address:
   // a flow-permuted view hits the entry its source series published.
   const StorageIdentity first_id = first.timestamp_identity();
   const StorageIdentity last_id = last.timestamp_identity();
-  if (Node* node = FindIn(*base_, first_id, last_id)) {
+  if (Node* node = FindIn(*reader->cur_, first_id, last_id)) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return &node->windows;
+    return node->windows;
   }
-
-  // Budget charges land on the per-call control when given (the tier
-  // case: one cache, many queries), else on the attached per-query one.
-  QueryControl* const control = charge != nullptr ? charge : control_;
-
-  // Miss: before computing anything ourselves, fall through to the
-  // cross-query tier — it either serves a warm list another query
-  // published or publishes ours (charged to this query's control).
-  // Tier entries are as immutable and as long-lived as this query (the
-  // lease pins a generational tier's generations), so the pointer is
-  // returned directly and this cache stays empty for pairs the tier
-  // holds. A saturated non-generational tier returns null and we
-  // proceed with the private publish below.
-  if (tier_ != nullptr) {
-    const std::vector<Window>* from_tier = nullptr;
-    if (tier_->generational_) {
-      std::lock_guard<std::mutex> lock(tier_lease_mu_);
-      // Taken at the first fallthrough rather than at attach time: the
-      // engine attaches the tier before phase P1, and a lease that
-      // aged through P1 would start on generations the tier has since
-      // rotated past.
-      if (!tier_lease_.active()) tier_lease_ = tier_->AcquireTierLease();
-      from_tier = tier_->LeasedGet(&tier_lease_, first, last, control);
-    } else {
-      from_tier = tier_->Get(first, last, control);
-    }
-    if (from_tier != nullptr) return from_tier;
-  }
-
-  if (!TryReserve(base_.get())) return nullptr;
-
-  Node* node = new Node{first_id, last_id,
-                        ComputeProcessedWindows(first, last, delta_),
-                        nullptr};
-  // Budget accounting happens at materialization, the only point
-  // where this query allocates window storage that outlives a match.
-  ChargeComputedWindows(control, node->windows.size(), sizeof(Node));
-  return InsertReserved(base_.get(), node);
-}
-
-SharedWindowCache::TierLease SharedWindowCache::AcquireTierLease() {
-  FLOWMOTIF_CHECK(generational_);
-  TierLease lease;
-  std::lock_guard<std::mutex> lock(gen_mu_);
-  lease.cur_ = cur_;
-  lease.prev_ = prev_;
-  return lease;
-}
-
-void SharedWindowCache::Rotate(TierLease* lease) {
-  std::lock_guard<std::mutex> lock(gen_mu_);
-  if (cur_ == lease->cur_) {
-    // This lease saw the newest generation saturated: rotate. The old
-    // previous generation leaves the publication path here, but its
-    // nodes live on until every lease that served pointers from it
-    // drains — that, not the rotation, is the free point.
-    prev_ = std::move(cur_);
-    cur_ = std::make_shared<Generation>(max_entries_);
-    rotations_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Refresh the lease to the cache's current pair (another reader — or
-  // a sweep — may already have moved it past the saturated generation
-  // this lease saw). Everything the lease moves past stays retained.
-  lease->retained_.push_back(std::move(lease->cur_));
-  if (lease->prev_ != nullptr) {
-    lease->retained_.push_back(std::move(lease->prev_));
-  }
-  lease->cur_ = cur_;
-  lease->prev_ = prev_;
-}
-
-const std::vector<Window>* SharedWindowCache::LeasedGet(
-    TierLease* lease, const EdgeSeries& first, const EdgeSeries& last,
-    QueryControl* charge) {
-  FLOWMOTIF_CHECK(generational_);
-  FLOWMOTIF_CHECK(lease != nullptr && lease->active());
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  const StorageIdentity first_id = first.timestamp_identity();
-  const StorageIdentity last_id = last.timestamp_identity();
-  if (Node* node = FindIn(*lease->cur_, first_id, last_id)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &node->windows;
-  }
-  if (lease->prev_ != nullptr) {
-    if (Node* node = FindIn(*lease->prev_, first_id, last_id)) {
+  if (reader->prev_ != nullptr) {
+    if (Node* node = FindIn(*reader->prev_, first_id, last_id)) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       // Clock second chance: copy the touched entry into the current
       // generation so it survives the next rotation. Not billed — the
       // windows were charged when first materialized. If the current
       // generation is full the hit is still served from previous (the
       // next miss will rotate anyway).
-      if (TryReserve(lease->cur_.get())) {
-        Node* copy = new Node{first_id, last_id, node->windows, nullptr};
-        return InsertReserved(lease->cur_.get(), copy);
+      if (TryReserve(reader->cur_.get())) {
+        return InsertReserved(reader->cur_.get(),
+                              new Node{first_id, last_id, node->windows,
+                                       nullptr});
       }
-      return &node->windows;
+      return node->windows;
     }
   }
-  QueryControl* const control = charge != nullptr ? charge : control_;
-  if (max_entries_ == 0) return nullptr;
-  // Saturated: rotate instead of declining, then retry through the
-  // refreshed lease. Loop, not a single retry — under contention the
-  // refreshed current generation may already have been filled by other
-  // threads, and each Rotate call either installs a fresh generation
-  // or moves the lease to a strictly newer one, so this terminates.
-  while (!TryReserve(lease->cur_.get())) {
-    Rotate(lease);
-  }
+  // Full: rotate instead of declining, then retry through the renewed
+  // lease. Loop, not a single retry — under contention the renewed
+  // current generation may already have been filled by other readers,
+  // and each Renew either installs a fresh generation or moves the
+  // lease to a strictly newer one, so this terminates.
+  while (!TryReserve(reader->cur_.get())) Renew(reader);
   Node* node = new Node{first_id, last_id,
                         ComputeProcessedWindows(first, last, delta_),
                         nullptr};
-  ChargeComputedWindows(control, node->windows.size(), sizeof(Node));
-  return InsertReserved(lease->cur_.get(), node);
+  // Budget accounting happens at materialization, the only point where
+  // a query allocates window storage that outlives a match.
+  ChargeComputedWindows(reader->charge_, node->windows.size(), sizeof(Node));
+  return InsertReserved(reader->cur_.get(), node);
 }
 
 void SharedWindowCache::SweepGenerations(
     const std::function<bool(const StorageIdentity&)>& live) {
-  FLOWMOTIF_CHECK(generational_);
+  std::shared_ptr<Generation> old_cur;  // released after the lock
+  std::shared_ptr<Generation> old_prev;
   std::lock_guard<std::mutex> lock(gen_mu_);
-  auto fresh = std::make_shared<Generation>(max_entries_);
+  auto fresh = std::make_shared<Generation>(max_entries_, &live_generations_);
   const Generation* sources[2] = {cur_.get(), prev_.get()};
   bool full = false;
   for (const Generation* gen : sources) {
@@ -469,7 +367,8 @@ void SharedWindowCache::SweepGenerations(
       }
     }
   }
-  prev_.reset();
+  old_prev = std::move(prev_);
+  old_cur = std::move(cur_);
   cur_ = std::move(fresh);
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -171,38 +170,6 @@ void FinalizeTopKStats(EnumerationResult* stats, size_t num_entries) {
   stats->num_phi_prunes = 0;
 }
 
-/// Checkout pool of DP scratches for kTop1: a P2 batch borrows one for
-/// the duration of its RunOnMatches call, so a worker's successive
-/// batches reuse the same timeline/table buffers instead of
-/// reallocating per batch (window lists live in the per-query
-/// SharedWindowCache, shared by every worker). Scratch contents never
-/// influence results — only where the buffers live — so the checkout
-/// order is free to vary with scheduling.
-class DpScratchPool {
- public:
-  std::unique_ptr<MaxFlowDpSearcher::Scratch> Acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        std::unique_ptr<MaxFlowDpSearcher::Scratch> scratch =
-            std::move(free_.back());
-        free_.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<MaxFlowDpSearcher::Scratch>();
-  }
-
-  void Release(std::unique_ptr<MaxFlowDpSearcher::Scratch> scratch) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(scratch));
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::unique_ptr<MaxFlowDpSearcher::Scratch>> free_;
-};
-
 /// The per-match loop of the enumerate, count and top-k kernels: runs
 /// `body(match, i)` on the i-th match of [begin, end), checking
 /// "p2.batch" before each under a control. Returns how many leading
@@ -229,8 +196,13 @@ struct ModeRun {
   const std::vector<MatchBinding>* list;  // null: P1 shards of `matcher`
   ThreadPool* pool;
   QueryControl* control;
-  SharedWindowCache* cache;
+  SharedWindowCache* cache;  // null: every reader computes its own lists
   QueryResult* result;
+
+  /// One batch's window-list reader (a batch runs on one thread).
+  SharedWindowCache::Reader NewReader() const {
+    return SharedWindowCache::Reader(cache, options.delta, control);
+  }
 
   EnumerationOptions Enumeration() const {
     EnumerationOptions eopts;
@@ -270,6 +242,7 @@ void EnumerateBatches(const ModeRun& run) {
   run.Execute([&](int64_t, const MatchBinding* begin,
                   const MatchBinding* end) {
     EnumerationResult stats;
+    SharedWindowCache::Reader windows = run.NewReader();
     std::vector<MotifInstance> collected;
     InstanceVisitor visitor;  // stays null (counters only) when limit == 0
     if (limit != 0) {
@@ -282,7 +255,7 @@ void EnumerateBatches(const ModeRun& run) {
     }
     const int64_t processed = ForEachMatch(
         begin, end, run.control, [&](const MatchBinding& match, int64_t) {
-          enumerator.EnumerateMatch(match, visitor, &stats);
+          enumerator.EnumerateMatch(match, visitor, &stats, &windows);
         });
     return BatchOutput{
         processed,
@@ -299,22 +272,18 @@ void EnumerateBatches(const ModeRun& run) {
   });
 }
 
-/// kCount: a batch counts its matches with a run-local window MRU, so
-/// consecutive same-pair matches stay cheap even when the shared cache
-/// declines the pair; the fold sums the counters.
+/// kCount: a batch counts its matches; the fold sums the counters.
 void CountBatches(const ModeRun& run) {
-  InstanceCounter counter(run.graph, run.motif, run.options.delta,
-                          run.options.phi, run.cache);
-  counter.set_query_control(run.control);
+  const InstanceCounter counter(run.graph, run.motif, run.options.delta,
+                                run.options.phi, run.cache);
   QueryResult* const result = run.result;
   run.Execute([&](int64_t, const MatchBinding* begin,
                   const MatchBinding* end) {
     InstanceCounter::Result counts;
-    WindowListMru window_mru;
+    SharedWindowCache::Reader windows = run.NewReader();
     const int64_t processed = ForEachMatch(
         begin, end, run.control, [&](const MatchBinding& match, int64_t) {
-          counts.num_instances +=
-              counter.CountMatch(match, &counts, &window_mru);
+          counts.num_instances += counter.CountMatch(match, &counts, &windows);
         });
     return BatchOutput{processed, [result, counts] {
                          result->stats.num_instances += counts.num_instances;
@@ -351,6 +320,7 @@ void TopKBatches(const ModeRun& run) {
       return threshold->ExclusiveBound();
     };
     const FlowMotifEnumerator enumerator(run.graph, run.motif, eopts);
+    SharedWindowCache::Reader windows = run.NewReader();
     TopKCollector local(k);
     EnumerationResult stats;
     const int64_t processed = ForEachMatch(
@@ -364,7 +334,7 @@ void TopKBatches(const ModeRun& run) {
                 threshold->Observe(view.flow);
                 return true;
               },
-              &stats);
+              &stats, &windows);
         });
     return BatchOutput{
         processed,
@@ -377,23 +347,19 @@ void TopKBatches(const ModeRun& run) {
   FinalizeTopKStats(&result->stats, result->topk.size());
 }
 
-/// kTop1: a batch runs the DP searcher over its matches on a pooled
+/// kTop1: a batch runs the DP searcher over its matches on its own
 /// scratch (the searcher checks "dp.match" per match); the fold keeps
 /// the incumbent with the strictly-greater rule the serial searcher
 /// applies per match, so the earliest match wins flow ties.
 void Top1Batches(const ModeRun& run) {
-  MaxFlowDpSearcher searcher(run.graph, run.motif, run.options.delta,
-                             run.cache);
-  searcher.set_query_control(run.control);
-  DpScratchPool scratch_pool;
+  const MaxFlowDpSearcher searcher(run.graph, run.motif, run.options.delta,
+                                   run.cache);
   MaxFlowDpSearcher::Result best;
   run.Execute([&](int64_t, const MatchBinding* begin,
                   const MatchBinding* end) {
-    std::unique_ptr<MaxFlowDpSearcher::Scratch> scratch =
-        scratch_pool.Acquire();
+    MaxFlowDpSearcher::Scratch scratch;
     MaxFlowDpSearcher::Result out =
-        searcher.RunOnMatches(begin, end, scratch.get(), run.control);
-    scratch_pool.Release(std::move(scratch));
+        searcher.RunOnMatches(begin, end, &scratch, run.control);
     const int64_t processed = out.matches_processed;
     return BatchOutput{processed, [&best, out = std::move(out)]() mutable {
                          const int64_t num_windows =
@@ -573,16 +539,19 @@ void QueryEngine::RunMode(const Motif& motif,
                           const std::vector<MatchBinding>* list,
                           const QueryOptions& options, ThreadPool* pool,
                           QueryControl* control, QueryResult* result) const {
-  // One window cache per query: every batch of every worker reads
-  // per-match window lists through it (lock-free once built). Budget
-  // charges go to `control`, and misses fall through to the caller's
-  // cross-query tier when QueryOptions carries one (serve/QueryService).
-  SharedWindowCache cache(options.delta);
-  cache.set_query_control(control);
-  cache.set_fallback_tier(options.shared_cache_tier);
+  // The one window cache every batch's reader reads: the caller's
+  // cross-query tier when QueryOptions carries one (serve/QueryService),
+  // else a per-query cache when the motif's (first, last) pairs can
+  // repeat within the graph, else none (each reader computes its own
+  // lists). Readers charge `control` for the lists they materialize.
+  std::optional<SharedWindowCache> per_query;
+  SharedWindowCache* cache = options.shared_cache_tier;
+  if (cache == nullptr && MotifHasInteriorNode(motif)) {
+    cache = &per_query.emplace(options.delta);
+  }
   const StructuralMatcher matcher(graph_, motif);
   const ModeRun run{graph_, motif,   options, matcher, list,
-                    pool,   control, &cache,  result};
+                    pool,   control, cache,   result};
   switch (options.mode) {
     case QueryMode::kEnumerate:
       EnumerateBatches(run);
@@ -635,12 +604,12 @@ void QueryEngine::RunSignificance(const Motif& motif,
   sopts.skeleton_replay = options.skeleton_replay;
   sopts.pool = pool;
   sopts.control = control;
-  // Unlike the other modes, the per-query window cache is owned by the
-  // analyzer, not created here: the analyzer's cache is cross-graph
-  // (keyed on timestamp-storage identity), so the window lists it
-  // builds serve the real graph and every flow-permutation view of the
-  // N+1-graph ensemble — one cache per Analyze, warm across the wave of
-  // permuted counts for any motif shape.
+  // Unlike the other modes, the window cache is owned by the analyzer,
+  // not chosen here: the analyzer's cache is keyed on timestamp-storage
+  // identity, so the window lists it builds serve the real graph and
+  // every flow-permutation view of the N+1-graph ensemble — one cache
+  // per Analyze, warm across the wave of permuted counts for any motif
+  // shape.
   const SignificanceAnalyzer analyzer(graph_, sopts);
   result->significance = analyzer.Analyze(motif);
   result->stats.num_instances = result->significance.real_count;

@@ -131,11 +131,12 @@ struct SweepResult {
 /// serving layer (DESIGN.md Sec. 11) builds one per admitted request
 /// on the stack, bound to the epoch snapshot captured at admission, so
 /// queries keep running against their snapshot while SealEpoch
-/// publishes new ones. Per-query window caches fall through to the
-/// cross-query tier named by QueryOptions::shared_cache_tier; when
-/// that tier is generational, the per-query cache holds a TierLease
-/// for its lifetime, so every pointer the tier served this query
-/// outlives any concurrent rotation or post-seal sweep.
+/// publishes new ones. Window lists come through one
+/// SharedWindowCache::Reader per P2 batch, reading the cross-query tier
+/// named by QueryOptions::shared_cache_tier when given, else one
+/// per-query cache made only for interior-node motifs. A reader's lease
+/// keeps the list it returned valid until its next lookup, whatever
+/// rotations or post-seal sweeps happen under it.
 class QueryEngine {
  public:
   explicit QueryEngine(const TimeSeriesGraph& graph) : graph_(graph) {}

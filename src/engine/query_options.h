@@ -67,13 +67,13 @@ struct QueryOptions {
 
   /// Cross-query window-cache tier (non-owning, may be null): a
   /// long-lived SharedWindowCache — bound to the SAME delta as this
-  /// query — that the engine's per-query window caches fall through to
-  /// on a miss (core/window_cursor.h). Processed-window lists computed
-  /// by one query are then reused by every later query at that delta
-  /// over the same edge storage. Results stay byte-identical: the tier
-  /// only changes where a list is found, never its contents. Owned by
-  /// the caller (typically serve/QueryService), which must keep it
-  /// alive for the call and drop it when the graph changes identity.
+  /// query — that the engine's readers read directly instead of a
+  /// per-query cache (core/window_cursor.h), for every motif shape.
+  /// Processed-window lists computed by one query are then reused by
+  /// every later query at that delta over the same edge storage.
+  /// Results stay byte-identical: the tier only changes where a list is
+  /// found, never its contents. Owned by the caller (typically
+  /// serve/QueryService), which must keep it alive for the call.
   SharedWindowCache* shared_cache_tier = nullptr;
 
   /// Lifecycle controls (DESIGN.md Sec. 10). All default to inactive;

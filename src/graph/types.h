@@ -1,7 +1,9 @@
 #ifndef FLOWMOTIF_GRAPH_TYPES_H_
 #define FLOWMOTIF_GRAPH_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 
 namespace flowmotif {
@@ -73,5 +75,19 @@ inline std::ostream& operator<<(std::ostream& os, const Interaction& x) {
 }
 
 }  // namespace flowmotif
+
+namespace std {
+
+/// Hash of a StorageIdentity, for the window caches and the serving
+/// layer's live-identity sets keyed on one.
+template <>
+struct hash<flowmotif::StorageIdentity> {
+  size_t operator()(const flowmotif::StorageIdentity& id) const noexcept {
+    const size_t h = hash<const void*>()(id.storage);
+    return h ^ (hash<size_t>()(id.epoch) + 0x9e3779b9u + (h << 6) + (h >> 2));
+  }
+};
+
+}  // namespace std
 
 #endif  // FLOWMOTIF_GRAPH_TYPES_H_

@@ -1,5 +1,6 @@
 #include "serve/query_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -36,14 +37,6 @@ void AppendInt(std::string* key, int64_t value) {
   key->append(std::to_string(value));
 }
 
-struct IdentityHash {
-  size_t operator()(const StorageIdentity& id) const {
-    const size_t h = std::hash<const void*>()(id.storage);
-    return h ^ (std::hash<size_t>()(id.epoch) + 0x9e3779b9u + (h << 6) +
-                (h >> 2));
-  }
-};
-
 }  // namespace
 
 struct QueryService::Pending {
@@ -63,6 +56,9 @@ struct QueryService::Pending {
   /// Non-empty iff this request's completed result should be published
   /// to the result cache (same key as dedup, epoch-qualified).
   std::string result_key;
+  /// The delta's tier, handed over at start: keeps a tier retired while
+  /// this request runs alive until the run ends.
+  std::shared_ptr<SharedWindowCache> tier;
 };
 
 struct QueryService::Inflight {
@@ -122,7 +118,7 @@ EpochLog::SealInfo QueryService::SealEpoch() {
   // by the seal kept their storage (and epoch stamp), so their tier
   // entries survive; resealed dirty series got fresh storage, so their
   // old entries fail this test and are swept.
-  std::unordered_set<StorageIdentity, IdentityHash> live;
+  std::unordered_set<StorageIdentity> live;
   live.reserve(static_cast<size_t>(info.graph->num_pairs()));
   for (const TimeSeriesGraph::PairEdge& pair : info.graph->pairs()) {
     live.insert(pair.series.timestamp_identity());
@@ -136,11 +132,9 @@ EpochLog::SealInfo QueryService::SealEpoch() {
   // keys already prevent false hits, clearing also reclaims the memory.
   result_cache_.clear();
   for (const auto& tier : tiers_) {
-    if (tier.second->generational()) {
-      tier.second->SweepGenerations([&live](const StorageIdentity& id) {
-        return live.count(id) > 0;
-      });
-    }
+    tier.second.cache->SweepGenerations([&live](const StorageIdentity& id) {
+      return live.count(id) > 0;
+    });
   }
   return info;
 }
@@ -155,19 +149,34 @@ EpochId QueryService::epoch() const {
   return live_epoch_;
 }
 
-SharedWindowCache* QueryService::TierForDeltaLocked(Timestamp delta) {
-  std::unique_ptr<SharedWindowCache>& slot = tiers_[delta];
-  if (slot == nullptr) {
-    // The tier carries no query control of its own: budget charges ride
-    // each Get call (the per-query control), since one tier serves many
-    // concurrent queries.
-    slot = config_.tier_generational
-               ? SharedWindowCache::MakeGenerational(delta,
-                                                     config_.tier_max_entries)
-               : std::make_unique<SharedWindowCache>(
-                     delta, config_.tier_max_entries, /*cross_graph=*/false);
+std::shared_ptr<SharedWindowCache> QueryService::TierForDeltaLocked(
+    Timestamp delta, int64_t sequence) {
+  auto it = tiers_.find(delta);
+  if (it == tiers_.end()) {
+    if (tiers_.size() >= kMaxTiers) {
+      // Retire the least recently started tier. Requests running on it
+      // keep it alive; its counts move into the service totals now.
+      const auto oldest = std::min_element(
+          tiers_.begin(), tiers_.end(), [](const auto& a, const auto& b) {
+            return a.second.last_started < b.second.last_started;
+          });
+      const SharedWindowCache& retired = *oldest->second.cache;
+      stats_.tier_lookups += retired.num_lookups();
+      stats_.tier_hits += retired.num_hits();
+      stats_.tier_rotations += retired.num_rotations();
+      tiers_.erase(oldest);
+    }
+    // The tier charges nobody itself: each query's readers carry its
+    // control, since one tier serves many concurrent queries.
+    it = tiers_
+             .emplace(delta,
+                      Tier{std::make_shared<SharedWindowCache>(
+                               delta, config_.tier_max_entries),
+                           sequence})
+             .first;
   }
-  return slot.get();
+  it->second.last_started = sequence;
+  return it->second.cache;
 }
 
 std::string QueryService::DedupKey(const Motif& motif,
@@ -186,11 +195,20 @@ std::string QueryService::DedupKey(const Motif& motif,
   return key;
 }
 
-int64_t QueryService::StartLocked(const Pending& pending) {
+int64_t QueryService::StartLocked(Pending* pending) {
   ++running_;
   if (running_ > stats_.peak_running) stats_.peak_running = running_;
-  ++tenant_running_[pending.request.tenant];
-  return next_sequence_++;
+  ++tenant_running_[pending->request.tenant];
+  const int64_t sequence = next_sequence_++;
+  // The tier is handed over here, not at Submit: a request answered by
+  // the result cache, coalesced or rejected never needs one.
+  QueryOptions& opts = pending->request.options;
+  if (config_.enable_cache_tier && opts.delta > 0 &&
+      opts.shared_cache_tier == nullptr) {
+    pending->tier = TierForDeltaLocked(opts.delta, sequence);
+    opts.shared_cache_tier = pending->tier.get();
+  }
+  return sequence;
 }
 
 void QueryService::AdmitFromQueueLocked(
@@ -236,7 +254,7 @@ void QueryService::AdmitFromQueueLocked(
     }
     std::shared_ptr<Pending> pending = std::move(entry);
     it = queue_.erase(it);
-    started->emplace_back(pending, StartLocked(*pending));
+    started->emplace_back(pending, StartLocked(pending.get()));
   }
 }
 
@@ -340,11 +358,6 @@ std::future<ServedResult> QueryService::Submit(ServeRequest request) {
     pending->snapshot = live_graph_;
     pending->epoch = live_epoch_;
 
-    if (config_.enable_cache_tier && opts.delta > 0 &&
-        opts.shared_cache_tier == nullptr) {
-      opts.shared_cache_tier = TierForDeltaLocked(opts.delta);
-    }
-
     if (lifecycle_free &&
         (config_.enable_dedup || config_.enable_result_cache)) {
       std::string key = DedupKey(pending->request.motif, opts, pending->epoch);
@@ -385,7 +398,7 @@ std::future<ServedResult> QueryService::Submit(ServeRequest request) {
       const bool tenant_ok =
           cap <= 0 || t == tenant_running_.end() || t->second < cap;
       if (running_ < max_concurrent_ && tenant_ok) {
-        started.emplace_back(pending, StartLocked(*pending));
+        started.emplace_back(pending, StartLocked(pending.get()));
       } else if (static_cast<int>(queue_.size()) < config_.max_queue_depth) {
         queue_.push_back(pending);
         const int64_t depth = static_cast<int64_t>(queue_.size());
@@ -510,10 +523,11 @@ ServiceStats QueryService::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats out = stats_;
   for (const auto& tier : tiers_) {
-    out.tier_lookups += tier.second->num_lookups();
-    out.tier_hits += tier.second->num_hits();
-    out.tier_rotations += tier.second->num_rotations();
+    out.tier_lookups += tier.second.cache->num_lookups();
+    out.tier_hits += tier.second.cache->num_hits();
+    out.tier_rotations += tier.second.cache->num_rotations();
   }
+  out.tiers = static_cast<int64_t>(tiers_.size());
   return out;
 }
 

@@ -34,12 +34,12 @@ namespace flowmotif {
 ///    the served snapshot; every query runs against the snapshot that
 ///    was live when it was submitted and keeps it alive via shared_ptr,
 ///    so a seal never invalidates an in-flight (or queued) run;
-///  * a cross-query window-cache tier — one long-lived generational
-///    SharedWindowCache per delta that every query's per-query cache
-///    falls through to. Its StorageIdentity{storage, epoch} keys make
-///    entries for series untouched by a seal stay warm across epochs,
-///    while a post-seal sweep drops entries unreachable from the live
-///    snapshot (stale lists are never served, memory does not grow
+///  * a cross-query window-cache tier — one long-lived SharedWindowCache
+///    per delta, for at most kMaxTiers deltas, that every running
+///    query's readers read directly. Its StorageIdentity{storage, epoch}
+///    keys make entries for series untouched by a seal stay warm across
+///    epochs, while a post-seal sweep drops entries unreachable from the
+///    live snapshot (stale lists are never served, memory does not grow
 ///    monotonically);
 ///  * admission control and tenant-fair scheduling — a bounded queue in
 ///    front of a concurrency cap, rejecting overload with a kRejected
@@ -94,15 +94,15 @@ struct ServiceConfig {
   double default_deadline_seconds = 0.0;
   WorkBudget default_budget;
 
-  /// Cross-query window-cache tier (one SharedWindowCache per delta,
-  /// created lazily, identity-keyed like every cache). Generational by
-  /// default: saturated inserts rotate generations instead of freezing
-  /// the tier on its first tier_max_entries pairs forever — the right
-  /// discipline for a long-lived service whose working set drifts
-  /// across seals. tier_max_entries is per generation when
-  /// generational (so up to 2x resident between rotations).
+  /// Cross-query window-cache tier: one SharedWindowCache per delta,
+  /// created when the first request at that delta starts running, for
+  /// at most QueryService::kMaxTiers deltas (the least recently started
+  /// one is retired to make room). Its two-generation clock rotates
+  /// full generations instead of freezing on its first pairs — the
+  /// right discipline for a long-lived service whose working set
+  /// drifts across seals. tier_max_entries is per generation (so up to
+  /// 2x resident between rotations).
   bool enable_cache_tier = true;
-  bool tier_generational = true;
   size_t tier_max_entries = 8 * SharedWindowCache::kDefaultMaxEntries;
 
   /// In-flight dedup of identical submissions. Only requests whose
@@ -167,7 +167,8 @@ struct ServedResult {
   double total_seconds = 0.0;  // Submit to completion
 };
 
-/// Aggregate service counters (monotone; read at any time).
+/// Aggregate service counters (monotone except the marked gauge; read
+/// at any time).
 struct ServiceStats {
   int64_t submitted = 0;
   int64_t completed = 0;  // engine runs finished (followers not counted)
@@ -182,12 +183,16 @@ struct ServiceStats {
   int64_t seals = 0;
   int64_t peak_running = 0;
   int64_t peak_queue_depth = 0;
-  /// Cross-query tier totals over all deltas. A per-query cache miss
-  /// that the tier answers counts as one lookup + one hit here.
+  /// Cross-query tier totals over all deltas, retired tiers included
+  /// (folded in at retirement; lookups a still-running query makes on
+  /// a tier after its retirement are not counted). One window list a
+  /// served query's reader asks for is one lookup.
   int64_t tier_lookups = 0;
   int64_t tier_hits = 0;
   /// Generation rotations across all per-delta tiers.
   int64_t tier_rotations = 0;
+  /// Gauge: per-delta tiers held now (at most QueryService::kMaxTiers).
+  int64_t tiers = 0;
 };
 
 /// The serving facade. Thread-safe: Submit / Stats / Snapshot may be
@@ -197,6 +202,12 @@ struct ServiceStats {
 /// has completed.
 class QueryService {
  public:
+  /// Most per-delta tiers held at once. The paper's delta sweeps and
+  /// typical serving mixes use a handful of deltas; a request stream
+  /// with more distinct deltas retires the least recently started tier
+  /// instead of growing service memory with every new delta.
+  static constexpr size_t kMaxTiers = 16;
+
   /// Serves `graph` as the epoch-0 snapshot of a fresh log.
   explicit QueryService(TimeSeriesGraph graph,
                         ServiceConfig config = ServiceConfig());
@@ -250,9 +261,18 @@ class QueryService {
   /// coalesced onto it; resolved outside the lock.
   struct ExpiredEntry;
 
-  /// The cross-query tier for `delta`, created on first use. Requires
-  /// mu_ held.
-  SharedWindowCache* TierForDeltaLocked(Timestamp delta);
+  /// One per-delta tier and the sequence of the last request it was
+  /// handed to (retirement picks the smallest).
+  struct Tier {
+    std::shared_ptr<SharedWindowCache> cache;
+    int64_t last_started = 0;
+  };
+
+  /// The cross-query tier for `delta`, created on first use (retiring
+  /// the least recently started tier when kMaxTiers are held) and
+  /// stamped as started by request `sequence`. Requires mu_ held.
+  std::shared_ptr<SharedWindowCache> TierForDeltaLocked(Timestamp delta,
+                                                        int64_t sequence);
 
   /// Dedup/result-cache key for an eligible request: the epoch it will
   /// run against, the motif's structural encoding, and every
@@ -281,9 +301,9 @@ class QueryService {
   /// kDeadlineExceeded at "serve.admit". Call without mu_ held.
   static void FulfillExpired(ExpiredEntry* entry);
 
-  /// Bumps running/tenant counters for `pending` and assigns its
-  /// sequence. Requires mu_ held.
-  int64_t StartLocked(const Pending& pending);
+  /// Bumps running/tenant counters for `pending`, hands it its delta's
+  /// tier, and assigns its sequence. Requires mu_ held.
+  int64_t StartLocked(Pending* pending);
 
   const ServiceConfig config_;
   const int max_concurrent_;
@@ -306,10 +326,11 @@ class QueryService {
   std::unordered_map<std::string, int64_t> tenant_running_;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
   std::unordered_map<std::string, CachedResult> result_cache_;
-  /// One tier per delta. Entries are never erased while the service
-  /// lives: engine runs read them outside mu_, and generational
-  /// replacement + post-seal sweeps bound their memory instead.
-  std::map<Timestamp, std::unique_ptr<SharedWindowCache>> tiers_;
+  /// One tier per delta, at most kMaxTiers. A running request shares
+  /// ownership of its tier (Pending::tier), so retiring one here never
+  /// frees it under an engine run; generational replacement and
+  /// post-seal sweeps bound each tier's memory.
+  std::map<Timestamp, Tier> tiers_;
   ServiceStats stats_;
 
   /// Last member: destroyed first, but the destructor drains the queue

@@ -126,10 +126,10 @@ struct WorkBudget {
 
   /// Maximum window-list elements the query materializes. Charged
   /// uniformly at site "cache.windows" for every processed-window list
-  /// a match brings into existence — through a shared cache, a run-
-  /// local MRU, or a private per-match computation — so the cap holds
-  /// for every motif shape (core/window_cursor.h,
-  /// ChargeComputedWindows). Cache *hits* are not re-charged.
+  /// a match brings into existence — published into a shared cache or
+  /// computed into a reader's own buffer — so the cap holds for every
+  /// motif shape (core/window_cursor.h, SharedWindowCache::Reader).
+  /// Cache *hits* are not re-charged.
   int64_t max_window_elements = -1;
 
   /// Soft memory cap in bytes, charged for window-list storage at the

@@ -16,9 +16,11 @@
 #include <limits>
 #include <vector>
 
+#include "core/enumerator.h"
 #include "core/motif_catalog.h"
 #include "core/sliding_window.h"
 #include "core/structural_match.h"
+#include "core/topk.h"
 #include "engine/query_engine.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -450,10 +452,10 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
   // M(5,4) (path 0-1-2-3-4) has an interior node, so the window cache
   // is live. The layered graph yields 6*6*2*6*6 = 2592 matches over
   // 36*36 = 1296 distinct (first, last) series pairs: more than the
-  // 1024-entry default cap, so the saturation branch (Get -> nullptr,
-  // caller computes locally) runs; each pair repeats (|L2| = 2 interior
-  // choices), so hits happen, and the same injected cache carries
-  // across chunked RunOnMatches calls and across searchers.
+  // 1024-entry default generation, so the cache rotates; each pair
+  // repeats (|L2| = 2 interior choices), so hits happen, and the same
+  // injected cache carries across chunked RunOnMatches calls and across
+  // searchers.
   const TimeSeriesGraph graph = LayeredGraph({6, 6, 2, 6, 6});
   const Motif motif = *MotifCatalog::ByName("M(5,4)");
   const StructuralMatcher matcher(graph, motif);
@@ -473,22 +475,21 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
       searcher.RunOnMatches(matches.data(),
                             matches.data() + matches.size(), &shared),
       expected, "shared pass 1");
-  // Second full pass reads the warm (saturated) cache.
+  // Second full pass reads the warm (rotated) cache.
   ExpectResultsEqual(
       searcher.RunOnMatches(matches.data(),
                             matches.data() + matches.size(), &shared),
       expected, "shared pass 2 (warm cache)");
-  // The cap must have saturated the cache below the 1296 distinct
-  // pairs, and saturation must never evict (pointers stay valid).
-  EXPECT_EQ(cache.size(), cache.max_entries());
+  // The 1296 distinct pairs must have rotated the 1024-entry generation.
+  EXPECT_GT(cache.num_rotations(), 0);
 
-  // A drastically smaller cap — almost every lookup falls back to the
-  // local buffer — still yields identical results.
+  // A drastically smaller cap — almost every miss rotates — still
+  // yields identical results.
   SharedWindowCache tiny_cache(/*delta=*/40, /*max_entries=*/16);
   const MaxFlowDpSearcher tiny_searcher(graph, motif, 40, &tiny_cache);
   ExpectResultsEqual(tiny_searcher.RunOnMatches(matches), expected,
                      "tiny cache");
-  EXPECT_LE(tiny_cache.size(), 16u);
+  EXPECT_LE(tiny_cache.size(), 2 * 16u);
 
   // Chunked calls on the same Scratch vs fresh scratches per chunk.
   constexpr size_t kChunk = 500;
@@ -501,6 +502,102 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
     ExpectResultsEqual(chunk_shared, chunk_fresh,
                        "chunk at " + std::to_string(begin));
     if (testing::Test::HasFailure()) return;
+  }
+}
+
+/// Retained reference for the engine's kCount and kTopK: every match
+/// enumerated over its brute-force window list (no window cache or
+/// reader involved), instances in serial discovery order.
+std::vector<TopKEntry> ReferenceInstances(
+    const TimeSeriesGraph& graph, const Motif& motif, Timestamp delta,
+    const std::vector<MatchBinding>& matches) {
+  EnumerationOptions options;
+  options.delta = delta;
+  const FlowMotifEnumerator enumerator(graph, motif, options);
+  std::vector<TopKEntry> instances;
+  for (const MatchBinding& binding : matches) {
+    const std::vector<const EdgeSeries*> series =
+        ResolveSeries(graph, motif, binding);
+    const std::vector<Window> windows =
+        BruteForceWindows(*series.front(), *series.back(), delta);
+    EnumerationResult unused;
+    enumerator.EnumerateMatchWindows(
+        binding, windows.data(), windows.data() + windows.size(),
+        [&instances](const InstanceView& view) {
+          instances.push_back(TopKEntry{view.flow, view.Materialize()});
+          return true;
+        },
+        &unused);
+  }
+  return instances;
+}
+
+TEST(DpEquivalenceTest, EngineModesMatchReferenceThroughRotatingQueryCache) {
+  // The previous workload end to end: its 1296 distinct pairs rotate
+  // the engine's per-query cache (1024 entries per generation) while,
+  // at four threads, every batch's reader shares it. kTop1, kCount and
+  // kTopK through Run and RunOnMatches must equal the retained
+  // references at threads {1, 4}.
+  const TimeSeriesGraph graph = LayeredGraph({6, 6, 2, 6, 6});
+  const Motif motif = *MotifCatalog::ByName("M(5,4)");
+  const std::vector<MatchBinding> matches =
+      StructuralMatcher(graph, motif).FindAllMatches();
+  ASSERT_EQ(matches.size(), 2592u);
+  constexpr Timestamp kDelta = 40;
+  constexpr int64_t kK = 7;
+
+  const MaxFlowDpSearcher::Result expected_top1 =
+      ReferenceRunOnMatches(graph, motif, kDelta, matches);
+  std::vector<TopKEntry> expected_topk =
+      ReferenceInstances(graph, motif, kDelta, matches);
+  const auto expected_count = static_cast<int64_t>(expected_topk.size());
+  ASSERT_GT(expected_count, kK);
+  // Flow descending, ties in discovery order: the engine's rank order.
+  std::stable_sort(expected_topk.begin(), expected_topk.end(),
+                   [](const TopKEntry& a, const TopKEntry& b) {
+                     return a.flow > b.flow;
+                   });
+  expected_topk.resize(static_cast<size_t>(kK));
+
+  const QueryEngine engine(graph);
+  for (const QueryMode mode :
+       {QueryMode::kTop1, QueryMode::kCount, QueryMode::kTopK}) {
+    for (const int threads : {1, 4}) {
+      for (const bool on_matches : {false, true}) {
+        QueryOptions options;
+        options.mode = mode;
+        options.delta = kDelta;
+        options.k = kK;
+        options.num_threads = threads;
+        const QueryResult result = on_matches
+                                       ? engine.RunOnMatches(motif, matches,
+                                                             options)
+                                       : engine.Run(motif, options);
+        const std::string label =
+            "mode=" + std::to_string(static_cast<int>(mode)) +
+            " threads=" + std::to_string(threads) +
+            (on_matches ? " RunOnMatches" : " Run");
+        ASSERT_TRUE(result.termination.complete()) << label;
+        switch (mode) {
+          case QueryMode::kTop1:
+            ExpectResultsEqual(result.top1, expected_top1, label);
+            break;
+          case QueryMode::kCount:
+            EXPECT_EQ(result.stats.num_instances, expected_count) << label;
+            break;
+          default:
+            ASSERT_EQ(result.topk.size(), expected_topk.size()) << label;
+            for (size_t i = 0; i < expected_topk.size(); ++i) {
+              EXPECT_EQ(result.topk[i].flow, expected_topk[i].flow)
+                  << label << " entry " << i;
+              EXPECT_EQ(result.topk[i].instance, expected_topk[i].instance)
+                  << label << " entry " << i;
+            }
+            break;
+        }
+        if (testing::Test::HasFailure()) return;
+      }
+    }
   }
 }
 

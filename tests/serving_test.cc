@@ -22,6 +22,7 @@
 #include "engine/query_engine.h"
 #include "gen/presets.h"
 #include "serve/query_service.h"
+#include "test_util.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
 
@@ -180,9 +181,9 @@ TEST(ServingTest, ConcurrentMixedQueriesAreByteIdenticalToSoloRuns) {
 TEST(ServingTest, CacheTierServesRepeatedQueriesOfNonInteriorMotifs) {
   // M(3,2) has no interior node: within one query no (first, last) pair
   // repeats, so a per-query cache alone never pays. Across queries the
-  // pairs DO repeat — the tier makes the motif cache-eligible
-  // (ShouldUseWindowCache's has_fallback_tier arm) and the second
-  // identical query's window lists come out of the tier.
+  // pairs DO repeat — served queries read the tier for every motif
+  // shape, and the second identical query's window lists come out of
+  // the tier.
   ServiceConfig config;
   config.num_workers = 1;  // serial, deterministic hit accounting
   config.enable_dedup = false;
@@ -208,6 +209,60 @@ TEST(ServingTest, CacheTierServesRepeatedQueriesOfNonInteriorMotifs) {
   EXPECT_EQ(after_second.tier_hits,
             after_second.tier_lookups - after_first.tier_lookups);
   EXPECT_GT(after_second.tier_hits, 0);
+}
+
+TEST(ServingTest, DistinctDeltasKeepABoundedNumberOfTiers) {
+  // 200 distinct deltas through a 1-worker service on a tiny graph:
+  // every delta needs its own tier, but the service holds at most
+  // kMaxTiers, retiring the least recently started one. Every result
+  // equals a solo run, the tier totals never decrease across
+  // retirements, and a retired delta served again is still exact.
+  const TimeSeriesGraph graph = testing_util::PaperFig2Graph();
+  const Motif motif = *MotifCatalog::ByName("M(3,3)");
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.enable_dedup = false;
+  config.enable_result_cache = false;  // a repeat must re-run on a tier
+  QueryService service(graph, config);
+  const QueryEngine solo_engine(graph);
+
+  const auto options_for = [](Timestamp delta) {
+    QueryOptions options;
+    options.mode = delta % 3 == 0   ? QueryMode::kCount
+                   : delta % 3 == 1 ? QueryMode::kTopK
+                                    : QueryMode::kTop1;
+    options.delta = delta;
+    options.k = 2;
+    return options;
+  };
+  const auto serve_and_check = [&](Timestamp delta) {
+    const QueryOptions options = options_for(delta);
+    const ServedResult served =
+        service.Submit(ServeRequest{motif, options}).get();
+    ASSERT_TRUE(served.result->termination.complete());
+    ExpectSameResult(*served.result, solo_engine.Run(motif, options),
+                     "delta " + std::to_string(delta));
+  };
+
+  int64_t last_lookups = 0;
+  for (Timestamp delta = 1; delta <= 200; ++delta) {
+    serve_and_check(delta);
+    const ServiceStats stats = service.Stats();
+    EXPECT_LE(stats.tiers, static_cast<int64_t>(QueryService::kMaxTiers));
+    EXPECT_GE(stats.tier_lookups, last_lookups) << "delta " << delta;
+    last_lookups = stats.tier_lookups;
+    if (testing::Test::HasFailure()) return;
+  }
+  EXPECT_EQ(service.Stats().tiers,
+            static_cast<int64_t>(QueryService::kMaxTiers));
+
+  // Delta 1's tier was retired long ago; serving it again makes a fresh
+  // tier (retiring another) and stays exact.
+  serve_and_check(1);
+  const ServiceStats after = service.Stats();
+  EXPECT_EQ(after.tiers, static_cast<int64_t>(QueryService::kMaxTiers));
+  EXPECT_GE(after.tier_lookups, last_lookups);
+  EXPECT_EQ(after.completed, 201);
 }
 
 TEST(ServingTest, IdenticalInflightSubmissionsCoalesce) {

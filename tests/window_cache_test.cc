@@ -1,13 +1,16 @@
-// Property tests of core/window_cursor.h's SharedWindowCache: lists
-// served from the cache are identical to uncached ComputeProcessedWindows
-// results under concurrent readers (threads {2, 4, 8}), racing inserts
-// of the same pair deduplicate to one stable pointer, and the size cap
-// saturates — Get declines new pairs without ever evicting one a
-// reader may still hold.
+// Property tests of core/window_cursor.h's SharedWindowCache, read
+// through its per-thread Reader: lists served from the cache are
+// identical to uncached ComputeProcessedWindows results under concurrent
+// readers (threads {2, 4, 8}), racing inserts of the same pair
+// deduplicate to one pointer, the two-generation clock rotates instead
+// of declining and promotes touched entries, a reader's list stays exact
+// until its next call however many rotations happen under it, and a
+// reader pins at most two generations.
 #include "core/window_cursor.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -60,12 +63,12 @@ TEST(SharedWindowCacheTest, ServesExactWindowLists) {
   const TimeSeriesGraph graph = RandomGraph(11, 5, 70, 40);
   for (const Timestamp delta : {Timestamp{0}, Timestamp{5}, Timestamp{20}}) {
     SharedWindowCache cache(delta);
+    SharedWindowCache::Reader reader(&cache, delta);
     for (const auto& [first, last] : AllSeriesPairs(graph)) {
-      const std::vector<Window>* cached = cache.Get(*first, *last);
-      ASSERT_NE(cached, nullptr);
+      const std::vector<Window>* cached = &reader.Get(*first, *last);
       EXPECT_EQ(*cached, ComputeProcessedWindows(*first, *last, delta));
       // A second lookup returns the very same published list.
-      EXPECT_EQ(cache.Get(*first, *last), cached);
+      EXPECT_EQ(&reader.Get(*first, *last), cached);
     }
   }
 }
@@ -94,15 +97,15 @@ TEST(SharedWindowCacheTest, ConcurrentReadersSeeIdenticalLists) {
       // Each thread starts at a different offset so builds and reads of
       // the same pair interleave across threads.
       threads.emplace_back([&, t] {
+        SharedWindowCache::Reader reader(&cache, kDelta);
         const size_t n = pairs.size();
         for (int round = 0; round < 3; ++round) {
           for (size_t i = 0; i < n; ++i) {
             const size_t at = (i + static_cast<size_t>(t) * n /
                                        static_cast<size_t>(num_threads)) %
                               n;
-            const std::vector<Window>* got =
-                cache.Get(*pairs[at].first, *pairs[at].second);
-            if (got == nullptr || *got != expected[at]) {
+            if (reader.Get(*pairs[at].first, *pairs[at].second) !=
+                expected[at]) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
             }
           }
@@ -130,51 +133,17 @@ TEST(SharedWindowCacheTest, RacingInsertsDeduplicateToOnePointer) {
         static_cast<size_t>(num_threads), nullptr);
     std::vector<std::thread> threads;
     for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back(
-          [&, t] { seen[static_cast<size_t>(t)] = cache.Get(first, last); });
+      threads.emplace_back([&, t] {
+        SharedWindowCache::Reader reader(&cache, /*delta=*/10);
+        seen[static_cast<size_t>(t)] = &reader.Get(first, last);
+      });
     }
     for (std::thread& thread : threads) thread.join();
     for (int t = 0; t < num_threads; ++t) {
-      ASSERT_NE(seen[static_cast<size_t>(t)], nullptr);
       EXPECT_EQ(seen[static_cast<size_t>(t)], seen[0]);
     }
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(*seen[0], ComputeProcessedWindows(first, last, 10));
-  }
-}
-
-TEST(SharedWindowCacheTest, SizeCapSaturatesWithoutEvicting) {
-  const TimeSeriesGraph graph = RandomGraph(47, 6, 80, 40);
-  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
-      AllSeriesPairs(graph);
-  constexpr size_t kCap = 4;
-  ASSERT_GT(pairs.size(), kCap);
-
-  SharedWindowCache cache(/*delta=*/6, kCap);
-  // The first kCap distinct pairs publish; remember their pointers.
-  std::vector<const std::vector<Window>*> published;
-  for (size_t i = 0; i < kCap; ++i) {
-    const std::vector<Window>* got =
-        cache.Get(*pairs[i].first, *pairs[i].second);
-    ASSERT_NE(got, nullptr);
-    published.push_back(got);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  // Every further pair is declined — never published, never evicting.
-  for (size_t i = kCap; i < pairs.size(); ++i) {
-    EXPECT_EQ(cache.Get(*pairs[i].first, *pairs[i].second), nullptr);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  // The original entries survive saturation, at their original
-  // addresses, with their original contents.
-  for (size_t i = 0; i < kCap; ++i) {
-    const std::vector<Window>* got =
-        cache.Get(*pairs[i].first, *pairs[i].second);
-    EXPECT_EQ(got, published[i]);
-    EXPECT_EQ(*got,
-              ComputeProcessedWindows(*pairs[i].first, *pairs[i].second, 6));
   }
 }
 
@@ -190,17 +159,15 @@ TEST(SharedWindowCacheTest, EnsembleViewsHitTheSameEntries) {
   const TimeSeriesGraph view_b = graph.WithPermutedFlows(&rng);
   constexpr Timestamp kDelta = 9;
 
-  SharedWindowCache cache(kDelta, SharedWindowCache::kDefaultMaxEntries,
-                          /*cross_graph=*/true);
-  EXPECT_TRUE(cache.cross_graph());
+  SharedWindowCache cache(kDelta);
+  SharedWindowCache::Reader reader(&cache, kDelta);
 
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
   std::vector<const std::vector<Window>*> published;
   published.reserve(pairs.size());
   for (const auto& [first, last] : pairs) {
-    published.push_back(cache.Get(*first, *last));
-    ASSERT_NE(published.back(), nullptr);
+    published.push_back(&reader.Get(*first, *last));
   }
   const size_t size_after_real = cache.size();
   EXPECT_EQ(size_after_real, pairs.size());
@@ -213,7 +180,7 @@ TEST(SharedWindowCacheTest, EnsembleViewsHitTheSameEntries) {
       const size_t b = i % static_cast<size_t>(graph.num_pairs());
       const EdgeSeries& first = view->pair(a).series;
       const EdgeSeries& last = view->pair(b).series;
-      EXPECT_EQ(cache.Get(first, last), published[i])
+      EXPECT_EQ(&reader.Get(first, last), published[i])
           << "view pair " << a << "," << b;
     }
   }
@@ -242,12 +209,12 @@ TEST(SharedWindowCacheTest, ConcurrentEnsembleReadersSeeIdenticalLists) {
   }
 
   for (int num_threads : {2, 4, 8}) {
-    SharedWindowCache cache(kDelta, SharedWindowCache::kDefaultMaxEntries,
-                            /*cross_graph=*/true);
+    SharedWindowCache cache(kDelta);
     std::atomic<int64_t> mismatches{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < num_threads; ++t) {
       threads.emplace_back([&, t] {
+        SharedWindowCache::Reader reader(&cache, kDelta);
         const TimeSeriesGraph& mine = *graphs[static_cast<size_t>(t) % 3];
         const size_t np = static_cast<size_t>(mine.num_pairs());
         for (int round = 0; round < 3; ++round) {
@@ -256,8 +223,7 @@ TEST(SharedWindowCacheTest, ConcurrentEnsembleReadersSeeIdenticalLists) {
                 (i + static_cast<size_t>(t) * 7) % (np * np);
             const EdgeSeries& first = mine.pair(at / np).series;
             const EdgeSeries& last = mine.pair(at % np).series;
-            const std::vector<Window>* got = cache.Get(first, last);
-            if (got == nullptr || *got != expected[at]) {
+            if (reader.Get(first, last) != expected[at]) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
             }
           }
@@ -270,98 +236,10 @@ TEST(SharedWindowCacheTest, ConcurrentEnsembleReadersSeeIdenticalLists) {
   }
 }
 
-TEST(SharedWindowCacheTest, SaturationNeverEvictsUnderIdentityKey) {
-  // Cap saturation with ensemble traffic: entries won by real-graph
-  // pairs survive, view lookups of those pairs still hit at the original
-  // addresses, and pairs beyond the cap are declined for every graph of
-  // the ensemble without evicting anything.
-  const TimeSeriesGraph graph = RandomGraph(71, 6, 80, 40);
-  Rng rng(29);
-  const TimeSeriesGraph view = graph.WithPermutedFlows(&rng);
-  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
-      AllSeriesPairs(graph);
-  constexpr size_t kCap = 4;
-  constexpr Timestamp kDelta = 6;
-  ASSERT_GT(pairs.size(), kCap);
-
-  SharedWindowCache cache(kDelta, kCap, /*cross_graph=*/true);
-  std::vector<const std::vector<Window>*> published;
-  for (size_t i = 0; i < kCap; ++i) {
-    const std::vector<Window>* got =
-        cache.Get(*pairs[i].first, *pairs[i].second);
-    ASSERT_NE(got, nullptr);
-    published.push_back(got);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  const auto np = static_cast<size_t>(graph.num_pairs());
-  // Beyond the cap: declined, from the real graph and the view alike.
-  for (size_t i = kCap; i < pairs.size(); ++i) {
-    EXPECT_EQ(cache.Get(*pairs[i].first, *pairs[i].second), nullptr);
-    EXPECT_EQ(cache.Get(view.pair(i / np).series, view.pair(i % np).series),
-              nullptr);
-  }
-  EXPECT_EQ(cache.size(), kCap);
-
-  // The winners survive saturation at their original addresses — also
-  // when requested through the view's series.
-  for (size_t i = 0; i < kCap; ++i) {
-    EXPECT_EQ(cache.Get(*pairs[i].first, *pairs[i].second), published[i]);
-    EXPECT_EQ(cache.Get(view.pair(i / np).series, view.pair(i % np).series),
-              published[i]);
-  }
-}
-
-TEST(SharedWindowCacheTest, ConcurrentReadersUnderTinyCap) {
-  // Saturation under concurrency: whatever subset wins the slots, every
-  // non-null answer must still be exact and the size must respect the
-  // cap at all times.
-  const TimeSeriesGraph graph = RandomGraph(53, 6, 90, 50);
-  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
-      AllSeriesPairs(graph);
-  constexpr Timestamp kDelta = 12;
-  constexpr size_t kCap = 3;
-
-  std::vector<std::vector<Window>> expected;
-  expected.reserve(pairs.size());
-  for (const auto& [first, last] : pairs) {
-    expected.push_back(ComputeProcessedWindows(*first, *last, kDelta));
-  }
-
-  for (int num_threads : {2, 4, 8}) {
-    SharedWindowCache cache(kDelta, kCap);
-    std::atomic<int64_t> mismatches{0};
-    std::atomic<int64_t> cap_violations{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < num_threads; ++t) {
-      threads.emplace_back([&, t] {
-        const size_t n = pairs.size();
-        for (size_t i = 0; i < 2 * n; ++i) {
-          const size_t at = (i * 31 + static_cast<size_t>(t) * 7) % n;
-          const std::vector<Window>* got =
-              cache.Get(*pairs[at].first, *pairs[at].second);
-          if (got != nullptr && *got != expected[at]) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (cache.size() > kCap) {
-            cap_violations.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-    EXPECT_EQ(mismatches.load(), 0) << "threads=" << num_threads;
-    EXPECT_EQ(cap_violations.load(), 0) << "threads=" << num_threads;
-    EXPECT_LE(cache.size(), kCap);
-    EXPECT_GT(cache.size(), 0u);
-  }
-}
-
 TEST(SharedWindowCacheTest, GenerationalServesExactListsUnderForcedRotation) {
-  // A generational cache with a tiny per-generation cap is driven over a
-  // key population far larger than the cap: every answer must still be
-  // the exact uncached list, and the traffic must have forced rotations
-  // (a saturating cache would have declined instead).
+  // A cache with a tiny per-generation cap is driven over a key
+  // population far larger than the cap: every answer must still be the
+  // exact uncached list, and the traffic must have forced rotations.
   const TimeSeriesGraph graph = RandomGraph(83, 6, 90, 50);
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
@@ -369,53 +247,99 @@ TEST(SharedWindowCacheTest, GenerationalServesExactListsUnderForcedRotation) {
   constexpr size_t kCap = 3;
   ASSERT_GT(pairs.size(), 2 * kCap);
 
-  std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, kCap);
-  EXPECT_TRUE(cache->generational());
-  SharedWindowCache::TierLease lease = cache->AcquireTierLease();
-  ASSERT_TRUE(lease.active());
-
+  SharedWindowCache cache(kDelta, kCap);
+  SharedWindowCache::Reader reader(&cache, kDelta);
   for (int round = 0; round < 2; ++round) {
     for (const auto& [first, last] : pairs) {
-      const std::vector<Window>* got = cache->LeasedGet(&lease, *first, *last);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(*got, ComputeProcessedWindows(*first, *last, kDelta));
+      EXPECT_EQ(reader.Get(*first, *last),
+                ComputeProcessedWindows(*first, *last, kDelta));
     }
   }
-  EXPECT_GT(cache->num_rotations(), 0);
+  EXPECT_GT(cache.num_rotations(), 0);
   // Between rotations at most two generations are published.
-  EXPECT_LE(cache->size(), 2 * kCap);
+  EXPECT_LE(cache.size(), 2 * kCap);
 }
 
-TEST(SharedWindowCacheTest, LeaseRetainsPointersAcrossRotations) {
-  // Every pointer LeasedGet ever returned stays valid — with its
-  // original contents — for the lease's whole lifetime, even after the
-  // generations that own those nodes rotate out of the publication
-  // path. This is the property the serving layer's per-query caches
-  // rely on when the shared tier rotates underneath a running query.
+TEST(SharedWindowCacheTest, ReaderListStaysExactUntilNextCallUnderRotations) {
+  // The reader contract: the list a Get returned stays valid — with its
+  // original contents — until that reader's next call, even while four
+  // other readers force the cap-2 cache through rotation after rotation
+  // and the generation holding the list leaves the publication path. A
+  // TSan target: the rotations race the held list's reads.
   const TimeSeriesGraph graph = RandomGraph(89, 6, 90, 50);
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
   constexpr Timestamp kDelta = 9;
   constexpr size_t kCap = 2;
+  constexpr int kRotators = 4;
 
-  std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, kCap);
-  SharedWindowCache::TierLease lease = cache->AcquireTierLease();
-
-  std::vector<const std::vector<Window>*> served;
-  served.reserve(pairs.size());
+  std::vector<std::vector<Window>> expected;
+  expected.reserve(pairs.size());
   for (const auto& [first, last] : pairs) {
-    served.push_back(cache->LeasedGet(&lease, *first, *last));
-    ASSERT_NE(served.back(), nullptr);
+    expected.push_back(ComputeProcessedWindows(*first, *last, kDelta));
   }
-  ASSERT_GT(cache->num_rotations(), 0);
 
-  // Re-verify every previously returned pointer after all rotations.
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(*served[i], ComputeProcessedWindows(*pairs[i].first,
-                                                  *pairs[i].second, kDelta));
+  SharedWindowCache cache(kDelta, kCap);
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> mismatches{0};
+  std::vector<std::thread> rotators;
+  for (int t = 0; t < kRotators; ++t) {
+    rotators.emplace_back([&, t] {
+      SharedWindowCache::Reader reader(&cache, kDelta);
+      const size_t n = pairs.size();
+      for (size_t i = 0; !done.load(std::memory_order_relaxed); ++i) {
+        const size_t at = (i * 31 + static_cast<size_t>(t) * 7) % n;
+        if (reader.Get(*pairs[at].first, *pairs[at].second) !=
+            expected[at]) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
   }
+
+  SharedWindowCache::Reader holder(&cache, kDelta);
+  int64_t held_across = 0;  // lists that outlived >= 2 foreign rotations
+  for (size_t i = 0; i < pairs.size(); i += 7) {
+    const std::vector<Window>& held =
+        holder.Get(*pairs[i].first, *pairs[i].second);
+    // Hold the list until the others have rotated at least twice —
+    // its generation is then unpublished and only the lease keeps it.
+    const int64_t start = cache.num_rotations();
+    for (int spin = 0; spin < 100000 && cache.num_rotations() < start + 2;
+         ++spin) {
+      std::this_thread::yield();
+    }
+    if (cache.num_rotations() >= start + 2) ++held_across;
+    EXPECT_EQ(held, expected[i]) << "pair " << i;
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (std::thread& thread : rotators) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(held_across, 0);
+}
+
+TEST(SharedWindowCacheTest, ReaderPinsAtMostTwoGenerations) {
+  // One reader driven through >= 1,000 rotations: a returned list always
+  // lives in the reader's current lease pair, so the reader never holds
+  // on to a generation the cache moved past, and the live generations
+  // stay at the cache's two however long the reader runs.
+  const TimeSeriesGraph graph = RandomGraph(91, 6, 90, 50);
+  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
+      AllSeriesPairs(graph);
+  constexpr Timestamp kDelta = 9;
+
+  SharedWindowCache cache(kDelta, /*max_entries=*/2);
+  SharedWindowCache::Reader reader(&cache, kDelta);
+  int64_t max_live = 0;
+  for (int round = 0; round < 100 && cache.num_rotations() < 1000; ++round) {
+    for (const auto& [first, last] : pairs) {
+      reader.Get(*first, *last);
+      max_live = std::max(max_live, cache.num_live_generations());
+    }
+  }
+  ASSERT_GE(cache.num_rotations(), 1000);
+  EXPECT_LE(max_live, 2);
+  EXPECT_LE(cache.num_live_generations(), 2);
 }
 
 TEST(SharedWindowCacheTest, PromotedPrevHitSurvivesRotationUntouchedDoesNot) {
@@ -430,106 +354,92 @@ TEST(SharedWindowCacheTest, PromotedPrevHitSurvivesRotationUntouchedDoesNot) {
   const EdgeSeries& filler_d = graph.pair(3).series;
   constexpr Timestamp kDelta = 10;
 
-  std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, /*max_entries=*/2);
-  SharedWindowCache::TierLease lease = cache->AcquireTierLease();
+  SharedWindowCache cache(kDelta, /*max_entries=*/2);
+  SharedWindowCache::Reader reader(&cache, kDelta);
 
-  // Generation 1 fills with {target, B}; C saturates it and rotates.
-  ASSERT_NE(cache->LeasedGet(&lease, target, target), nullptr);
-  ASSERT_NE(cache->LeasedGet(&lease, filler_b, filler_b), nullptr);
-  ASSERT_NE(cache->LeasedGet(&lease, filler_c, filler_c), nullptr);
-  ASSERT_EQ(cache->num_rotations(), 1);
+  // Generation 1 fills with {target, B}; C finds it full and rotates.
+  reader.Get(target, target);
+  reader.Get(filler_b, filler_b);
+  reader.Get(filler_c, filler_c);
+  ASSERT_EQ(cache.num_rotations(), 1);
 
   // Touch the target while it sits in the previous generation: a hit,
   // promoted into the current one.
-  int64_t hits_before = cache->num_hits();
-  ASSERT_NE(cache->LeasedGet(&lease, target, target), nullptr);
-  EXPECT_EQ(cache->num_hits(), hits_before + 1);
+  int64_t hits_before = cache.num_hits();
+  reader.Get(target, target);
+  EXPECT_EQ(cache.num_hits(), hits_before + 1);
 
-  // D saturates the current generation {C, target-copy} and rotates
+  // D finds the current generation {C, target-copy} full and rotates
   // again; generation 1 (with untouched B) leaves the publication path.
-  ASSERT_NE(cache->LeasedGet(&lease, filler_d, filler_d), nullptr);
-  ASSERT_EQ(cache->num_rotations(), 2);
+  reader.Get(filler_d, filler_d);
+  ASSERT_EQ(cache.num_rotations(), 2);
 
   // The promoted target still hits; untouched B misses (recomputed, so
   // still exact — just not a hit).
-  hits_before = cache->num_hits();
-  const std::vector<Window>* target_got =
-      cache->LeasedGet(&lease, target, target);
-  ASSERT_NE(target_got, nullptr);
-  EXPECT_EQ(cache->num_hits(), hits_before + 1);
-  EXPECT_EQ(*target_got, ComputeProcessedWindows(target, target, kDelta));
+  hits_before = cache.num_hits();
+  EXPECT_EQ(reader.Get(target, target),
+            ComputeProcessedWindows(target, target, kDelta));
+  EXPECT_EQ(cache.num_hits(), hits_before + 1);
 
-  hits_before = cache->num_hits();
-  const std::vector<Window>* b_got =
-      cache->LeasedGet(&lease, filler_b, filler_b);
-  ASSERT_NE(b_got, nullptr);
-  EXPECT_EQ(cache->num_hits(), hits_before);  // miss: aged out
-  EXPECT_EQ(*b_got, ComputeProcessedWindows(filler_b, filler_b, kDelta));
+  hits_before = cache.num_hits();
+  EXPECT_EQ(reader.Get(filler_b, filler_b),
+            ComputeProcessedWindows(filler_b, filler_b, kDelta));
+  EXPECT_EQ(cache.num_hits(), hits_before);  // miss: aged out
 }
 
 TEST(SharedWindowCacheTest, SweepGenerationsKeepsLiveDropsDead) {
   // SweepGenerations rebuilds the generation pair keeping only entries
   // whose identities satisfy the predicate — the serving layer's
   // post-seal invalidation. Kept entries still hit through a fresh
-  // lease; dropped ones are recomputed exactly; old leases keep their
-  // pointers.
+  // reader; dropped ones are recomputed exactly; an older reader's last
+  // list survives the sweep under its lease.
   const TimeSeriesGraph graph = RandomGraph(97, 5, 70, 40);
   ASSERT_GE(graph.num_pairs(), 2);
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
   constexpr Timestamp kDelta = 8;
 
-  std::unique_ptr<SharedWindowCache> cache =
-      SharedWindowCache::MakeGenerational(kDelta, /*max_entries=*/256);
-  SharedWindowCache::TierLease old_lease = cache->AcquireTierLease();
-  std::vector<const std::vector<Window>*> served;
+  SharedWindowCache cache(kDelta, /*max_entries=*/256);
+  SharedWindowCache::Reader old_reader(&cache, kDelta);
+  const std::vector<Window>* last_served = nullptr;
   for (const auto& [first, last] : pairs) {
-    served.push_back(cache->LeasedGet(&old_lease, *first, *last));
-    ASSERT_NE(served.back(), nullptr);
+    last_served = &old_reader.Get(*first, *last);
   }
-  EXPECT_EQ(cache->size(), pairs.size());
+  EXPECT_EQ(cache.size(), pairs.size());
 
   // Keep only entries keyed entirely on pair 0's timestamp storage —
   // exactly the (0, 0) entry.
   const StorageIdentity live_id = graph.pair(0).series.timestamp_identity();
-  cache->SweepGenerations([&](const StorageIdentity& id) {
+  cache.SweepGenerations([&](const StorageIdentity& id) {
     return id == live_id;
   });
-  EXPECT_EQ(cache->size(), 1u);
+  EXPECT_EQ(cache.size(), 1u);
 
-  // A fresh lease sees the swept pair: the surviving entry hits, a
+  // A fresh reader sees the swept pair: the surviving entry hits, a
   // dropped one misses and is recomputed bit-exactly.
-  SharedWindowCache::TierLease fresh = cache->AcquireTierLease();
+  SharedWindowCache::Reader fresh(&cache, kDelta);
   const EdgeSeries& live_series = graph.pair(0).series;
-  int64_t hits_before = cache->num_hits();
-  const std::vector<Window>* kept =
-      cache->LeasedGet(&fresh, live_series, live_series);
-  ASSERT_NE(kept, nullptr);
-  EXPECT_EQ(cache->num_hits(), hits_before + 1);
-  EXPECT_EQ(*kept, ComputeProcessedWindows(live_series, live_series, kDelta));
+  int64_t hits_before = cache.num_hits();
+  EXPECT_EQ(fresh.Get(live_series, live_series),
+            ComputeProcessedWindows(live_series, live_series, kDelta));
+  EXPECT_EQ(cache.num_hits(), hits_before + 1);
 
   const EdgeSeries& dead_series = graph.pair(1).series;
-  hits_before = cache->num_hits();
-  const std::vector<Window>* dropped =
-      cache->LeasedGet(&fresh, dead_series, dead_series);
-  ASSERT_NE(dropped, nullptr);
-  EXPECT_EQ(cache->num_hits(), hits_before);
-  EXPECT_EQ(*dropped,
+  hits_before = cache.num_hits();
+  EXPECT_EQ(fresh.Get(dead_series, dead_series),
             ComputeProcessedWindows(dead_series, dead_series, kDelta));
+  EXPECT_EQ(cache.num_hits(), hits_before);
 
-  // The old lease's pointers are untouched by the sweep.
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(*served[i], ComputeProcessedWindows(*pairs[i].first,
-                                                  *pairs[i].second, kDelta));
-  }
+  // The old reader's last list is untouched by the sweep.
+  EXPECT_EQ(*last_served, ComputeProcessedWindows(*pairs.back().first,
+                                                  *pairs.back().second,
+                                                  kDelta));
 }
 
 TEST(SharedWindowCacheTest, ConcurrentLeasedReadersUnderTinyCap) {
-  // Several threads, each with its own lease, hammer a key population
+  // Several threads, each with its own reader, hammer a key population
   // far beyond the per-generation cap so rotations race with lookups,
-  // promotions, and inserts. Every answer must be non-null (a
-  // generational cache never declines) and exact.
+  // promotions, and inserts. Every answer must be exact.
   const TimeSeriesGraph graph = RandomGraph(101, 6, 90, 50);
   const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
       AllSeriesPairs(graph);
@@ -543,20 +453,18 @@ TEST(SharedWindowCacheTest, ConcurrentLeasedReadersUnderTinyCap) {
   }
 
   for (int num_threads : {2, 4}) {
-    std::unique_ptr<SharedWindowCache> cache =
-        SharedWindowCache::MakeGenerational(kDelta, kCap);
+    SharedWindowCache cache(kDelta, kCap);
     std::atomic<int64_t> mismatches{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < num_threads; ++t) {
       threads.emplace_back([&, t] {
-        SharedWindowCache::TierLease lease = cache->AcquireTierLease();
+        SharedWindowCache::Reader reader(&cache, kDelta);
         const size_t n = pairs.size();
         for (int round = 0; round < 3; ++round) {
           for (size_t i = 0; i < n; ++i) {
             const size_t at = (i * 31 + static_cast<size_t>(t) * 7) % n;
-            const std::vector<Window>* got =
-                cache->LeasedGet(&lease, *pairs[at].first, *pairs[at].second);
-            if (got == nullptr || *got != expected[at]) {
+            if (reader.Get(*pairs[at].first, *pairs[at].second) !=
+                expected[at]) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
             }
           }
@@ -565,7 +473,18 @@ TEST(SharedWindowCacheTest, ConcurrentLeasedReadersUnderTinyCap) {
     }
     for (std::thread& thread : threads) thread.join();
     EXPECT_EQ(mismatches.load(), 0) << "threads=" << num_threads;
-    EXPECT_GT(cache->num_rotations(), 0) << "threads=" << num_threads;
+    EXPECT_GT(cache.num_rotations(), 0) << "threads=" << num_threads;
+  }
+}
+
+TEST(SharedWindowCacheTest, ReaderWithoutCacheComputesEveryList) {
+  // A reader without a cache computes every list into its own buffer.
+  const TimeSeriesGraph graph = RandomGraph(103, 4, 50, 30);
+  constexpr Timestamp kDelta = 6;
+  SharedWindowCache::Reader reader(nullptr, kDelta);
+  for (const auto& [first, last] : AllSeriesPairs(graph)) {
+    EXPECT_EQ(reader.Get(*first, *last),
+              ComputeProcessedWindows(*first, *last, kDelta));
   }
 }
 
