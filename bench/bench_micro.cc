@@ -139,10 +139,12 @@ BENCHMARK(BM_Phase2PerMatch);
 // machine, so the comparison dodges the cross-machine noise the
 // absolute baseline gate has to absorb with its 25% threshold.
 
-const std::vector<MatchBinding>& MicroMatches() {
-  static const std::vector<MatchBinding>* const kMatches = [] {
-    StructuralMatcher matcher(MicroGraph(), *MotifCatalog::ByName("M(3,2)"));
-    return new std::vector<MatchBinding>(matcher.FindAllMatches());
+const MatchList& MicroMatches() {
+  static const MatchList* const kMatches = [] {
+    const Motif motif = *MotifCatalog::ByName("M(3,2)");
+    StructuralMatcher matcher(MicroGraph(), motif);
+    return new MatchList(
+        MatchList::FromBindings(matcher.FindAllMatches(), motif.num_nodes()));
   }();
   return *kMatches;
 }
@@ -152,11 +154,11 @@ const std::vector<MatchBinding>& MicroMatches() {
 void RunDpMatchLoop(benchmark::State& state, QueryControl* control) {
   const Motif motif = *MotifCatalog::ByName("M(3,2)");
   const MaxFlowDpSearcher searcher(MicroGraph(), motif, 900);
-  const std::vector<MatchBinding>& matches = MicroMatches();
+  const MatchList& matches = MicroMatches();
   MaxFlowDpSearcher::Scratch scratch;
   for (auto _ : state) {
     benchmark::DoNotOptimize(searcher.RunOnMatches(
-        matches.data(), matches.data() + matches.size(), &scratch, control));
+        matches, 0, matches.size(), &scratch, control));
   }
 }
 
@@ -177,13 +179,13 @@ BENCHMARK(BM_DpMatchLoop_Control);
 void RunCountMatchLoop(benchmark::State& state, QueryControl* control) {
   const Motif motif = *MotifCatalog::ByName("M(3,2)");
   const InstanceCounter counter(MicroGraph(), motif, 900, 2.0);
-  const std::vector<MatchBinding>& matches = MicroMatches();
+  const MatchList& matches = MicroMatches();
   for (auto _ : state) {
     InstanceCounter::Result result;
     SharedWindowCache::Reader windows = counter.NewReader();
-    for (const MatchBinding& m : matches) {
+    for (int64_t i = 0; i < matches.size(); ++i) {
       if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-      counter.CountMatch(m, &result, &windows);
+      counter.CountMatch(matches[i], &result, &windows);
     }
     benchmark::DoNotOptimize(result.num_instances);
   }

@@ -94,8 +94,7 @@ SharedWindowCache::Reader InstanceCounter::NewReader(
   return SharedWindowCache::Reader(cache_, delta_, charge);
 }
 
-int64_t InstanceCounter::CountMatch(const MatchBinding& binding,
-                                    Result* result,
+int64_t InstanceCounter::CountMatch(MatchRef binding, Result* result,
                                     SharedWindowCache::Reader* windows) const {
   const int m = motif_.num_edges();
   std::vector<const EdgeSeries*> series;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "core/structural_match.h"
 #include "core/window_cursor.h"
@@ -68,7 +69,7 @@ class InstanceCounter {
   /// keeps across them (NewReader), which also carries the query
   /// control charged for the lists it materializes — or, when null,
   /// through an uncharged reader made for this one match.
-  int64_t CountMatch(const MatchBinding& binding, Result* result,
+  int64_t CountMatch(MatchRef binding, Result* result,
                      SharedWindowCache::Reader* windows = nullptr) const;
 
   /// A reader of this counter's window cache, billing `charge` (may be

@@ -36,7 +36,7 @@ void MaxFlowDpSearcher::CheckScratch(Scratch* scratch,
 }
 
 const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
-    const MatchBinding& binding, Scratch* scratch) const {
+    MatchRef binding, Scratch* scratch) const {
   std::vector<const EdgeSeries*>& series = scratch->series;
   ResolveMatchSeries(graph_, motif_, binding, &series);
 
@@ -47,9 +47,8 @@ const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
   return scratch->windows->Get(*series.front(), *series.back());
 }
 
-Flow MaxFlowDpSearcher::DpOverWindow(const MatchBinding& binding,
-                                     const Window& window, Scratch* scratch,
-                                     Result* result) const {
+Flow MaxFlowDpSearcher::DpOverWindow(MatchRef binding, const Window& window,
+                                     Scratch* scratch, Result* result) const {
   const size_t m = static_cast<size_t>(motif_.num_edges());
   const std::vector<const EdgeSeries*>& series = scratch->series;
 
@@ -153,7 +152,7 @@ Flow MaxFlowDpSearcher::DpOverWindow(const MatchBinding& binding,
   // recorded splits backwards (Table 2's bold cells). The offset rows
   // already hold every series bound the traceback needs.
   MotifInstance instance;
-  instance.binding = binding;
+  instance.binding = binding.ToBinding();
   instance.edge_sets.assign(m, {});
   size_t i = tau - 1;
   for (size_t k = m - 1; k >= 1; --k) {
@@ -176,14 +175,14 @@ Flow MaxFlowDpSearcher::DpOverWindow(const MatchBinding& binding,
 
   result->found = true;
   result->max_flow = window_best;
+  result->binding = instance.binding;
   result->best = std::move(instance);
-  result->binding = binding;
   result->window = window;
   return window_best;
 }
 
 MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatch(
-    const MatchBinding& binding) const {
+    MatchRef binding) const {
   Result result;
   WallTimer timer;
   Scratch scratch;
@@ -199,33 +198,24 @@ MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatch(
 
 MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
     const std::vector<MatchBinding>& matches) const {
-  return RunOnMatches(matches.data(), matches.data() + matches.size());
-}
-
-MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
-    const MatchBinding* begin, const MatchBinding* end) const {
+  const MatchList list = MatchList::FromBindings(matches, motif_.num_nodes());
   Scratch scratch;
-  return RunOnMatches(begin, end, &scratch);
+  return RunOnMatches(list, 0, list.size(), &scratch);
 }
 
 MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
-    const MatchBinding* begin, const MatchBinding* end,
-    Scratch* scratch) const {
-  return RunOnMatches(begin, end, scratch, /*control=*/nullptr);
-}
-
-MaxFlowDpSearcher::Result MaxFlowDpSearcher::RunOnMatches(
-    const MatchBinding* begin, const MatchBinding* end, Scratch* scratch,
+    const MatchList& matches, int64_t begin, int64_t end, Scratch* scratch,
     QueryControl* control) const {
   Result result;
   WallTimer timer;
   CheckScratch(scratch, control);
-  for (const MatchBinding* binding = begin; binding != end; ++binding) {
+  for (int64_t i = begin; i < end; ++i) {
     if (control != nullptr && control->CheckAt(failpoint::kDpMatch)) break;
-    const std::vector<Window>& windows = BeginMatch(*binding, scratch);
+    const MatchRef binding = matches[i];
+    const std::vector<Window>& windows = BeginMatch(binding, scratch);
     result.num_windows += static_cast<int64_t>(windows.size());
     for (const Window& window : windows) {
-      DpOverWindow(*binding, window, scratch, &result);
+      DpOverWindow(binding, window, scratch, &result);
     }
     ++result.matches_processed;
   }
@@ -239,7 +229,7 @@ MaxFlowDpSearcher::Result MaxFlowDpSearcher::Run() const {
 }
 
 std::vector<MaxFlowDpSearcher::WindowBest> MaxFlowDpSearcher::RunPerWindow(
-    const MatchBinding& binding) const {
+    MatchRef binding) const {
   Scratch scratch;
   CheckScratch(&scratch, /*control=*/nullptr);
   const std::vector<Window>& windows = BeginMatch(binding, &scratch);

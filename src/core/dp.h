@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/instance.h"
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "core/sliding_window.h"
 #include "core/structural_match.h"
@@ -121,36 +122,29 @@ class MaxFlowDpSearcher {
   Result Run() const;
 
   /// DP over precomputed matches only (isolates phase P2, Fig. 12).
+  /// Converts the list to a MatchList once.
   Result RunOnMatches(const std::vector<MatchBinding>& matches) const;
 
-  /// Same over a contiguous range [begin, end) — the engine's parallel
-  /// path hands each batch its slice of the match array without
-  /// copying. The incumbent best carries across the range, so the
-  /// admissible window bound prunes within a batch exactly as the
-  /// vector overload does.
-  Result RunOnMatches(const MatchBinding* begin,
-                      const MatchBinding* end) const;
-
-  /// Same with caller-owned Scratch: successive calls (the engine's P2
-  /// batches) reuse the buffers. The Scratch must only ever be used
-  /// with searchers on the same graph and delta.
-  Result RunOnMatches(const MatchBinding* begin, const MatchBinding* end,
-                      Scratch* scratch) const;
-
-  /// Same with a cooperative cancellation point per match (site
-  /// "dp.match" — this outer loop is the kTop1 hot path), and `control`
-  /// billed for every window list the run materializes (site
-  /// "cache.windows"). A null `control` is the zero-overhead path above;
-  /// on stop the returned Result covers the first matches_processed
-  /// matches exactly.
-  Result RunOnMatches(const MatchBinding* begin, const MatchBinding* end,
-                      Scratch* scratch, QueryControl* control) const;
+  /// Same over the matches [begin, end) of a flat list — the engine's
+  /// P2 batches hand each their index range without copying — with
+  /// caller-owned Scratch, so successive calls reuse the buffers (the
+  /// Scratch must only ever be used with searchers on the same graph
+  /// and delta). The incumbent best carries across the range, so the
+  /// admissible window bound prunes within a batch exactly as over a
+  /// whole list. `control` (may be null, the zero-overhead path) adds a
+  /// cooperative cancellation point per match (site "dp.match" — this
+  /// outer loop is the kTop1 hot path) and is billed for every window
+  /// list the run materializes (site "cache.windows"); on stop the
+  /// returned Result covers the first matches_processed matches of the
+  /// range exactly.
+  Result RunOnMatches(const MatchList& matches, int64_t begin, int64_t end,
+                      Scratch* scratch, QueryControl* control = nullptr) const;
 
   /// Top-1 within a single structural match.
-  Result RunOnMatch(const MatchBinding& binding) const;
+  Result RunOnMatch(MatchRef binding) const;
 
   /// Top-1 per window position within a single structural match.
-  std::vector<WindowBest> RunPerWindow(const MatchBinding& binding) const;
+  std::vector<WindowBest> RunPerWindow(MatchRef binding) const;
 
   /// The window cache this searcher reads through (injected or owned);
   /// null when memoization is gated off. Exposed for tests.
@@ -161,13 +155,13 @@ class MaxFlowDpSearcher {
   /// buffers in `scratch` (BeginMatch must have run for this match);
   /// updates `result` if a better instance is found. Returns the
   /// window's best flow (0 if no valid instance).
-  Flow DpOverWindow(const MatchBinding& binding, const Window& window,
-                    Scratch* scratch, Result* result) const;
+  Flow DpOverWindow(MatchRef binding, const Window& window, Scratch* scratch,
+                    Result* result) const;
 
   /// Resolves the match's per-edge series into scratch->series, resets
   /// the window cursors, and returns the match's processed-window list
   /// (through scratch->windows).
-  const std::vector<Window>& BeginMatch(const MatchBinding& binding,
+  const std::vector<Window>& BeginMatch(MatchRef binding,
                                         Scratch* scratch) const;
 
   /// Binds `scratch` to this searcher's (graph, delta) and `control` —

@@ -11,7 +11,7 @@ namespace flowmotif {
 
 MotifInstance InstanceView::Materialize() const {
   MotifInstance instance;
-  instance.binding = *binding;
+  instance.binding = binding.ToBinding();
   instance.edge_sets.resize(slices->size());
   for (size_t i = 0; i < slices->size(); ++i) {
     const EdgeSlice& slice = (*slices)[i];
@@ -30,7 +30,7 @@ struct FlowMotifEnumerator::Context {
   std::vector<EdgeSlice> slices;          // current partial assignment
   Window window{0, 0};
   Flow min_flow_so_far = 0.0;  // min prefix flow over slices chosen so far
-  const MatchBinding* binding = nullptr;
+  MatchRef binding{nullptr, 0};
   const InstanceVisitor* visitor = nullptr;
   EnumerationResult* result = nullptr;
   bool stop = false;
@@ -169,14 +169,14 @@ SharedWindowCache::Reader FlowMotifEnumerator::NewReader() const {
 }
 
 bool FlowMotifEnumerator::EnumerateMatch(
-    const MatchBinding& binding, const InstanceVisitor& visitor,
+    MatchRef binding, const InstanceVisitor& visitor,
     EnumerationResult* result, SharedWindowCache::Reader* windows) const {
   const int m = motif_.num_edges();
   Context ctx;
   ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
   ctx.slices.resize(static_cast<size_t>(m));
   ctx.level_limit.assign(static_cast<size_t>(m), 0);
-  ctx.binding = &binding;
+  ctx.binding = binding;
   ctx.visitor = &visitor;
   ctx.result = result;
 
@@ -221,7 +221,7 @@ bool FlowMotifEnumerator::EnumerateMatch(
 }
 
 bool FlowMotifEnumerator::EnumerateMatchWindows(
-    const MatchBinding& binding, const Window* windows_begin,
+    MatchRef binding, const Window* windows_begin,
     const Window* windows_end, const InstanceVisitor& visitor,
     EnumerationResult* result) const {
   const int m = motif_.num_edges();
@@ -229,7 +229,7 @@ bool FlowMotifEnumerator::EnumerateMatchWindows(
   ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
   ctx.slices.resize(static_cast<size_t>(m));
   ctx.level_limit.assign(static_cast<size_t>(m), 0);
-  ctx.binding = &binding;
+  ctx.binding = binding;
   ctx.visitor = &visitor;
   ctx.result = result;
 

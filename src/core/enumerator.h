@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/instance.h"
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "core/sliding_window.h"
 #include "core/structural_match.h"
@@ -88,7 +89,7 @@ struct EdgeSlice {
 /// visitor call. Call Materialize() to keep it.
 struct InstanceView {
   const Motif* motif = nullptr;
-  const MatchBinding* binding = nullptr;
+  MatchRef binding{nullptr, 0};
   const std::vector<EdgeSlice>* slices = nullptr;
   Window window{0, 0};
   Flow flow = 0.0;  // f(GI), Eq. 1
@@ -174,8 +175,7 @@ class FlowMotifEnumerator {
   /// list is read through `windows` — a reader a caller looping over
   /// matches keeps across them (NewReader) — or, when null, through a
   /// reader made for this one match.
-  bool EnumerateMatch(const MatchBinding& binding,
-                      const InstanceVisitor& visitor,
+  bool EnumerateMatch(MatchRef binding, const InstanceVisitor& visitor,
                       EnumerationResult* result,
                       SharedWindowCache::Reader* windows = nullptr) const;
 
@@ -190,8 +190,7 @@ class FlowMotifEnumerator {
   /// AdvanceProcessedWindows, whose concatenation is exactly the batch
   /// list, so instances come out byte-identical to EnumerateMatch across
   /// the whole sequence of calls. Returns false on visitor stop.
-  bool EnumerateMatchWindows(const MatchBinding& binding,
-                             const Window* windows_begin,
+  bool EnumerateMatchWindows(MatchRef binding, const Window* windows_begin,
                              const Window* windows_end,
                              const InstanceVisitor& visitor,
                              EnumerationResult* result) const;

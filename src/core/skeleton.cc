@@ -413,7 +413,7 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
 void EnumerationSkeleton::RecordSweepDescending(
     const TimeSeriesGraph& graph, const Motif& motif,
     const std::vector<Timestamp>& deltas,
-    const std::vector<MatchBinding>& matches, const Options& options,
+    const MatchList& matches, const Options& options,
     std::vector<EnumerationSkeleton>* skeletons, QueryControl* control) {
   const size_t n = deltas.size();
   skeletons->clear();
@@ -426,7 +426,7 @@ void EnumerationSkeleton::RecordSweepDescending(
   FLOWMOTIF_CHECK_GE(deltas.back(), 0);
   for (EnumerationSkeleton& sk : *skeletons) {
     sk.Clear();
-    sk.match_viable_.assign(matches.size(), 0);
+    sk.match_viable_.assign(static_cast<size_t>(matches.size()), 0);
   }
 
   std::vector<size_t> offsets;
@@ -470,12 +470,13 @@ void EnumerationSkeleton::RecordSweepDescending(
   const auto [last_src, last_dst] = motif.edge(m - 1);
 
   bool stopped = false;
-  for (size_t match_index = 0; match_index < matches.size(); ++match_index) {
+  for (size_t match_index = 0;
+       match_index < static_cast<size_t>(matches.size()); ++match_index) {
     if (control != nullptr && control->CheckAt(failpoint::kSweepRecord)) {
       stopped = true;
       break;
     }
-    const MatchBinding& binding = matches[match_index];
+    const MatchRef binding = matches[static_cast<int64_t>(match_index)];
     const EdgeSeries* first_series =
         graph.FindSeries(binding[static_cast<size_t>(first_src)],
                          binding[static_cast<size_t>(first_dst)]);

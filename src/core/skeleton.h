@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "core/structural_match.h"
 #include "core/window_cursor.h"
@@ -185,8 +186,8 @@ class EnumerationSkeleton {
   /// partial recording, only a clean fallback.
   static void RecordSweepDescending(
       const TimeSeriesGraph& graph, const Motif& motif,
-      const std::vector<Timestamp>& deltas,
-      const std::vector<MatchBinding>& matches, const Options& options,
+      const std::vector<Timestamp>& deltas, const MatchList& matches,
+      const Options& options,
       std::vector<EnumerationSkeleton>* skeletons,
       QueryControl* control = nullptr);
 

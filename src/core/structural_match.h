@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "graph/time_series_graph.h"
 #include "util/thread_pool.h"
@@ -79,6 +80,8 @@ class StructuralMatcher {
   /// validate externally supplied bindings): injective, within range, and
   /// every motif edge maps to a connected pair.
   bool IsMatch(const MatchBinding& binding) const;
+
+  const Motif& motif() const { return motif_; }
 
  private:
   /// Runs one work unit with caller-provided scratch (reused across

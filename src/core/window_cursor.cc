@@ -49,7 +49,7 @@ SharedWindowCache* ResolveWindowCache(
 }
 
 void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
-                        const MatchBinding& binding,
+                        MatchRef binding,
                         std::vector<const EdgeSeries*>* series) {
   const int m = motif.num_edges();
   series->resize(static_cast<size_t>(m));

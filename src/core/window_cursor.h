@@ -9,6 +9,7 @@
 #include <mutex>
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "core/sliding_window.h"
 #include "graph/edge_series.h"
@@ -57,7 +58,7 @@ SharedWindowCache* ResolveWindowCache(
 /// not-a-match check — cannot drift between them. `series` is resized
 /// to the motif's edge count.
 void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
-                        const MatchBinding& binding,
+                        MatchRef binding,
                         std::vector<const EdgeSeries*>* series);
 
 /// Per-series sliding cursors over one match's window sweep:

@@ -13,7 +13,7 @@ ShardPrefixMerger::ShardPrefixMerger(int64_t num_shards)
 }
 
 std::vector<ShardPrefixMerger::ReleasedShardEntry> ShardPrefixMerger::Complete(
-    int64_t shard, std::vector<MatchBinding> matches) {
+    int64_t shard, MatchList matches) {
   std::lock_guard<std::mutex> lock(mu_);
   FLOWMOTIF_CHECK_GE(shard, 0);
   FLOWMOTIF_CHECK_LT(shard, static_cast<int64_t>(shards_.size()));
@@ -25,10 +25,9 @@ std::vector<ShardPrefixMerger::ReleasedShardEntry> ShardPrefixMerger::Complete(
   std::vector<ReleasedShardEntry> released;
   while (next_unreleased_ < static_cast<int64_t>(shards_.size()) &&
          complete_[static_cast<size_t>(next_unreleased_)]) {
-    const std::vector<MatchBinding>& buffer =
-        shards_[static_cast<size_t>(next_unreleased_)];
+    const MatchList& buffer = shards_[static_cast<size_t>(next_unreleased_)];
     released.push_back({next_unreleased_, {released_matches_, &buffer}});
-    released_matches_ += static_cast<int64_t>(buffer.size());
+    released_matches_ += buffer.size();
     ++next_unreleased_;
   }
   return released;
@@ -40,7 +39,7 @@ void ShardPrefixMerger::FreeShard(int64_t shard) {
   FLOWMOTIF_CHECK_LT(shard, static_cast<int64_t>(shards_.size()));
   // Element addresses in shards_ stay stable; only this slot's buffer
   // is reclaimed.
-  std::vector<MatchBinding>().swap(shards_[static_cast<size_t>(shard)]);
+  shards_[static_cast<size_t>(shard)] = MatchList();
 }
 
 int64_t ShardPrefixMerger::num_released() const {

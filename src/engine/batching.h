@@ -5,7 +5,7 @@
 #include <mutex>
 #include <vector>
 
-#include "core/motif.h"
+#include "core/match_list.h"
 
 namespace flowmotif {
 
@@ -25,7 +25,7 @@ class ShardPrefixMerger {
     /// Global (serial-order) index of the shard's first match.
     int64_t first_match_index = 0;
     /// The shard's matches, in serial order. Owned by the merger.
-    const std::vector<MatchBinding>* matches = nullptr;
+    const MatchList* matches = nullptr;
   };
 
   explicit ShardPrefixMerger(int64_t num_shards);
@@ -39,8 +39,7 @@ class ShardPrefixMerger {
   /// returns every shard this completion releases, in shard order —
   /// empty when an earlier shard is still outstanding. Each shard must
   /// complete exactly once.
-  std::vector<ReleasedShardEntry> Complete(int64_t shard,
-                                           std::vector<MatchBinding> matches);
+  std::vector<ReleasedShardEntry> Complete(int64_t shard, MatchList matches);
 
   /// Frees a released shard's match buffer. Call only once no consumer
   /// still reads the buffer (the executor refcounts a shard's P2
@@ -54,7 +53,7 @@ class ShardPrefixMerger {
 
  private:
   mutable std::mutex mu_;
-  std::vector<std::vector<MatchBinding>> shards_;
+  std::vector<MatchList> shards_;
   std::vector<bool> complete_;
   int64_t next_unreleased_ = 0;   // first shard not yet released
   int64_t released_matches_ = 0;  // total matches in released shards

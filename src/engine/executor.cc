@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -26,20 +25,18 @@ constexpr int64_t kBatchCap = 256;
 
 constexpr int64_t kNoStoppedShard = std::numeric_limits<int64_t>::max();
 
-/// The one per-unit P1 scan: appends the matches of work units `units`
-/// to `out` in serial order. Under a control each unit is preceded by a
-/// "p1.unit" check, and `cap` >= 0 ends the scan when a match arrives
-/// while `out` already holds `cap`. Returns false when the scan ended
-/// early either way; `out` then holds a canonical prefix of the units.
+/// The one per-unit P1 scan: appends the vertices of each match of
+/// work units `units` to `out` in serial order — flat, so no allocation
+/// per match. Under a control each unit is preceded by a "p1.unit"
+/// check, and `cap` >= 0 ends the scan when a match arrives while `out`
+/// already holds `cap`. Returns false when the scan ended early either
+/// way; `out` then holds a canonical prefix of the units.
 bool ScanUnits(const StructuralMatcher& matcher, IndexRange units,
-               QueryControl* control, int64_t cap,
-               std::vector<MatchBinding>* out) {
+               QueryControl* control, int64_t cap, MatchList* out) {
   const StructuralMatcher::MatchVisitor push =
       [out, cap](const MatchBinding& binding) {
-        if (cap >= 0 && static_cast<int64_t>(out->size()) >= cap) {
-          return false;
-        }
-        out->push_back(binding);
+        if (cap >= 0 && out->size() >= cap) return false;
+        out->Append(binding);
         return true;
       };
   if (control == nullptr) {
@@ -57,8 +54,7 @@ bool ScanUnits(const StructuralMatcher& matcher, IndexRange units,
 /// Called from a P1 shard's task with its matches and whether its scan
 /// ran to the end.
 using ShardFn =
-    std::function<void(int64_t shard, std::vector<MatchBinding> matches,
-                       bool complete)>;
+    std::function<void(int64_t shard, MatchList matches, bool complete)>;
 
 /// P1 as one pool task per shard: contiguous work-unit ranges, several
 /// per worker, so dynamic scheduling absorbs the match-density skew
@@ -72,7 +68,7 @@ double ScanShards(const StructuralMatcher& matcher,
   for (size_t s = 0; s < shards.size(); ++s) {
     pool->Submit([&, s] {
       WallTimer timer;
-      std::vector<MatchBinding> matches;
+      MatchList matches(matcher.motif().num_nodes());
       const bool complete =
           ScanUnits(matcher, shards[s], control, /*cap=*/-1, &matches);
       seconds[s] = timer.ElapsedSeconds();
@@ -145,7 +141,7 @@ class SerialFold {
 }  // namespace
 
 ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
-                             const std::vector<MatchBinding>* list,
+                             const MatchList* list, int64_t list_size,
                              int64_t batch_size, ThreadPool* pool,
                              QueryControl* control,
                              const BatchKernel& kernel) {
@@ -157,12 +153,13 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
   std::atomic<int64_t> num_batches{0};
   SerialFold fold(&stopped_shard);
 
-  // Cuts one released shard into batches at the front of the pool
-  // queue — ahead of still-queued P1 shard tasks, or FIFO order would
-  // finish all of P1 (every shard buffer live at once) before P2
-  // starts. `retire` runs once the shard's last batch is done.
+  // Cuts the first `n` matches of one released shard into batches at
+  // the front of the pool queue — ahead of still-queued P1 shard tasks,
+  // or FIFO order would finish all of P1 (every shard buffer live at
+  // once) before P2 starts. `retire` runs once the shard's last batch
+  // is done.
   const auto submit_shard = [&](int64_t shard, int64_t first,
-                                const MatchBinding* data, int64_t n,
+                                const MatchList* matches, int64_t n,
                                 const std::function<void()>& retire) {
     if (n == 0) {
       if (retire) retire();
@@ -174,7 +171,7 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
     for (int64_t b = 0; b < n; b += cap) {
       const int64_t len = std::min(cap, n - b);
       pool->SubmitFront([&fold, &kernel, control, retire, outstanding, shard,
-                         first = first + b, begin = data + b, len] {
+                         first = first + b, matches, b, len] {
         WallTimer timer;
         BatchOutput out;
         // Batch boundary: an unthrottled deadline read, so a fresh batch
@@ -182,7 +179,7 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
         // bounded by one batch's throttle window, never a multiple.
         if (control == nullptr ||
             !control->CheckAtBoundary(failpoint::kP2Batch)) {
-          out = kernel(first, begin, begin + len);
+          out = kernel(first, *matches, b, b + len);
         }
         fold.Arrive(first, len, shard, timer.ElapsedSeconds(),
                     std::move(out));
@@ -197,24 +194,15 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
   };
 
   double p1_seconds = 0.0;
-  std::vector<MatchBinding> budgeted;
-  if (list == nullptr && control != nullptr &&
-      control->budget().max_matches >= 0) {
-    WallTimer timer;
-    budgeted = FindMatchesControlled(matcher, pool, control);
-    p1_seconds = timer.ElapsedSeconds();
-    list = &budgeted;
-  }
   if (list != nullptr) {
-    submit_shard(0, 0, list->data(), static_cast<int64_t>(list->size()),
-                 nullptr);
+    submit_shard(0, 0, list, list_size, nullptr);
     pool->Wait();
   } else {
     const std::vector<IndexRange> shards = P1Shards(matcher, *pool);
     ShardPrefixMerger merger(static_cast<int64_t>(shards.size()));
     p1_seconds = ScanShards(
         matcher, shards, pool, control,
-        [&](int64_t shard, std::vector<MatchBinding> matches, bool complete) {
+        [&](int64_t shard, MatchList matches, bool complete) {
           if (!complete) {
             int64_t cur = stopped_shard.load(std::memory_order_relaxed);
             while (shard < cur && !stopped_shard.compare_exchange_weak(
@@ -223,11 +211,11 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
           }
           for (const ShardPrefixMerger::ReleasedShardEntry& entry :
                merger.Complete(shard, std::move(matches))) {
-            const std::vector<MatchBinding>& buffer = *entry.released.matches;
+            const MatchList* buffer = entry.released.matches;
             // The last batch frees the shard's buffer, so peak memory
             // tracks the in-flight window, not the full match list.
             submit_shard(entry.shard, entry.released.first_match_index,
-                         buffer.data(), static_cast<int64_t>(buffer.size()),
+                         buffer, buffer->size(),
                          [&merger, s = entry.shard] { merger.FreeShard(s); });
           }
         });
@@ -238,10 +226,9 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
   return stats;
 }
 
-std::vector<MatchBinding> FindMatchesControlled(
-    const StructuralMatcher& matcher, ThreadPool* pool,
-    QueryControl* control) {
-  std::vector<MatchBinding> matches;
+MatchList FindMatchesControlled(const StructuralMatcher& matcher,
+                                ThreadPool* pool, QueryControl* control) {
+  MatchList matches(matcher.motif().num_nodes());
   const int64_t max_matches =
       control != nullptr ? control->budget().max_matches : -1;
   if (max_matches >= 0) {
@@ -257,17 +244,20 @@ std::vector<MatchBinding> FindMatchesControlled(
     return matches;
   }
   const std::vector<IndexRange> shards = P1Shards(matcher, *pool);
-  std::vector<std::vector<MatchBinding>> buffers(shards.size());
+  std::vector<MatchList> buffers(shards.size());
   std::vector<uint8_t> complete(shards.size(), 0);
   ScanShards(matcher, shards, pool, control,
-             [&](int64_t shard, std::vector<MatchBinding> found, bool done) {
+             [&](int64_t shard, MatchList found, bool done) {
                buffers[static_cast<size_t>(shard)] = std::move(found);
                complete[static_cast<size_t>(shard)] = done ? 1 : 0;
              });
+  // At one thread one shard holds the whole list: no concatenation.
+  if (buffers.size() == 1) return std::move(buffers.front());
+  int64_t total = 0;
+  for (const MatchList& buffer : buffers) total += buffer.size();
+  matches.Reserve(total);
   for (size_t s = 0; s < shards.size(); ++s) {
-    matches.insert(matches.end(),
-                   std::make_move_iterator(buffers[s].begin()),
-                   std::make_move_iterator(buffers[s].end()));
+    matches.Append(buffers[s]);
     if (complete[s] == 0) break;
   }
   return matches;

@@ -5,7 +5,7 @@
 #include <functional>
 #include <vector>
 
-#include "core/motif.h"
+#include "core/match_list.h"
 #include "core/structural_match.h"
 #include "util/cancellation.h"
 #include "util/thread_pool.h"
@@ -27,11 +27,11 @@ struct BatchOutput {
   std::function<void()> fold;
 };
 
-/// One mode's P2 work over the contiguous match range [begin, end),
-/// whose first match has serial index `first` (the DiscoveryRank key).
-/// Called concurrently for disjoint ranges.
+/// One mode's P2 work over the matches [begin, end) of `matches`, of
+/// which match `begin` has serial index `first` (the DiscoveryRank
+/// key). Called concurrently for disjoint ranges.
 using BatchKernel = std::function<BatchOutput(
-    int64_t first, const MatchBinding* begin, const MatchBinding* end)>;
+    int64_t first, const MatchList& matches, int64_t begin, int64_t end)>;
 
 struct ExecutorStats {
   /// Length of the folded serial match prefix: every match, unless a
@@ -48,14 +48,15 @@ struct ExecutorStats {
 /// Runs `kernel` over every structural match and folds the batch
 /// outputs in serial order. Matches come from one of two sources:
 ///
-///  - `list` (non-null): an existing list, handed in without a copy as
-///    one released shard (RunOnMatches, RunSweep's fallback cells);
+///  - `list` (non-null): the first `list_size` matches of an existing
+///    list, handed in without a copy as one released shard (a list the
+///    caller passed to RunOnMatches, RunSweep's shared list, a cached
+///    list, or one the engine scanned before P2);
 ///  - otherwise P1 shards of `matcher` — contiguous work-unit ranges
-///    scanned as pool tasks and released in serial order by a
-///    ShardPrefixMerger, each shard's batches submitted to the front of
-///    the pool queue so P2 runs while later shards are still matching.
-///    Under a WorkBudget::max_matches the serial FindMatchesControlled
-///    scan runs first and its list becomes the source.
+///    scanned as pool tasks into one MatchList each and released in
+///    serial order by a ShardPrefixMerger, each shard's batches
+///    submitted to the front of the pool queue so P2 runs while later
+///    shards are still matching.
 ///
 /// Batches hold `batch_size` matches when it is positive; otherwise a
 /// whole shard at one thread and at most 256 matches at more threads.
@@ -64,7 +65,7 @@ struct ExecutorStats {
 /// shard whose P1 scan stopped, so the folded output covers exactly the
 /// first `matches_done` matches.
 ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
-                             const std::vector<MatchBinding>* list,
+                             const MatchList* list, int64_t list_size,
                              int64_t batch_size, ThreadPool* pool,
                              QueryControl* control, const BatchKernel& kernel);
 
@@ -74,10 +75,10 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
 /// still runs over the prefix). Otherwise it scans the executor's P1
 /// shards in parallel with a "p1.unit" check per work unit, and a stop
 /// keeps the canonical prefix: every leading shard plus the first
-/// stopped shard's leading units.
-std::vector<MatchBinding> FindMatchesControlled(
-    const StructuralMatcher& matcher, ThreadPool* pool,
-    QueryControl* control);
+/// stopped shard's leading units. Byte-identical to
+/// StructuralMatcher::FindAllMatches() when nothing stops it.
+MatchList FindMatchesControlled(const StructuralMatcher& matcher,
+                                ThreadPool* pool, QueryControl* control);
 
 }  // namespace flowmotif
 

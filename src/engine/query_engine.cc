@@ -9,6 +9,7 @@
 #include "core/skeleton.h"
 #include "core/window_cursor.h"
 #include "engine/executor.h"
+#include "engine/match_list_cache.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -171,18 +172,85 @@ void FinalizeTopKStats(EnumerationResult* stats, size_t num_entries) {
 }
 
 /// The per-match loop of the enumerate, count and top-k kernels: runs
-/// `body(match, i)` on the i-th match of [begin, end), checking
-/// "p2.batch" before each under a control. Returns how many leading
-/// matches ran — the whole range unless the control stopped the run.
+/// `body(match, i)` on the i-th match of the range [begin, end) of
+/// `matches`, checking "p2.batch" before each under a control. Returns
+/// how many leading matches ran — the whole range unless the control
+/// stopped the run.
 template <typename Body>
-int64_t ForEachMatch(const MatchBinding* begin, const MatchBinding* end,
+int64_t ForEachMatch(const MatchList& matches, int64_t begin, int64_t end,
                      QueryControl* control, const Body& body) {
   int64_t i = 0;
   for (; begin + i < end; ++i) {
     if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-    body(begin[i], i);
+    body(matches[begin + i], i);
   }
   return i;
+}
+
+/// Where a run's matches come from. With `list` null the executor
+/// streams P1 shards; otherwise the run covers the first `size` matches
+/// of `list` — the caller's list, a cached one, or one the run scanned
+/// before P2, in which case `p1_seconds` is the scan's time.
+struct MatchSource {
+  const MatchList* list = nullptr;
+  int64_t size = 0;
+  double p1_seconds = 0.0;
+  std::shared_ptr<const MatchList> held;  // keeps a cached or scanned list
+};
+
+/// The match source of a Run (`list` null) or of a run over `list`.
+/// With a match-list cache (QueryOptions::match_list_cache) a hit hands
+/// over the cached list without a copy — under WorkBudget::max_matches
+/// only its first max_matches matches, marking kBudgetExceeded at
+/// "p1.unit" exactly when the list is longer, as the capped scan would
+/// — and a miss runs P1 to completion first, then publishes the list
+/// unless a stop cut it short. A max_matches run scans its capped
+/// prefix first and publishes nothing. Otherwise P1 streams.
+MatchSource SourceMatches(const TimeSeriesGraph& graph,
+                          const StructuralMatcher& matcher,
+                          const MatchList* list, const QueryOptions& options,
+                          ThreadPool* pool, QueryControl* control) {
+  MatchSource source;
+  if (list != nullptr) {
+    source.list = list;
+    source.size = list->size();
+    return source;
+  }
+  const int64_t max_matches =
+      control != nullptr ? control->budget().max_matches : -1;
+  MatchListCache* const cache = options.match_list_cache;
+  const StorageIdentity topology = graph.topology_identity();
+  if (cache != nullptr) {
+    source.held = cache->Find(matcher.motif(), topology);
+    if (source.held != nullptr) {
+      source.list = source.held.get();
+      source.size = source.list->size();
+      if (max_matches >= 0 && source.size > max_matches) {
+        source.size = max_matches;
+        control->MarkTruncated(TerminationCode::kBudgetExceeded,
+                               failpoint::kP1Unit, "max_matches");
+      }
+      return source;
+    }
+  } else if (max_matches < 0) {
+    return source;
+  }
+  WallTimer timer;
+  auto scanned = std::make_shared<MatchList>(
+      FindMatchesControlled(matcher, pool, control));
+  source.p1_seconds = timer.ElapsedSeconds();
+  // Only a complete list is published: never a max_matches prefix, and
+  // never one a stop cut short (P2 has not started, so nothing but the
+  // scan can have stopped the run yet).
+  if (cache != nullptr && max_matches < 0 &&
+      (control == nullptr || !control->ShouldStop())) {
+    scanned->ShrinkToFit();
+    cache->Insert(matcher.motif(), topology, scanned);
+  }
+  source.list = scanned.get();
+  source.size = scanned->size();
+  source.held = std::move(scanned);
+  return source;
 }
 
 /// Everything one P2 mode needs. Each mode below is written once, as a
@@ -193,7 +261,7 @@ struct ModeRun {
   const Motif& motif;
   const QueryOptions& options;
   const StructuralMatcher& matcher;
-  const std::vector<MatchBinding>* list;  // null: P1 shards of `matcher`
+  const MatchSource& source;
   ThreadPool* pool;
   QueryControl* control;
   SharedWindowCache* cache;  // null: every reader computes its own lists
@@ -218,10 +286,11 @@ struct ModeRun {
   /// reports the same way: the folded match prefix, the batch count,
   /// the phase times and the termination.
   void Execute(const BatchKernel& kernel) const {
-    const ExecutorStats run = ExecuteBatches(
-        matcher, list, options.batch_size, pool, control, kernel);
+    const ExecutorStats run =
+        ExecuteBatches(matcher, source.list, source.size, options.batch_size,
+                       pool, control, kernel);
     result->stats.num_structural_matches = run.matches_done;
-    result->stats.phase1_seconds = run.p1_seconds;
+    result->stats.phase1_seconds = source.p1_seconds + run.p1_seconds;
     result->stats.phase2_seconds = run.p2_seconds;
     result->num_batches = run.num_batches;
     if (control != nullptr) {
@@ -239,8 +308,8 @@ void EnumerateBatches(const ModeRun& run) {
                                        run.Enumeration());
   const int64_t limit = run.options.collect_limit;
   QueryResult* const result = run.result;
-  run.Execute([&](int64_t, const MatchBinding* begin,
-                  const MatchBinding* end) {
+  run.Execute([&](int64_t, const MatchList& matches, int64_t begin,
+                  int64_t end) {
     EnumerationResult stats;
     SharedWindowCache::Reader windows = run.NewReader();
     std::vector<MotifInstance> collected;
@@ -254,7 +323,7 @@ void EnumerateBatches(const ModeRun& run) {
       };
     }
     const int64_t processed = ForEachMatch(
-        begin, end, run.control, [&](const MatchBinding& match, int64_t) {
+        matches, begin, end, run.control, [&](MatchRef match, int64_t) {
           enumerator.EnumerateMatch(match, visitor, &stats, &windows);
         });
     return BatchOutput{
@@ -277,12 +346,12 @@ void CountBatches(const ModeRun& run) {
   const InstanceCounter counter(run.graph, run.motif, run.options.delta,
                                 run.options.phi, run.cache);
   QueryResult* const result = run.result;
-  run.Execute([&](int64_t, const MatchBinding* begin,
-                  const MatchBinding* end) {
+  run.Execute([&](int64_t, const MatchList& matches, int64_t begin,
+                  int64_t end) {
     InstanceCounter::Result counts;
     SharedWindowCache::Reader windows = run.NewReader();
     const int64_t processed = ForEachMatch(
-        begin, end, run.control, [&](const MatchBinding& match, int64_t) {
+        matches, begin, end, run.control, [&](MatchRef match, int64_t) {
           counts.num_instances += counter.CountMatch(match, &counts, &windows);
         });
     return BatchOutput{processed, [result, counts] {
@@ -310,8 +379,8 @@ void TopKBatches(const ModeRun& run) {
   SharedFlowThreshold shared(k);
   TopKCollector global(k);
   QueryResult* const result = run.result;
-  run.Execute([&](int64_t first, const MatchBinding* begin,
-                  const MatchBinding* end) {
+  run.Execute([&](int64_t first, const MatchList& matches, int64_t begin,
+                  int64_t end) {
     std::optional<SharedFlowThreshold> own;
     SharedFlowThreshold* const threshold =
         run.control != nullptr ? &own.emplace(k) : &shared;
@@ -324,7 +393,7 @@ void TopKBatches(const ModeRun& run) {
     TopKCollector local(k);
     EnumerationResult stats;
     const int64_t processed = ForEachMatch(
-        begin, end, run.control, [&](const MatchBinding& match, int64_t i) {
+        matches, begin, end, run.control, [&](MatchRef match, int64_t i) {
           int64_t emit_index = 0;
           enumerator.EnumerateMatch(
               match,
@@ -355,11 +424,11 @@ void Top1Batches(const ModeRun& run) {
   const MaxFlowDpSearcher searcher(run.graph, run.motif, run.options.delta,
                                    run.cache);
   MaxFlowDpSearcher::Result best;
-  run.Execute([&](int64_t, const MatchBinding* begin,
-                  const MatchBinding* end) {
+  run.Execute([&](int64_t, const MatchList& matches, int64_t begin,
+                  int64_t end) {
     MaxFlowDpSearcher::Scratch scratch;
     MaxFlowDpSearcher::Result out =
-        searcher.RunOnMatches(begin, end, &scratch, run.control);
+        searcher.RunOnMatches(matches, begin, end, &scratch, run.control);
     const int64_t processed = out.matches_processed;
     return BatchOutput{processed, [&best, out = std::move(out)]() mutable {
                          const int64_t num_windows =
@@ -411,7 +480,8 @@ QueryResult QueryEngine::RunOnMatches(const Motif& motif,
         "kSignificance computes and reuses its own matches; use Run()");
   }
   if (!scope.Begin(valid, options, &result)) return result;
-  RunMode(motif, &matches, options, scope.pool(), scope.control(), &result);
+  const MatchList list = MatchList::FromBindings(matches, motif.num_nodes());
+  RunMode(motif, &list, options, scope.pool(), scope.control(), &result);
   scope.End(&result);
   return result;
 }
@@ -434,9 +504,9 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
   // Phase P1 once for the whole grid: structural matches depend on
   // neither delta nor phi, so per-point querying re-derives the same
   // list |grid| times.
-  const std::vector<MatchBinding> matches =
+  const MatchList matches =
       FindMatchesControlled(StructuralMatcher(graph_, motif), pool, control);
-  result.num_structural_matches = static_cast<int64_t>(matches.size());
+  result.num_structural_matches = matches.size();
   if (control != nullptr && control->ShouldStop()) {
     // A hard stop during P1 left an incomplete match list; no cell
     // computed over it would equal its per-point kCount run, so all
@@ -535,8 +605,7 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
   return result;
 }
 
-void QueryEngine::RunMode(const Motif& motif,
-                          const std::vector<MatchBinding>* list,
+void QueryEngine::RunMode(const Motif& motif, const MatchList* list,
                           const QueryOptions& options, ThreadPool* pool,
                           QueryControl* control, QueryResult* result) const {
   // The one window cache every batch's reader reads: the caller's
@@ -550,7 +619,9 @@ void QueryEngine::RunMode(const Motif& motif,
     cache = &per_query.emplace(options.delta);
   }
   const StructuralMatcher matcher(graph_, motif);
-  const ModeRun run{graph_, motif,   options, matcher, list,
+  const MatchSource source =
+      SourceMatches(graph_, matcher, list, options, pool, control);
+  const ModeRun run{graph_, motif,   options, matcher, source,
                     pool,   control, cache,   result};
   switch (options.mode) {
     case QueryMode::kEnumerate:

@@ -27,19 +27,20 @@ struct QueryResult {
 
   /// Unified counters. The phase timers are summed task time on every
   /// path: phase1_seconds adds up the P1 shard tasks (0 for
-  /// RunOnMatches) and phase2_seconds the folded P2 batches, so at one
-  /// thread they are the phases' wall times and never exceed
-  /// wall_seconds, while at more threads they are CPU-like sums across
-  /// workers (the phases overlap). wall_seconds below is always the
-  /// end-to-end time. In kTopK mode num_instances is the number of
-  /// returned entries (== topk.size()) and num_phi_prunes is 0: the
-  /// floating threshold makes the raw survivor/prune counts depend on
-  /// how fast it tightened, so that execution-dependent activity is
-  /// quarantined in num_pruning_probes and every other stat is
-  /// deterministic at any thread count — under a hard stop, exact over
-  /// the canonical match prefix. num_batches and num_pruning_probes may
-  /// differ across thread counts and batch sizes (batch boundaries are
-  /// an execution detail).
+  /// RunOnMatches, and 0 when the match list came from
+  /// QueryOptions::match_list_cache) and phase2_seconds the folded P2
+  /// batches, so at one thread they are the phases' wall times and
+  /// never exceed wall_seconds, while at more threads they are CPU-like
+  /// sums across workers (the phases overlap). wall_seconds below is
+  /// always the end-to-end time. In kTopK mode num_instances is the
+  /// number of returned entries (== topk.size()) and num_phi_prunes is
+  /// 0: the floating threshold makes the raw survivor/prune counts
+  /// depend on how fast it tightened, so that execution-dependent
+  /// activity is quarantined in num_pruning_probes and every other stat
+  /// is deterministic at any thread count — under a hard stop, exact
+  /// over the canonical match prefix. num_batches and num_pruning_probes
+  /// may differ across thread counts and batch sizes (batch boundaries
+  /// are an execution detail).
   EnumerationResult stats;
 
   /// kCount: memoization hits of the counting recursion.
@@ -118,8 +119,9 @@ struct SweepResult {
 /// decomposes into StructuralMatcher work units (origins / first-edge
 /// images) scanned in shards; released in canonical order, the shards
 /// stream straight into P2 batches on the same worker pool, with no
-/// barrier between the phases. RunOnMatches and RunSweep's fallback
-/// cells hand an existing match list to the same executor. Every batch
+/// barrier between the phases. RunOnMatches, RunSweep's fallback cells
+/// and a QueryOptions::match_list_cache hit hand an existing flat
+/// MatchList to the same executor. Every batch
 /// fills local state (an EnumerationResult, a bounded top-k collector,
 /// a DP incumbent) that is folded deterministically, so results are
 /// byte-identical across thread counts — the parallel-vs-serial
@@ -147,8 +149,9 @@ class QueryEngine {
   QueryResult Run(const Motif& motif, const QueryOptions& options) const;
 
   /// Phase P2 only, over externally computed structural matches (used
-  /// by benchmarks that isolate P2). Not available for kSignificance,
-  /// which owns its match reuse internally.
+  /// by benchmarks that isolate P2), converted to a MatchList once on
+  /// entry. Not available for kSignificance, which owns its match reuse
+  /// internally.
   QueryResult RunOnMatches(const Motif& motif,
                            const std::vector<MatchBinding>& matches,
                            const QueryOptions& options) const;
@@ -176,9 +179,10 @@ class QueryEngine {
 
  private:
   /// Runs one P2 mode (kEnumerate, kCount, kTopK or kTop1) through the
-  /// executor (engine/executor.h) over `list`, or over P1 shards when
-  /// `list` is null.
-  void RunMode(const Motif& motif, const std::vector<MatchBinding>* list,
+  /// executor (engine/executor.h) over `list`; when `list` is null,
+  /// over the list QueryOptions::match_list_cache holds or gets, or
+  /// over streamed P1 shards.
+  void RunMode(const Motif& motif, const MatchList* list,
                const QueryOptions& options, ThreadPool* pool,
                QueryControl* control, QueryResult* result) const;
   void RunSignificance(const Motif& motif, const QueryOptions& options,

@@ -9,6 +9,7 @@
 
 namespace flowmotif {
 
+class MatchListCache;
 class SharedWindowCache;
 
 /// The query modes unified behind QueryEngine — the paper's threshold
@@ -75,6 +76,19 @@ struct QueryOptions {
   /// found, never its contents. Owned by the caller (typically
   /// serve/QueryService), which must keep it alive for the call.
   SharedWindowCache* shared_cache_tier = nullptr;
+
+  /// Cross-query match-list cache (non-owning, may be null;
+  /// engine/match_list_cache.h): phase P1 depends only on the motif and
+  /// the topology, so kEnumerate, kCount, kTopK and kTop1 runs through
+  /// Run read a complete match list from it instead of running P1 (a
+  /// hit), or run P1 to completion before P2 and publish the list (a
+  /// miss). Under WorkBudget::max_matches a hit runs only the first
+  /// max_matches matches and a miss publishes nothing. Results stay
+  /// byte-identical; only where the list comes from changes.
+  /// kSignificance, RunOnMatches and RunSweep do not read it. Owned by
+  /// the caller (typically serve/QueryService), which must keep it
+  /// alive for the call.
+  MatchListCache* match_list_cache = nullptr;
 
   /// Lifecycle controls (DESIGN.md Sec. 10). All default to inactive;
   /// when none is set the engine runs the zero-overhead path. The

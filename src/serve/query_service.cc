@@ -66,12 +66,6 @@ struct QueryService::Inflight {
       followers;
 };
 
-struct QueryService::CachedResult {
-  std::shared_ptr<const QueryResult> result;
-  /// The producing run's admission sequence, reported by cache hits.
-  int64_t sequence = -1;
-};
-
 struct QueryService::ExpiredEntry {
   std::shared_ptr<Pending> pending;
   std::vector<std::pair<std::promise<ServedResult>, SteadyClock::time_point>>
@@ -86,6 +80,7 @@ QueryService::QueryService(TimeSeriesGraph graph, ServiceConfig config)
       log_(std::move(graph)),
       live_graph_(log_.Snapshot()),
       live_epoch_(log_.epoch()),
+      match_lists_(live_graph_->topology_identity(), kMatchListCacheBytes),
       pool_(ResolveWorkers(config_.num_workers)) {}
 
 QueryService::~QueryService() {
@@ -124,17 +119,26 @@ EpochLog::SealInfo QueryService::SealEpoch() {
     live.insert(pair.series.timestamp_identity());
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-  live_graph_ = info.graph;
-  live_epoch_ = info.epoch;
-  ++stats_.seals;
-  // Completed results describe the pre-seal snapshot; epoch-qualified
-  // keys already prevent false hits, clearing also reclaims the memory.
-  result_cache_.clear();
-  for (const auto& tier : tiers_) {
-    tier.second.cache->SweepGenerations([&live](const StorageIdentity& id) {
-      return live.count(id) > 0;
-    });
+  // What the seal drops is released after mu_ is unlocked: freeing
+  // results and match lists while holding it would stall every Submit.
+  std::vector<CachedResult> stale_results;
+  std::vector<std::shared_ptr<const MatchList>> stale_lists;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    live_graph_ = info.graph;
+    live_epoch_ = info.epoch;
+    ++stats_.seals;
+    // Completed results describe the pre-seal snapshot; epoch-qualified
+    // keys already prevent false hits, clearing also reclaims the memory.
+    result_cache_.Clear(&stale_results);
+    // A seal that added no pair kept the topology: its lists stay.
+    stale_lists =
+        match_lists_.SetLiveTopology(live_graph_->topology_identity());
+    for (const auto& tier : tiers_) {
+      tier.second.cache->SweepGenerations([&live](const StorageIdentity& id) {
+        return live.count(id) > 0;
+      });
+    }
   }
   return info;
 }
@@ -208,6 +212,7 @@ int64_t QueryService::StartLocked(Pending* pending) {
     pending->tier = TierForDeltaLocked(opts.delta, sequence);
     opts.shared_cache_tier = pending->tier.get();
   }
+  if (opts.match_list_cache == nullptr) opts.match_list_cache = &match_lists_;
   return sequence;
 }
 
@@ -365,12 +370,12 @@ std::future<ServedResult> QueryService::Submit(ServeRequest request) {
       // Completed-result cache first: a finished identical run on this
       // very epoch answers immediately, no engine run, no queue slot.
       if (config_.enable_result_cache) {
-        const auto hit = result_cache_.find(key);
-        if (hit != result_cache_.end()) {
+        const CachedResult* hit = result_cache_.Find(key);
+        if (hit != nullptr) {
           ++stats_.result_cache_hits;
-          cached.result = hit->second.result;
+          cached.result = hit->result;
           cached.from_result_cache = true;
-          cached.admission_sequence = hit->second.sequence;
+          cached.admission_sequence = hit->sequence;
           cached.epoch = pending->epoch;
           cache_hit = true;
         } else {
@@ -461,6 +466,7 @@ void QueryService::RunOne(std::shared_ptr<Pending> pending, int64_t sequence) {
       followers;
   std::vector<std::pair<std::shared_ptr<Pending>, int64_t>> started;
   std::vector<ExpiredEntry> expired;
+  std::vector<CachedResult> evicted;  // released after mu_
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.completed;
@@ -481,11 +487,16 @@ void QueryService::RunOne(std::shared_ptr<Pending> pending, int64_t sequence) {
     // have completed), and only while this run's epoch is still the
     // live one (a seal between run and publish cleared the cache; a
     // stale insert would leak a pre-seal result past its seal).
+    // A full cache makes room by evicting its least recently used
+    // result, so it keeps serving the recent working set.
     if (!pending->result_key.empty() && shared->termination.complete() &&
         pending->epoch == live_epoch_ &&
-        result_cache_.size() < config_.result_cache_max_entries) {
-      result_cache_.emplace(pending->result_key,
-                            CachedResult{shared, sequence});
+        config_.result_cache_max_entries > 0 &&
+        result_cache_.Insert(pending->result_key,
+                             CachedResult{shared, sequence})) {
+      while (result_cache_.size() > config_.result_cache_max_entries) {
+        evicted.push_back(result_cache_.PopOldest());
+      }
     }
     AdmitFromQueueLocked(&started, &expired);
     if (running_ == 0 && queue_.empty()) drained_.notify_all();
@@ -528,6 +539,11 @@ ServiceStats QueryService::Stats() const {
     out.tier_rotations += tier.second.cache->num_rotations();
   }
   out.tiers = static_cast<int64_t>(tiers_.size());
+  // Hits first: both only grow, so the pair read never shows more hits
+  // than lookups.
+  out.match_list_hits = match_lists_.hits();
+  out.match_list_lookups = match_lists_.lookups();
+  out.match_list_bytes = static_cast<int64_t>(match_lists_.bytes());
   return out;
 }
 

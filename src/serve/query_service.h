@@ -15,11 +15,13 @@
 
 #include "core/motif.h"
 #include "core/window_cursor.h"
+#include "engine/match_list_cache.h"
 #include "engine/query_engine.h"
 #include "engine/query_options.h"
 #include "graph/epoch_log.h"
 #include "graph/time_series_graph.h"
 #include "util/cancellation.h"
+#include "util/lru_map.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -46,17 +48,26 @@ namespace flowmotif {
 ///    Termination instead of blocking, skipping over-cap tenants, and
 ///    resolving queued requests whose deadline expired before admission
 ///    with kDeadlineExceeded instead of burning a run slot on them;
+///  * a match-list cache — phase P1 depends only on the motif and the
+///    topology, so the complete structural match list one query finds
+///    (a flat MatchList) answers P1 for every later query of that motif
+///    on the same topology, whatever its mode, delta or phi. Keyed by
+///    (motif, topology_identity()), bounded at kMatchListCacheBytes,
+///    evicting the least recently used list; a seal that adds no pair
+///    keeps the topology and so the lists, one that adds a pair drops
+///    them;
 ///  * deduplication — identical submissions coalesce onto one in-flight
 ///    engine run, and a completed-result cache (keyed like the dedup
-///    table, qualified by epoch, invalidated at every real seal) makes
-///    repeats *after* completion free as well.
+///    table, qualified by epoch, invalidated at every real seal,
+///    evicting its least recently used result when full) makes repeats
+///    *after* completion free as well.
 ///
 /// Results are byte-identical to solo QueryEngine runs on the same
-/// snapshot: the tier only changes where a window list is *found*,
-/// never its contents, and the engine's canonical-order folds already
-/// make every mode deterministic at any thread count
-/// (tests/serving_test.cc and tests/serving_epoch_test.cc lock this in
-/// under TSan).
+/// snapshot: the tier and the match-list cache only change where a
+/// window list or a match list is *found*, never its contents, and the
+/// engine's canonical-order folds already make every mode deterministic
+/// at any thread count (tests/serving_test.cc and
+/// tests/serving_epoch_test.cc lock this in under TSan).
 
 /// Service-wide configuration. Every 0 selects the documented default.
 struct ServiceConfig {
@@ -115,7 +126,9 @@ struct ServiceConfig {
   /// Completed-result cache, keyed like the dedup table plus the epoch
   /// and cleared at every real seal: a repeat of a completed query on
   /// an unchanged snapshot resolves immediately with the shared
-  /// immutable result, no engine run. Same eligibility as dedup.
+  /// immutable result, no engine run. Same eligibility as dedup. Holds
+  /// at most result_cache_max_entries results, evicting the least
+  /// recently used one to make room.
   bool enable_result_cache = true;
   size_t result_cache_max_entries = 256;
 };
@@ -167,7 +180,7 @@ struct ServedResult {
   double total_seconds = 0.0;  // Submit to completion
 };
 
-/// Aggregate service counters (monotone except the marked gauge; read
+/// Aggregate service counters (monotone except the marked gauges; read
 /// at any time).
 struct ServiceStats {
   int64_t submitted = 0;
@@ -193,6 +206,14 @@ struct ServiceStats {
   int64_t tier_rotations = 0;
   /// Gauge: per-delta tiers held now (at most QueryService::kMaxTiers).
   int64_t tiers = 0;
+  /// Match-list cache: engine runs that asked it for their motif's list
+  /// on their snapshot's topology, and how many found one (and so ran
+  /// no phase P1).
+  int64_t match_list_lookups = 0;
+  int64_t match_list_hits = 0;
+  /// Gauge: bytes of the match lists held now (at most
+  /// QueryService::kMatchListCacheBytes).
+  int64_t match_list_bytes = 0;
 };
 
 /// The serving facade. Thread-safe: Submit / Stats / Snapshot may be
@@ -207,6 +228,12 @@ class QueryService {
   /// with more distinct deltas retires the least recently started tier
   /// instead of growing service memory with every new delta.
   static constexpr size_t kMaxTiers = 16;
+
+  /// Byte bound of the match-list cache. The ten catalog motifs' lists
+  /// on the bitcoin-like benchmark graph take about 4.9 MB flat; the
+  /// bound leaves room for about three times that before the least
+  /// recently used list is evicted.
+  static constexpr size_t kMatchListCacheBytes = size_t{16} << 20;
 
   /// Serves `graph` as the epoch-0 snapshot of a fresh log.
   explicit QueryService(TimeSeriesGraph graph,
@@ -236,10 +263,11 @@ class QueryService {
   /// the served graph: submissions after this call run against the new
   /// epoch; in-flight and queued requests keep their submit-time
   /// snapshot (alive via shared_ptr — drain semantics unchanged). A
-  /// real seal clears the completed-result cache and sweeps tier
-  /// entries whose storage identity is no longer reachable from the
-  /// live snapshot; an empty-tail seal is a no-op that invalidates
-  /// nothing.
+  /// real seal clears the completed-result cache, sweeps tier entries
+  /// whose storage identity is no longer reachable from the live
+  /// snapshot, and drops the match lists of a topology it replaced (a
+  /// seal that adds no pair keeps the topology, and so the lists); an
+  /// empty-tail seal is a no-op that invalidates nothing.
   EpochLog::SealInfo SealEpoch();
 
   /// The currently served snapshot; safe to hold across later seals.
@@ -255,7 +283,12 @@ class QueryService {
  private:
   struct Pending;
   struct Inflight;
-  struct CachedResult;
+
+  struct CachedResult {
+    std::shared_ptr<const QueryResult> result;
+    /// The producing run's admission sequence, reported by cache hits.
+    int64_t sequence = -1;
+  };
 
   /// A queued request found dead at admission, plus the followers that
   /// coalesced onto it; resolved outside the lock.
@@ -302,7 +335,8 @@ class QueryService {
   static void FulfillExpired(ExpiredEntry* entry);
 
   /// Bumps running/tenant counters for `pending`, hands it its delta's
-  /// tier, and assigns its sequence. Requires mu_ held.
+  /// tier and the match-list cache, and assigns its sequence. Requires
+  /// mu_ held.
   int64_t StartLocked(Pending* pending);
 
   const ServiceConfig config_;
@@ -325,12 +359,15 @@ class QueryService {
   std::deque<std::shared_ptr<Pending>> queue_;
   std::unordered_map<std::string, int64_t> tenant_running_;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
-  std::unordered_map<std::string, CachedResult> result_cache_;
+  LruMap<std::string, CachedResult> result_cache_;
   /// One tier per delta, at most kMaxTiers. A running request shares
   /// ownership of its tier (Pending::tier), so retiring one here never
   /// frees it under an engine run; generational replacement and
   /// post-seal sweeps bound each tier's memory.
   std::map<Timestamp, Tier> tiers_;
+  /// Thread-safe on its own; every served run reads it directly. Its
+  /// live topology moves with live_graph_ at each real seal.
+  MatchListCache match_lists_;
   ServiceStats stats_;
 
   /// Last member: destroyed first, but the destructor drains the queue

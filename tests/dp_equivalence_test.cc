@@ -402,21 +402,24 @@ TEST(DpEquivalenceTest, ScratchReuseAcrossMatchRangesIsIdentical) {
   const TimeSeriesGraph graph = RandomGraph(33, 6, 90, 50);
   const Motif motif = *MotifCatalog::ByName("M(3,3)");
   const StructuralMatcher matcher(graph, motif);
-  const std::vector<MatchBinding> matches = matcher.FindAllMatches();
+  const MatchList matches =
+      MatchList::FromBindings(matcher.FindAllMatches(), motif.num_nodes());
   if (matches.empty()) GTEST_SKIP() << "no matches in random graph";
   const MaxFlowDpSearcher searcher(graph, motif, 12);
+  const auto run_fresh = [&](int64_t begin, int64_t end) {
+    MaxFlowDpSearcher::Scratch fresh;
+    return searcher.RunOnMatches(matches, begin, end, &fresh);
+  };
 
   MaxFlowDpSearcher::Scratch shared;
-  for (size_t split = 1; split < matches.size(); ++split) {
-    const MaxFlowDpSearcher::Result left = searcher.RunOnMatches(
-        matches.data(), matches.data() + split, &shared);
-    const MaxFlowDpSearcher::Result right = searcher.RunOnMatches(
-        matches.data() + split, matches.data() + matches.size(), &shared);
-    const MaxFlowDpSearcher::Result left_fresh =
-        searcher.RunOnMatches(matches.data(), matches.data() + split);
+  for (int64_t split = 1; split < matches.size(); ++split) {
+    const MaxFlowDpSearcher::Result left =
+        searcher.RunOnMatches(matches, 0, split, &shared);
+    const MaxFlowDpSearcher::Result right =
+        searcher.RunOnMatches(matches, split, matches.size(), &shared);
+    const MaxFlowDpSearcher::Result left_fresh = run_fresh(0, split);
     ExpectResultsEqual(left, left_fresh, "left split=" + std::to_string(split));
-    MaxFlowDpSearcher::Result right_fresh = searcher.RunOnMatches(
-        matches.data() + split, matches.data() + matches.size());
+    MaxFlowDpSearcher::Result right_fresh = run_fresh(split, matches.size());
     ExpectResultsEqual(right, right_fresh,
                        "right split=" + std::to_string(split));
     if (testing::Test::HasFailure()) return;
@@ -470,16 +473,14 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
   const MaxFlowDpSearcher searcher(graph, motif, 40, &cache);
   ASSERT_EQ(searcher.window_cache(), &cache);
 
+  const MatchList list = MatchList::FromBindings(matches, motif.num_nodes());
+  const int64_t n = list.size();
   MaxFlowDpSearcher::Scratch shared;
-  ExpectResultsEqual(
-      searcher.RunOnMatches(matches.data(),
-                            matches.data() + matches.size(), &shared),
-      expected, "shared pass 1");
+  ExpectResultsEqual(searcher.RunOnMatches(list, 0, n, &shared), expected,
+                     "shared pass 1");
   // Second full pass reads the warm (rotated) cache.
-  ExpectResultsEqual(
-      searcher.RunOnMatches(matches.data(),
-                            matches.data() + matches.size(), &shared),
-      expected, "shared pass 2 (warm cache)");
+  ExpectResultsEqual(searcher.RunOnMatches(list, 0, n, &shared), expected,
+                     "shared pass 2 (warm cache)");
   // The 1296 distinct pairs must have rotated the 1024-entry generation.
   EXPECT_GT(cache.num_rotations(), 0);
 
@@ -492,13 +493,14 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
   EXPECT_LE(tiny_cache.size(), 2 * 16u);
 
   // Chunked calls on the same Scratch vs fresh scratches per chunk.
-  constexpr size_t kChunk = 500;
-  for (size_t begin = 0; begin < matches.size(); begin += kChunk) {
-    const size_t end = std::min(begin + kChunk, matches.size());
-    const MaxFlowDpSearcher::Result chunk_shared = searcher.RunOnMatches(
-        matches.data() + begin, matches.data() + end, &shared);
-    const MaxFlowDpSearcher::Result chunk_fresh = searcher.RunOnMatches(
-        matches.data() + begin, matches.data() + end);
+  constexpr int64_t kChunk = 500;
+  for (int64_t begin = 0; begin < n; begin += kChunk) {
+    const int64_t end = std::min(begin + kChunk, n);
+    const MaxFlowDpSearcher::Result chunk_shared =
+        searcher.RunOnMatches(list, begin, end, &shared);
+    MaxFlowDpSearcher::Scratch fresh;
+    const MaxFlowDpSearcher::Result chunk_fresh =
+        searcher.RunOnMatches(list, begin, end, &fresh);
     ExpectResultsEqual(chunk_shared, chunk_fresh,
                        "chunk at " + std::to_string(begin));
     if (testing::Test::HasFailure()) return;

@@ -8,10 +8,14 @@
 // threshold tightened.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/match_list.h"
 #include "core/motif_catalog.h"
 #include "core/structural_match.h"
+#include "engine/executor.h"
+#include "engine/match_list_cache.h"
 #include "engine/query_engine.h"
 #include "gen/presets.h"
 #include "util/thread_pool.h"
@@ -54,6 +58,87 @@ TEST(ParallelEquivalenceTest, P1MatchListIdenticalAcrossThreadCounts) {
       ThreadPool pool(threads);
       ASSERT_EQ(matcher.FindAllMatchesParallel(&pool), serial)
           << w.motif.name() << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ParallelEquivalenceTest, ExecutorMatchListEqualsFindAllMatches) {
+  // The executor's flat P1 scan (shards appended into MatchLists and
+  // concatenated in unit order) holds exactly FindAllMatches(), match
+  // for match and vertex for vertex, at every thread count.
+  for (const Workload& w : Workloads()) {
+    const StructuralMatcher matcher(w.graph, w.motif);
+    const std::vector<MatchBinding> serial = matcher.FindAllMatches();
+    for (int threads : kThreadCounts) {
+      ThreadPool pool(threads);
+      const MatchList flat = FindMatchesControlled(matcher, &pool, nullptr);
+      ASSERT_EQ(flat.stride(), w.motif.num_nodes());
+      ASSERT_EQ(flat.size(), static_cast<int64_t>(serial.size()))
+          << w.motif.name() << " threads=" << threads;
+      for (int64_t i = 0; i < flat.size(); ++i) {
+        ASSERT_EQ(flat[i].ToBinding(), serial[static_cast<size_t>(i)])
+            << w.motif.name() << " threads=" << threads << " match " << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelEquivalenceTest, MatchListCacheNeverChangesResults) {
+  // Run with an injected match-list cache equals Run without one: on the
+  // miss that fills the cache (P1 runs to completion before P2) and on
+  // the hits that skip P1, in every P2 mode, at threads {1, 4}.
+  for (const Workload& w : Workloads()) {
+    QueryEngine engine(w.graph);
+    for (int threads : {1, 4}) {
+      MatchListCache cache(w.graph.topology_identity(), size_t{1} << 24);
+      for (const QueryMode mode : {QueryMode::kCount, QueryMode::kEnumerate,
+                                   QueryMode::kTopK, QueryMode::kTop1}) {
+        QueryOptions options;
+        options.mode = mode;
+        options.delta = w.delta;
+        options.phi = mode == QueryMode::kTopK ? 0.0 : w.phi;
+        options.k = 10;
+        options.collect_limit = -1;
+        options.num_threads = threads;
+        const QueryResult plain = engine.Run(w.motif, options);
+        options.match_list_cache = &cache;
+        for (int pass = 0; pass < 2; ++pass) {
+          const int64_t hits = cache.hits();
+          const QueryResult cached = engine.Run(w.motif, options);
+          const std::string context = w.motif.name() + " threads=" +
+                                      std::to_string(threads) + " mode=" +
+                                      std::to_string(static_cast<int>(mode)) +
+                                      " pass=" + std::to_string(pass);
+          ASSERT_TRUE(cached.termination.complete()) << context;
+          ASSERT_EQ(cached.stats.num_instances, plain.stats.num_instances)
+              << context;
+          ASSERT_EQ(cached.stats.num_structural_matches,
+                    plain.stats.num_structural_matches)
+              << context;
+          ASSERT_EQ(cached.stats.num_windows_processed,
+                    plain.stats.num_windows_processed)
+              << context;
+          ASSERT_EQ(cached.stats.num_phi_prunes, plain.stats.num_phi_prunes)
+              << context;
+          ASSERT_EQ(cached.memo_hits, plain.memo_hits) << context;
+          ASSERT_EQ(cached.instances, plain.instances) << context;
+          ASSERT_EQ(cached.topk.size(), plain.topk.size()) << context;
+          for (size_t i = 0; i < plain.topk.size(); ++i) {
+            ASSERT_EQ(cached.topk[i].flow, plain.topk[i].flow) << context;
+            ASSERT_EQ(cached.topk[i].instance, plain.topk[i].instance)
+                << context;
+          }
+          ASSERT_EQ(cached.top1.found, plain.top1.found) << context;
+          ASSERT_EQ(cached.top1.best, plain.top1.best) << context;
+          ASSERT_EQ(cached.top1.binding, plain.top1.binding) << context;
+          // Only the first run of the motif misses; a hit runs no P1.
+          const bool hit = cache.hits() > hits;
+          ASSERT_EQ(hit, pass > 0 || mode != QueryMode::kCount) << context;
+          if (hit) {
+            ASSERT_EQ(cached.stats.phase1_seconds, 0.0) << context;
+          }
+        }
+      }
     }
   }
 }

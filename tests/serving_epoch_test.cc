@@ -357,6 +357,69 @@ TEST(ServingEpochTest, TierStaysWarmAcrossSealsForUntouchedSeries) {
   EXPECT_GT(after.tier_hits, cold.tier_hits);
 }
 
+TEST(ServingEpochTest, MatchListsSurviveSealsThatAddNoPair) {
+  // A cached match list depends only on the topology. A seal whose
+  // edges all land on existing pairs keeps the topology identity, so
+  // the next read of the motif hits; a seal that adds a pair changes
+  // it, so the list is dropped and the next read scans again. Every
+  // result equals a fresh engine on that epoch's snapshot.
+  InteractionGraph multigraph;
+  const InteractionGraph::Edge seed_edges[] = {
+      {0, 1, 10, 2.0}, {1, 2, 12, 3.0}, {2, 3, 14, 1.0}, {3, 4, 16, 2.0},
+      {1, 3, 18, 4.0}, {0, 2, 20, 1.0}, {2, 4, 22, 5.0}, {4, 0, 24, 2.0},
+  };
+  for (const InteractionGraph::Edge& e : seed_edges) {
+    ASSERT_TRUE(multigraph.AddEdge(e.src, e.dst, e.t, e.f).ok());
+  }
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.enable_dedup = false;
+  config.enable_result_cache = false;  // every read must run the engine
+  QueryService service(TimeSeriesGraph::Build(multigraph), config);
+
+  const std::vector<Case> cases = MixedCases(30);
+  const Case& count_case = cases[0];
+  const Case& topk_case = cases[1];  // the same motif as count_case
+  const auto serve = [&service](const Case& c, const std::string& context) {
+    ServeRequest request{*MotifCatalog::ByName(c.motif_name), c.options};
+    const ServedResult served = service.Submit(std::move(request)).get();
+    ASSERT_TRUE(served.result->termination.complete());
+    ExpectSameResult(*served.result, SoloRun(*service.Snapshot(), c),
+                     context);
+  };
+
+  serve(count_case, "epoch 0 fill");
+  serve(topk_case, "epoch 0 hit");
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.match_list_lookups, 2);
+  EXPECT_EQ(stats.match_list_hits, 1);
+  const int64_t bytes = stats.match_list_bytes;
+  EXPECT_GT(bytes, 0);
+
+  // Edges on existing pairs only: same topology, the list stays.
+  const StorageIdentity topology = service.Snapshot()->topology_identity();
+  ASSERT_TRUE(service.Append(0, 1, 30, 1.0).ok());
+  ASSERT_TRUE(service.Append(2, 4, 31, 2.0).ok());
+  const EpochLog::SealInfo same = service.SealEpoch();
+  ASSERT_EQ(same.num_appended, 2u);
+  ASSERT_EQ(same.graph->topology_identity(), topology);
+  EXPECT_EQ(service.Stats().match_list_bytes, bytes);
+  serve(count_case, "after a seal adding no pair");
+  EXPECT_EQ(service.Stats().match_list_hits, 2);
+
+  // A new pair: a new topology, so the old list is dropped at the seal.
+  ASSERT_TRUE(service.Append(3, 0, 40, 3.0).ok());
+  const EpochLog::SealInfo grown = service.SealEpoch();
+  ASSERT_NE(grown.graph->topology_identity(), topology);
+  EXPECT_EQ(service.Stats().match_list_bytes, 0);
+  serve(count_case, "after a seal adding a pair");
+  stats = service.Stats();
+  EXPECT_EQ(stats.match_list_hits, 2);
+  EXPECT_GT(stats.match_list_bytes, 0);
+  serve(topk_case, "hit on the new topology");
+  EXPECT_EQ(service.Stats().match_list_hits, 3);
+}
+
 TEST(ServingEpochTest, TinyGenerationalTierRotatesInsteadOfFreezing) {
   // With a tier cap far below the working set, the generational tier
   // must rotate (counted) and keep serving byte-identical results.

@@ -16,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/motif_catalog.h"
@@ -569,6 +570,202 @@ TEST(ServingTest, ResultCacheServesRepeatsAfterCompletion) {
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.result_cache_hits, 1);
   EXPECT_EQ(stats.completed, 3);  // first + different + uncached
+}
+
+TEST(ServingTest, FullResultCacheEvictsItsLeastRecentlyUsedResult) {
+  // A full completed-result cache makes room instead of declining
+  // inserts: with room for two results, running A, B and C leaves B and
+  // C cached, so a repeat of C is free and a repeat of A runs again.
+  ServiceConfig config;
+  config.num_workers = 1;  // serial: each repeat submits after completion
+  config.enable_dedup = false;
+  config.result_cache_max_entries = 2;
+  QueryService service(SharedGraph(), config);
+  const auto submit = [&service](const char* motif) {
+    ServeRequest request{*MotifCatalog::ByName(motif), QueryOptions()};
+    request.options.mode = QueryMode::kCount;
+    request.options.delta = SharedDelta();
+    return service.Submit(std::move(request)).get();
+  };
+
+  for (const char* motif : {"M(3,2)", "M(3,3)", "M(4,3)"}) {
+    EXPECT_FALSE(submit(motif).from_result_cache) << motif;
+  }
+  EXPECT_TRUE(submit("M(4,3)").from_result_cache);
+  EXPECT_FALSE(submit("M(3,2)").from_result_cache);
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.result_cache_hits, 1);
+  EXPECT_EQ(stats.completed, 4);
+}
+
+TEST(ServingTest, RepeatedMotifsReuseOneMatchListAndEqualSoloRuns) {
+  // Every catalog motif x {kCount, kTopK, kTop1, kEnumerate with a
+  // collect limit}, each read submitted twice through two workers, with
+  // dedup and the result cache off so every submission runs the engine.
+  // The first reads of a motif fill the match-list cache and the rest
+  // run no phase P1; every result equals a solo engine run.
+  std::vector<std::pair<Motif, QueryOptions>> reads;
+  for (const Motif& motif : MotifCatalog::All()) {
+    for (const QueryMode mode : {QueryMode::kCount, QueryMode::kTopK,
+                                 QueryMode::kTop1, QueryMode::kEnumerate}) {
+      QueryOptions options;
+      options.mode = mode;
+      options.delta = SharedDelta();
+      options.k = 5;
+      options.collect_limit = 20;
+      reads.emplace_back(motif, options);
+    }
+  }
+  const QueryEngine solo_engine(SharedGraph());
+  std::vector<QueryResult> solo;
+  for (const auto& read : reads) {
+    solo.push_back(solo_engine.Run(read.first, read.second));
+  }
+
+  ServiceConfig config;
+  config.num_workers = 2;
+  config.max_concurrent = 2;
+  config.max_queue_depth = static_cast<int>(2 * reads.size());
+  config.enable_dedup = false;
+  config.enable_result_cache = false;
+  QueryService service(SharedGraph(), config);
+  std::vector<std::future<ServedResult>> futures;
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& read : reads) {
+      futures.push_back(service.Submit(ServeRequest{read.first, read.second}));
+    }
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const ServedResult served = futures[i].get();
+    ASSERT_TRUE(served.result->termination.complete())
+        << served.result->termination.ToString();
+    ExpectSameResult(*served.result, solo[i % reads.size()],
+                     "submission " + std::to_string(i));
+  }
+
+  const ServiceStats stats = service.Stats();
+  const int64_t num_motifs = static_cast<int64_t>(MotifCatalog::All().size());
+  EXPECT_EQ(stats.match_list_lookups, static_cast<int64_t>(futures.size()));
+  // A motif misses at most once per worker: a third read of it starts
+  // only after one of the first two published the list.
+  EXPECT_GE(stats.match_list_hits,
+            stats.match_list_lookups - config.num_workers * num_motifs);
+  EXPECT_GT(stats.match_list_bytes, 0);
+  EXPECT_LE(stats.match_list_bytes,
+            static_cast<int64_t>(QueryService::kMatchListCacheBytes));
+}
+
+TEST(ServingTest, MaxMatchesCutsACachedListLikeTheCappedScan) {
+  // Under WorkBudget::max_matches below the list length a miss runs the
+  // capped scan and publishes nothing, and a hit runs only the first
+  // max_matches matches of the cached list. Both equal the solo capped
+  // run: payload, kBudgetExceeded at "p1.unit", and work_completed.
+  const Motif motif = *MotifCatalog::ByName("M(3,2)");
+  const QueryEngine solo_engine(SharedGraph());
+  QueryOptions plain;
+  plain.mode = QueryMode::kCount;
+  plain.delta = SharedDelta();
+  const int64_t total =
+      solo_engine.Run(motif, plain).stats.num_structural_matches;
+  const int64_t cap = total / 3;
+  ASSERT_GT(cap, 0);
+
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.enable_dedup = false;
+  config.enable_result_cache = false;
+  QueryService service(SharedGraph(), config);
+
+  const auto check_capped = [&](const std::string& context) {
+    for (const QueryMode mode : {QueryMode::kCount, QueryMode::kTopK,
+                                 QueryMode::kTop1, QueryMode::kEnumerate}) {
+      QueryOptions options = plain;
+      options.mode = mode;
+      options.k = 5;
+      options.collect_limit = -1;
+      options.budget.max_matches = cap;
+      const QueryResult solo = solo_engine.Run(motif, options);
+      const ServedResult served =
+          service.Submit(ServeRequest{motif, options}).get();
+      const std::string where =
+          context + " mode " + std::to_string(static_cast<int>(mode));
+      ExpectSameResult(*served.result, solo, where);
+      const Termination& got = served.result->termination;
+      EXPECT_EQ(got.code, TerminationCode::kBudgetExceeded) << where;
+      EXPECT_EQ(got.code, solo.termination.code) << where;
+      EXPECT_EQ(got.stopped_at, failpoint::kP1Unit) << where;
+      EXPECT_EQ(got.stopped_at, solo.termination.stopped_at) << where;
+      EXPECT_EQ(got.detail, solo.termination.detail) << where;
+      EXPECT_EQ(got.work_completed, cap) << where;
+      EXPECT_EQ(got.work_completed, solo.termination.work_completed) << where;
+    }
+  };
+
+  check_capped("miss");
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.match_list_hits, 0);
+  EXPECT_EQ(stats.match_list_bytes, 0);  // a capped prefix is never kept
+
+  // An uncapped read publishes the complete list; capped reads now hit.
+  ASSERT_TRUE(service.Submit(ServeRequest{motif, plain})
+                  .get()
+                  .result->termination.complete());
+  EXPECT_GT(service.Stats().match_list_bytes, 0);
+  check_capped("hit");
+  stats = service.Stats();
+  EXPECT_EQ(stats.match_list_hits, 4);
+}
+
+TEST(ServingTest, RunStoppedBeforeItsListIsCompletePublishesNothing) {
+  // Only a complete match list is published: a pre-cancelled run stops
+  // before it asks the cache, and a run stopped inside phase P1 leaves
+  // it empty, so the next clean read misses and fills it.
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.enable_dedup = false;
+  config.enable_result_cache = false;
+  QueryService service(SharedGraph(), config);
+  QueryOptions options;
+  options.mode = QueryMode::kCount;
+  options.delta = SharedDelta();
+  const Motif motif = *MotifCatalog::ByName("M(3,2)");
+
+  CancellationToken token;
+  token.Cancel("caller gave up");
+  QueryOptions cancelled = options;
+  cancelled.cancel_token = &token;
+  const ServedResult early =
+      service.Submit(ServeRequest{motif, cancelled}).get();
+  EXPECT_EQ(early.result->termination.code, TerminationCode::kCancelled);
+  EXPECT_EQ(service.Stats().match_list_bytes, 0);
+
+  if (failpoint::kFailpointsCompiledIn) {
+    failpoint::DisarmAll();
+    failpoint::Config fp;
+    fp.action = failpoint::Action::kCancel;
+    fp.hits_before_trigger = 10;
+    failpoint::Arm(failpoint::kP1Unit, fp);
+    const ServedResult stopped =
+        service.Submit(ServeRequest{motif, options}).get();
+    failpoint::DisarmAll();
+    EXPECT_EQ(stopped.result->termination.code, TerminationCode::kCancelled);
+    EXPECT_EQ(stopped.result->termination.stopped_at, failpoint::kP1Unit);
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.match_list_lookups, 1);
+    EXPECT_EQ(stats.match_list_bytes, 0);
+  }
+
+  const int64_t lookups = service.Stats().match_list_lookups;
+  const ServedResult clean = service.Submit(ServeRequest{motif, options}).get();
+  ASSERT_TRUE(clean.result->termination.complete());
+  ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.match_list_lookups, lookups + 1);
+  EXPECT_EQ(stats.match_list_hits, 0);
+  EXPECT_GT(stats.match_list_bytes, 0);
+  const ServedResult repeat = service.Submit(ServeRequest{motif, options}).get();
+  ExpectSameResult(*repeat.result, *clean.result, "repeat after the fill");
+  EXPECT_EQ(service.Stats().match_list_hits, 1);
 }
 
 TEST(ServingTest, AdmissionFailpointInjectsTermination) {
