@@ -18,9 +18,9 @@
 //    reports the cross-query tier's steady-state effectiveness.
 //  * BM_ServeSealUnderLoad — per iteration: a query in flight, a burst
 //    of appends, a SealEpoch, and a post-seal query. The row is the
-//    cost of publishing a new epoch under live traffic (extend-build +
-//    tier sweep + result-cache invalidation + the post-seal query on a
-//    cold result cache).
+//    cost of publishing a new epoch under live traffic (extend-build
+//    of the dirty pairs + result-cache invalidation + the post-seal
+//    query on a cold result cache; a seal leaves the tier untouched).
 //  * BM_ServeTierAcrossSeals — appends touch one hot pair per seal, so
 //    the rest of the tier must stay warm: tier_hit_rate near 1 is the
 //    gated claim that epoch-stamped identity keys survive seals.

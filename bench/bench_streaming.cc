@@ -12,6 +12,12 @@
 // CHECKed against the same final batch count, so the speedup ratio the
 // perf trajectory tracks is between answers that are provably equal.
 //
+// BM_EpochLogSeal isolates the graph layer's part of an epoch: one
+// EpochLog::SealEpoch of a 300-edge batch on the full-size bitcoin
+// trace, the seal every live-serving epoch pays. A seal shares the
+// storage of every series it leaves untouched, so the row should track
+// the dirty pairs it reports, not the graph's pair count.
+//
 // Run with --benchmark_format=json to emit the rows merged into the
 // repo root's BENCH_baseline.json and checked by the CI perf-smoke
 // step.
@@ -19,12 +25,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/motif_catalog.h"
 #include "engine/query_engine.h"
 #include "gen/presets.h"
+#include "graph/epoch_log.h"
 #include "graph/interaction_graph.h"
 #include "graph/time_series_graph.h"
 #include "stream/streaming_monitor.h"
@@ -47,6 +55,38 @@ struct StreamSchedule {
   int64_t expected_final_count = 0;  // batch kCount on the full trace
 };
 
+/// Flattens `graph` back into its time-ordered transfer trace.
+std::vector<InteractionGraph::Edge> TimeOrderedTrace(
+    const TimeSeriesGraph& graph) {
+  std::vector<InteractionGraph::Edge> trace;
+  for (const TimeSeriesGraph::PairEdge& pair : graph.pairs()) {
+    for (size_t i = 0; i < pair.series.size(); ++i) {
+      const Interaction x = pair.series.at(i);
+      trace.push_back({pair.src, pair.dst, x.t, x.f});
+    }
+  }
+  std::stable_sort(trace.begin(), trace.end(),
+                   [](const InteractionGraph::Edge& a,
+                      const InteractionGraph::Edge& b) { return a.t < b.t; });
+  return trace;
+}
+
+/// Splits `trace` at its midpoint: the first half into `seed` (over
+/// `num_vertices` vertices), the rest into `tail`.
+void SplitTrace(const std::vector<InteractionGraph::Edge>& trace,
+                int64_t num_vertices, InteractionGraph* seed,
+                std::vector<InteractionGraph::Edge>* tail) {
+  const size_t backfill = trace.size() / 2;
+  seed->EnsureVertices(num_vertices);
+  for (size_t i = 0; i < backfill; ++i) {
+    const InteractionGraph::Edge& e = trace[i];
+    const Status status = seed->AddEdge(e.src, e.dst, e.t, e.f);
+    FLOWMOTIF_CHECK(status.ok()) << status;
+  }
+  tail->assign(trace.begin() + static_cast<std::ptrdiff_t>(backfill),
+               trace.end());
+}
+
 const StreamSchedule& Schedule() {
   static const StreamSchedule* schedule = [] {
     auto* s = new StreamSchedule();
@@ -56,29 +96,10 @@ const StreamSchedule& Schedule() {
     const TimeSeriesGraph full =
         GenerateDataset(preset, kTraceScale * bench::BenchScale());
 
-    // Flatten back into the time-ordered transfer trace.
-    std::vector<InteractionGraph::Edge> trace;
-    for (const TimeSeriesGraph::PairEdge& pair : full.pairs()) {
-      for (size_t i = 0; i < pair.series.size(); ++i) {
-        const Interaction x = pair.series.at(i);
-        trace.push_back({pair.src, pair.dst, x.t, x.f});
-      }
-    }
-    std::stable_sort(trace.begin(), trace.end(),
-                     [](const InteractionGraph::Edge& a,
-                        const InteractionGraph::Edge& b) { return a.t < b.t; });
+    const std::vector<InteractionGraph::Edge> trace = TimeOrderedTrace(full);
     FLOWMOTIF_CHECK(trace.size() >= 4 * kEpochs)
         << "trace too small for " << kEpochs << " epochs: " << trace.size();
-
-    const size_t backfill = trace.size() / 2;
-    s->seed.EnsureVertices(full.num_vertices());
-    for (size_t i = 0; i < backfill; ++i) {
-      const InteractionGraph::Edge& e = trace[i];
-      const Status status = s->seed.AddEdge(e.src, e.dst, e.t, e.f);
-      FLOWMOTIF_CHECK(status.ok()) << status;
-    }
-    s->tail.assign(trace.begin() + static_cast<std::ptrdiff_t>(backfill),
-                   trace.end());
+    SplitTrace(trace, full.num_vertices(), &s->seed, &s->tail);
     for (int e = 1; e <= kEpochs; ++e) {
       s->epoch_ends.push_back(s->tail.size() * static_cast<size_t>(e) /
                               kEpochs);
@@ -157,6 +178,62 @@ void BM_Streaming_RecomputePerEpoch(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Streaming_RecomputePerEpoch)->Unit(benchmark::kMillisecond);
+
+constexpr size_t kSealEdges = 300;  // edges per sealed epoch
+
+/// The seal row's stream: the bitcoin trace at scale 1 x BenchScale(),
+/// its first half the seed of every log.
+struct SealStream {
+  InteractionGraph seed;
+  std::vector<InteractionGraph::Edge> tail;
+};
+
+const SealStream& SealTrace() {
+  static const SealStream* stream = [] {
+    auto* s = new SealStream();
+    const TimeSeriesGraph& full =
+        bench::BenchGraph(GetPreset(DatasetKind::kBitcoin));
+    const std::vector<InteractionGraph::Edge> trace = TimeOrderedTrace(full);
+    SplitTrace(trace, full.num_vertices(), &s->seed, &s->tail);
+    FLOWMOTIF_CHECK(s->tail.size() >= kSealEdges)
+        << "trace too small for one seal: " << trace.size();
+    return s;
+  }();
+  return *stream;
+}
+
+/// One EpochLog::SealEpoch per iteration: the next kSealEdges edges are
+/// appended untimed, the seal that folds them into a new snapshot is
+/// timed. When the tail runs out, the log is rebuilt from the seed
+/// (untimed), so the graph stays between half and all of the trace.
+void BM_EpochLogSeal(benchmark::State& state) {
+  const SealStream& s = SealTrace();
+  std::unique_ptr<EpochLog> log;
+  size_t cursor = s.tail.size();  // forces the first build
+  double pairs = 0.0;
+  double dirty_pairs = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (s.tail.size() - cursor < kSealEdges) {
+      log = std::make_unique<EpochLog>(s.seed);
+      cursor = 0;
+    }
+    for (const size_t end = cursor + kSealEdges; cursor < end; ++cursor) {
+      const Status status = log->Append(s.tail[cursor]);
+      FLOWMOTIF_CHECK(status.ok()) << status;
+    }
+    state.ResumeTiming();
+    const EpochLog::SealInfo info = log->SealEpoch();
+    benchmark::DoNotOptimize(info.graph.get());
+    pairs += static_cast<double>(info.graph->num_pairs());
+    dirty_pairs += static_cast<double>(info.dirty_pairs.size());
+  }
+  state.counters["pairs"] =
+      benchmark::Counter(pairs, benchmark::Counter::kAvgIterations);
+  state.counters["dirty_pairs"] =
+      benchmark::Counter(dirty_pairs, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EpochLogSeal)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace flowmotif

@@ -76,9 +76,9 @@ void FlowPrefixArena::EnsureLayout(const TimeSeriesGraph& graph) {
 void FlowPrefixArena::FillFromGraph(const TimeSeriesGraph& graph) {
   EnsureLayout(graph);
   for (size_t p = 0; p < static_cast<size_t>(graph.num_pairs()); ++p) {
-    const std::vector<double>& src = graph.pair(p).series.prefix_sums();
-    std::memcpy(prefix_.data() + offsets_[p], src.data(),
-                src.size() * sizeof(double));
+    const EdgeSeries& series = graph.pair(p).series;
+    std::memcpy(prefix_.data() + offsets_[p], series.prefix_sums(),
+                (series.size() + 1) * sizeof(double));
   }
 }
 
@@ -89,7 +89,7 @@ void FlowPrefixArena::FillFromFlows(const TimeSeriesGraph& layout_graph,
   for (size_t p = 0; p < static_cast<size_t>(layout_graph.num_pairs()); ++p) {
     const size_t n = layout_graph.pair(p).series.size();
     double* block = prefix_.data() + offsets_[p];
-    // Same left-to-right accumulation as EdgeSeries::RebuildPrefix, so
+    // Same left-to-right accumulation as EdgeSeries::FillPrefix, so
     // the block equals the prefix array a view carrying these flows
     // would rebuild — bit for bit.
     block[0] = 0.0;

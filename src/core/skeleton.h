@@ -62,7 +62,7 @@ class FlowPrefixArena {
   /// Rebuilds the prefix data from a flat pair-order flow vector (one
   /// entry per interaction, as produced by FlowPermutationStream) —
   /// the replay path's substitute for constructing a permutation view.
-  /// The accumulation order matches EdgeSeries::RebuildPrefix, so the
+  /// The accumulation order matches EdgeSeries::FillPrefix, so the
   /// arena is bit-identical to the prefix arrays a WithPermutedFlows
   /// view carrying the same flows would own. `layout_graph` provides
   /// the topology; `flows` must have one entry per interaction.

@@ -286,8 +286,8 @@ void SharedWindowCache::Renew(Reader* reader) {
     cur_ = std::make_shared<Generation>(max_entries_, &live_generations_);
     rotations_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Lease the cache's current pair (another reader — or a sweep — may
-  // already have moved it past the full generation this reader saw).
+  // Lease the cache's current pair (another reader may already have
+  // moved it past the full generation this reader saw).
   reader->cur_ = cur_;
   reader->prev_ = prev_;
 }
@@ -334,42 +334,6 @@ const std::vector<Window>& SharedWindowCache::Lookup(Reader* reader,
   // a query allocates window storage that outlives a match.
   ChargeComputedWindows(reader->charge_, node->windows.size(), sizeof(Node));
   return InsertReserved(reader->cur_.get(), node);
-}
-
-void SharedWindowCache::SweepGenerations(
-    const std::function<bool(const StorageIdentity&)>& live) {
-  std::shared_ptr<Generation> old_cur;  // released after the lock
-  std::shared_ptr<Generation> old_prev;
-  std::lock_guard<std::mutex> lock(gen_mu_);
-  auto fresh = std::make_shared<Generation>(max_entries_, &live_generations_);
-  const Generation* sources[2] = {cur_.get(), prev_.get()};
-  bool full = false;
-  for (const Generation* gen : sources) {
-    if (gen == nullptr || full) continue;
-    for (const std::atomic<Node*>& bucket : gen->buckets) {
-      if (full) break;
-      for (Node* node = bucket.load(std::memory_order_acquire);
-           node != nullptr; node = node->next) {
-        if (!live(node->first_id) || !live(node->last_id)) continue;
-        // Current generation is copied first, so on a duplicate key the
-        // fresher entry wins (they are byte-identical anyway: same
-        // identities, same delta).
-        if (FindIn(*fresh, node->first_id, node->last_id) != nullptr) {
-          continue;
-        }
-        if (!TryReserve(fresh.get())) {
-          full = true;
-          break;
-        }
-        Node* copy =
-            new Node{node->first_id, node->last_id, node->windows, nullptr};
-        InsertReserved(fresh.get(), copy);
-      }
-    }
-  }
-  old_prev = std::move(prev_);
-  old_cur = std::move(cur_);
-  cur_ = std::move(fresh);
 }
 
 }  // namespace flowmotif

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -176,8 +175,8 @@ class TimelineOffsets {
 ///
 /// One read path, the Reader (below): generations are shared_ptr-owned
 /// and a reader reaches them only through its lease on the current
-/// pair, so a rotation or sweep only unpublishes a generation — its
-/// nodes are freed when the last reader leasing it moves on.
+/// pair, so a rotation only unpublishes a generation — its nodes are
+/// freed when the last reader leasing it moves on.
 class SharedWindowCache {
  private:
   struct Node;
@@ -232,19 +231,6 @@ class SharedWindowCache {
     std::shared_ptr<Generation> prev_;
     std::vector<Window> own_;
   };
-
-  /// Rebuilds the generation pair keeping only entries whose two
-  /// storage identities satisfy `live`. The serving layer calls this
-  /// after a seal with "is this identity reachable from the live
-  /// snapshot", so entries keyed on resealed (freed) storage can never
-  /// be served to a post-seal query and tier memory does not grow
-  /// monotonically across seals. A reader leasing the old pair keeps
-  /// reading (and publishing into) it until its current generation
-  /// fills; entries inserted into the old pair, or concurrently with
-  /// the sweep, may be lost to later readers (recomputed on request),
-  /// never corrupted.
-  void SweepGenerations(
-      const std::function<bool(const StorageIdentity&)>& live);
 
   Timestamp delta() const { return delta_; }
   size_t max_entries() const { return max_entries_; }

@@ -19,38 +19,47 @@ const std::shared_ptr<const std::vector<Timestamp>>& EmptyTimes() {
   return *kEmpty;
 }
 
+/// They share one empty flow block too: no flows, one prefix sum of 0.
+const std::shared_ptr<const double[]>& EmptyFlows() {
+  static const std::shared_ptr<const double[]>* const kEmpty =
+      new std::shared_ptr<const double[]>(new double[1]{0.0});
+  return *kEmpty;
+}
+
+/// An uninitialized flow block for `n` elements: room for n flows
+/// followed by n + 1 prefix sums.
+std::shared_ptr<double[]> NewFlowBlock(size_t n) {
+  return std::shared_ptr<double[]>(new double[2 * n + 1]);
+}
+
 }  // namespace
 
 EdgeSeries::EdgeSeries() : times_(EmptyTimes()) {
   SyncTimesView();
-  RebuildPrefix();
+  AdoptFlows(EmptyFlows());
 }
 
 EdgeSeries::EdgeSeries(std::vector<Interaction> interactions, EpochId epoch)
     : storage_epoch_(epoch) {
   std::sort(interactions.begin(), interactions.end());
+  const size_t n = interactions.size();
   std::vector<Timestamp> times;
-  times.reserve(interactions.size());
-  flows_.reserve(interactions.size());
-  for (const Interaction& x : interactions) {
-    FLOWMOTIF_CHECK_GT(x.f, 0.0) << "flows must be positive";
-    times.push_back(x.t);
-    flows_.push_back(x.f);
+  times.reserve(n);
+  std::shared_ptr<double[]> block = NewFlowBlock(n);
+  for (size_t i = 0; i < n; ++i) {
+    FLOWMOTIF_CHECK_GT(interactions[i].f, 0.0) << "flows must be positive";
+    times.push_back(interactions[i].t);
+    block[i] = interactions[i].f;
   }
+  FillPrefix(block.get(), n);
   times_ = std::make_shared<const std::vector<Timestamp>>(std::move(times));
   SyncTimesView();
-  RebuildPrefix();
+  AdoptFlows(std::move(block));
 }
 
-EdgeSeries EdgeSeries::WithFlows(std::vector<Flow> new_flows) const {
-  FLOWMOTIF_CHECK_EQ(new_flows.size(), flows_.size());
-  for (Flow f : new_flows) FLOWMOTIF_CHECK_GT(f, 0.0);
-  EdgeSeries view;
-  view.times_ = times_;  // shared storage, same identity
-  view.storage_epoch_ = storage_epoch_;
-  view.SyncTimesView();
-  view.flows_ = std::move(new_flows);
-  view.RebuildPrefix();
+EdgeSeries EdgeSeries::WithFlows(const std::vector<Flow>& new_flows) const {
+  EdgeSeries view = *this;  // shared timestamps, same identity
+  view.ReplaceFlows(new_flows);
   return view;
 }
 
@@ -58,6 +67,10 @@ EdgeSeries EdgeSeries::DeepCopy() const {
   EdgeSeries copy = *this;
   copy.times_ = std::make_shared<const std::vector<Timestamp>>(*times_);
   copy.SyncTimesView();
+  std::shared_ptr<double[]> block = NewFlowBlock(num_elements_);
+  std::copy(flows_data_, flows_data_ + 2 * num_elements_ + 1,
+            block.get());  // flows and prefix sums alike
+  copy.AdoptFlows(std::move(block));
   return copy;
 }
 
@@ -74,11 +87,10 @@ EdgeSeries EdgeSeries::WithAppended(std::vector<Interaction> tail,
   return EdgeSeries(std::move(all), epoch);
 }
 
-void EdgeSeries::RebuildPrefix() {
-  prefix_.assign(num_elements_ + 1, 0.0);
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    prefix_[i + 1] = prefix_[i] + flows_[i];
-  }
+void EdgeSeries::FillPrefix(double* block, size_t n) {
+  double* const prefix = block + n;
+  prefix[0] = 0.0;
+  for (size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + block[i];
 }
 
 size_t EdgeSeries::LowerBound(Timestamp t) const {
@@ -132,7 +144,7 @@ Flow EdgeSeries::FlowInOpenClosed(Timestamp lo, Timestamp hi) const {
   size_t first = UpperBound(lo);
   size_t last = UpperBound(hi);
   if (first >= last) return 0.0;
-  return prefix_[last] - prefix_[first];
+  return prefix_data_[last] - prefix_data_[first];
 }
 
 Flow EdgeSeries::FlowInClosed(Timestamp lo, Timestamp hi) const {
@@ -140,7 +152,7 @@ Flow EdgeSeries::FlowInClosed(Timestamp lo, Timestamp hi) const {
   size_t first = LowerBound(lo);
   size_t last = UpperBound(hi);
   if (first >= last) return 0.0;
-  return prefix_[last] - prefix_[first];
+  return prefix_data_[last] - prefix_data_[first];
 }
 
 bool EdgeSeries::HasElementInOpenClosed(Timestamp lo, Timestamp hi) const {
@@ -150,10 +162,14 @@ bool EdgeSeries::HasElementInOpenClosed(Timestamp lo, Timestamp hi) const {
 }
 
 void EdgeSeries::ReplaceFlows(const std::vector<Flow>& new_flows) {
-  FLOWMOTIF_CHECK_EQ(new_flows.size(), flows_.size());
-  for (Flow f : new_flows) FLOWMOTIF_CHECK_GT(f, 0.0);
-  flows_ = new_flows;
-  RebuildPrefix();
+  FLOWMOTIF_CHECK_EQ(new_flows.size(), num_elements_);
+  std::shared_ptr<double[]> block = NewFlowBlock(num_elements_);
+  for (size_t i = 0; i < num_elements_; ++i) {
+    FLOWMOTIF_CHECK_GT(new_flows[i], 0.0);
+    block[i] = new_flows[i];
+  }
+  FillPrefix(block.get(), num_elements_);
+  AdoptFlows(std::move(block));
 }
 
 }  // namespace flowmotif

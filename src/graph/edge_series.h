@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -12,14 +13,20 @@ namespace flowmotif {
 /// The interaction time series R(u, v) on one edge of the time-series
 /// graph: all (t, f) elements from u to v, ordered by time.
 ///
-/// Storage is split: the timestamp array is immutable shared storage
-/// (shared_ptr), while the flow values and their prefix sums are owned
-/// per series. A flow-permuted view (WithFlows) therefore shares the
-/// timestamps of its source series by identity — the significance
-/// module's null-model graphs (Sec. 6.3) keep structure and timestamps
-/// fixed, so every timestamp-derived artifact (window lists, union
-/// timelines, structural matches) is bit-identical across the whole
-/// permutation ensemble and can be cached under timestamp_identity().
+/// Storage is immutable and shared by copies, in two blocks: the
+/// timestamp array, and one flow block holding the size() flow values
+/// followed by their size() + 1 prefix sums. Copying a series copies two
+/// pointers, never an array, so a seal (TimeSeriesGraph::ExtendWith)
+/// carries every series it did not touch into the next epoch for the
+/// price of the pointers. A flow-permuted view (WithFlows) gets a fresh
+/// flow block but shares the timestamps of its source series by identity
+/// — the significance module's null-model graphs (Sec. 6.3) keep
+/// structure and timestamps fixed, so every timestamp-derived artifact
+/// (window lists, union timelines, structural matches) is bit-identical
+/// across the whole permutation ensemble and can be cached under
+/// timestamp_identity(). Nothing writes into a published block:
+/// ReplaceFlows installs a fresh one (copy-on-write), so it never
+/// changes another series that shares the old block.
 ///
 /// Flow prefix sums are maintained so that the aggregated flow of any
 /// contiguous index range — the quantity `flow([tj, ti], k)` of Eq. 2 and
@@ -27,24 +34,26 @@ namespace flowmotif {
 /// search by time.
 class EdgeSeries {
  public:
-  /// An empty series sharing the static empty timestamp storage.
+  /// An empty series sharing the static empty timestamp and flow
+  /// storage.
   EdgeSeries();
 
   /// Builds from interactions; sorts them by (time, flow). The series
-  /// owns a fresh timestamp array (a new identity). `epoch` stamps the
-  /// identity with the creation epoch of the storage (0 for static
-  /// graphs).
+  /// gets a fresh timestamp array (a new identity) and a fresh flow
+  /// block. `epoch` stamps the identity with the creation epoch of the
+  /// storage (0 for static graphs).
   explicit EdgeSeries(std::vector<Interaction> interactions,
                       EpochId epoch = 0);
 
   /// A view over this series' timestamp storage (shared by identity, not
-  /// copied) carrying `new_flows` in element order. The significance
-  /// module's flow permutation builds its randomized graphs from these
-  /// views, so N permutations store N flow arrays but one timestamp
-  /// array. `new_flows.size()` must equal size(); flows must be > 0.
-  EdgeSeries WithFlows(std::vector<Flow> new_flows) const;
+  /// copied) carrying `new_flows` in element order in a fresh flow
+  /// block. The significance module's flow permutation builds its
+  /// randomized graphs from these views, so N permutations store N flow
+  /// blocks but one timestamp array. `new_flows.size()` must equal
+  /// size(); flows must be > 0.
+  EdgeSeries WithFlows(const std::vector<Flow>& new_flows) const;
 
-  /// Copy with freshly owned timestamp storage — a distinct
+  /// Copy with freshly allocated timestamp and flow storage — a distinct
   /// timestamp_identity(). The retained pre-refactor copying semantics,
   /// used by TimeSeriesGraph::DeepCopy.
   EdgeSeries DeepCopy() const;
@@ -72,22 +81,26 @@ class EdgeSeries {
   bool empty() const { return num_elements_ == 0; }
 
   Timestamp time(size_t i) const { return times_data_[i]; }
-  Flow flow(size_t i) const { return flows_[i]; }
-  Interaction at(size_t i) const { return {times_data_[i], flows_[i]}; }
+  Flow flow(size_t i) const { return flows_data_[i]; }
+  Interaction at(size_t i) const { return {times_data_[i], flows_data_[i]}; }
 
   const std::vector<Timestamp>& times() const { return *times_; }
-  const std::vector<Flow>& flows() const { return flows_; }
+
+  /// A copy of the flow values in element order.
+  std::vector<Flow> flows() const {
+    return std::vector<Flow>(flows_data_, flows_data_ + num_elements_);
+  }
 
   /// The flow prefix sums: size() + 1 entries with
-  /// prefix_sums()[i] = sum of flows()[0..i-1]. Exposed so the replay
-  /// arena (core/skeleton.h) can lay the ensemble's prefix arrays out
-  /// flat without re-deriving them.
-  const std::vector<double>& prefix_sums() const { return prefix_; }
+  /// prefix_sums()[i] = flow(0) + ... + flow(i - 1). Exposed so the
+  /// replay arena (core/skeleton.h) can lay the ensemble's prefix arrays
+  /// out flat without re-deriving them.
+  const double* prefix_sums() const { return prefix_data_; }
 
   /// Sum of flows over the inclusive index range [i, j]; 0 if i > j.
   Flow FlowSum(size_t i, size_t j) const {
     if (i > j || j >= size()) return 0.0;
-    return prefix_[j + 1] - prefix_[i];
+    return prefix_data_[j + 1] - prefix_data_[i];
   }
 
   /// Sum of flows over the half-open index range [first, limit); 0 when
@@ -96,7 +109,7 @@ class EdgeSeries {
   /// — it is the O(1) `flow([tj,ti],k)` of Eq. 2 once the DP's window
   /// cursor has the bounds as indices. `limit` must be <= size().
   Flow FlowInIndexRange(size_t first, size_t limit) const {
-    return first < limit ? prefix_[limit] - prefix_[first] : 0.0;
+    return first < limit ? prefix_data_[limit] - prefix_data_[first] : 0.0;
   }
 
   /// First index i >= from with time(i) >= t (== size() if none). A
@@ -110,7 +123,7 @@ class EdgeSeries {
   size_t AdvanceUpperBound(size_t from, Timestamp t) const;
 
   /// Total flow of the whole series.
-  Flow TotalFlow() const { return prefix_.empty() ? 0.0 : prefix_.back(); }
+  Flow TotalFlow() const { return prefix_data_[num_elements_]; }
 
   /// Index of the first element with time >= t (== size() if none).
   size_t LowerBound(Timestamp t) const;
@@ -129,14 +142,18 @@ class EdgeSeries {
   /// True iff some element has lo < time <= hi.
   bool HasElementInOpenClosed(Timestamp lo, Timestamp hi) const;
 
-  /// Replaces the flow values in place and rebuilds the prefix sums.
-  /// Only the owned flow storage is touched — the shared timestamps (and
-  /// any views over them) are unaffected. `new_flows.size()` must equal
-  /// size().
+  /// Replaces the flow values, copy-on-write: the series gets a fresh
+  /// flow block, so copies sharing the old one (and the shared
+  /// timestamps, and any views over them) are unaffected.
+  /// `new_flows.size()` must equal size().
   void ReplaceFlows(const std::vector<Flow>& new_flows);
 
  private:
-  void RebuildPrefix();
+  /// Writes prefix[i] = flows[0] + ... + flows[i - 1] for i in [0, n]
+  /// behind the n flows at the front of `block`, accumulating left to
+  /// right (FlowPrefixArena in core/skeleton.h reproduces this order bit
+  /// for bit).
+  static void FillPrefix(double* block, size_t n);
 
   /// Re-derives the cached raw view (times_data_, num_elements_) from
   /// times_. Call after every assignment to times_.
@@ -145,19 +162,31 @@ class EdgeSeries {
     num_elements_ = times_->size();
   }
 
-  // Immutable after construction; shared with WithFlows views.
-  std::shared_ptr<const std::vector<Timestamp>> times_;
-  // Epoch at which times_ was created; part of timestamp_identity().
-  EpochId storage_epoch_ = 0;
-  // Cached raw view of *times_ so the hot paths (time(), the galloping
-  // cursors, the binary searches) pay no shared_ptr double indirection —
-  // the storage split must not tax the recursion-bound workloads that
-  // never touch a permutation view. Always kept in sync with times_.
+  /// Installs `block` — size() flows followed by size() + 1 prefix
+  /// sums — as this series' flow storage and re-derives the cached raw
+  /// views into it. Call after SyncTimesView.
+  void AdoptFlows(std::shared_ptr<const double[]> block) {
+    flows_data_ = block.get();
+    prefix_data_ = flows_data_ + num_elements_;
+    flows_ = std::move(block);
+  }
+
+  // Cached raw views of *times_ and *flows_ so the hot paths (time(),
+  // flow(), the prefix subtractions, the galloping cursors, the binary
+  // searches) pay no shared_ptr double indirection — the shared storage
+  // must not tax the recursion-bound workloads. Always kept in sync
+  // with times_ and flows_.
   const Timestamp* times_data_ = nullptr;
   size_t num_elements_ = 0;
-  // Owned per series/view.
-  std::vector<Flow> flows_;
-  std::vector<double> prefix_;  // prefix_[i] = sum of flows_[0..i-1]
+  const Flow* flows_data_ = nullptr;
+  const double* prefix_data_ = nullptr;  // == flows_data_ + num_elements_
+  // Immutable after construction; shared with copies and WithFlows views.
+  std::shared_ptr<const std::vector<Timestamp>> times_;
+  // The flow block. Its contents never change once adopted; shared
+  // with copies, never with WithFlows views.
+  std::shared_ptr<const double[]> flows_;
+  // Epoch at which times_ was created; part of timestamp_identity().
+  EpochId storage_epoch_ = 0;
 };
 
 }  // namespace flowmotif

@@ -21,10 +21,13 @@ namespace flowmotif {
 /// new immutable snapshot (TimeSeriesGraph::ExtendWith) and publishes it
 /// atomically. Readers holding an older snapshot keep a fully valid
 /// graph: snapshots are shared_ptr-owned and immutable, series untouched
-/// by a seal keep their timestamp storage and StorageIdentity across
+/// by a seal are carried into the new snapshot by pointer — they keep
+/// their timestamp and flow storage and their StorageIdentity across
 /// epochs (so window caches and skeleton traces recorded against them
-/// stay warm), and dirty series get fresh storage stamped with the new
-/// epoch.
+/// stay warm) — and dirty series get fresh storage stamped with the new
+/// epoch. A seal therefore allocates series storage only for the pairs
+/// it dirties, and an old snapshot pinned by a reader shares every
+/// untouched series with the live one.
 ///
 /// The byte-identity contract of the whole streaming subsystem rests on
 /// one property of the seal: the snapshot after sealing appends
@@ -85,8 +88,10 @@ class EpochLog {
   }
 
   /// Folds the tail into a new immutable snapshot and publishes it.
-  /// With an empty tail this is a no-op returning the current epoch
-  /// (num_appended == 0, no new snapshot).
+  /// Costs the rebuild of the dirty series plus a copy of the pair
+  /// table (and an index rebuild when a pair or vertex is new), not a
+  /// copy of the graph's series. With an empty tail this is a no-op
+  /// returning the current epoch (num_appended == 0, no new snapshot).
   SealInfo SealEpoch();
 
   /// The latest published snapshot; never null, safe to hold across

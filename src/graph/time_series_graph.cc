@@ -221,13 +221,13 @@ TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(Rng* rng) const {
   out.topology_epoch_ = topology_epoch_;
   out.pairs_.reserve(pairs_.size());
   size_t cursor = 0;
+  std::vector<Flow> new_flows;  // reused: WithFlows copies into its block
   for (const PairEdge& pe : pairs_) {
-    std::vector<Flow> new_flows(pe.series.size());
-    for (size_t i = 0; i < new_flows.size(); ++i) {
-      new_flows[i] = all_flows[cursor++];
-    }
+    new_flows.assign(all_flows.begin() + cursor,
+                     all_flows.begin() + cursor + pe.series.size());
+    cursor += pe.series.size();
     out.pairs_.push_back(
-        PairEdge{pe.src, pe.dst, pe.series.WithFlows(std::move(new_flows))});
+        PairEdge{pe.src, pe.dst, pe.series.WithFlows(new_flows)});
   }
   FLOWMOTIF_CHECK_EQ(cursor, all_flows.size());
   return out;

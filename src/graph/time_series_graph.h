@@ -21,15 +21,16 @@ namespace flowmotif {
 /// per-vertex offset table, so out-neighbor scans are contiguous and pair
 /// lookup is a binary search within the source's range.
 ///
-/// Storage is split along the flow/structure axis: the CSR index tables
-/// and every series' timestamp array are immutable shared storage, while
-/// flow values (and their prefix sums) are owned per graph. Copying a
-/// graph — and in particular WithPermutedFlows, the Sec. 6.3 null-model
-/// randomization — therefore shares the structure and timestamps by
-/// identity and duplicates only the flow arrays. A whole significance
-/// ensemble stores one copy of the timestamps plus N flow arrays, and
-/// timestamp-keyed caches (SharedWindowCache) stay warm across all N+1
-/// graphs.
+/// All storage is immutable and shared: the CSR index tables, and every
+/// series' timestamp array and flow block (flows plus prefix sums, see
+/// EdgeSeries). Copying a graph copies its pair table and pointers, not
+/// arrays. WithPermutedFlows, the Sec. 6.3 null-model randomization,
+/// shares the structure and timestamps by identity and allocates only
+/// fresh flow blocks, so a whole significance ensemble stores one copy
+/// of the timestamps plus N flow blocks, and timestamp-keyed caches
+/// (SharedWindowCache) stay warm across all N+1 graphs. ExtendWith
+/// shares the timestamps and flows of every series a seal leaves
+/// untouched.
 ///
 /// The class is immutable after Build and therefore safe for concurrent
 /// readers.
@@ -62,9 +63,10 @@ class TimeSeriesGraph {
   /// would return on the union multigraph with `num_vertices` vertices —
   /// byte-identical series and CSR layout — while sharing as much of
   /// `base`'s immutable storage as possible. Series of pairs untouched
-  /// by `new_edges` keep their timestamp storage and identity (so
-  /// window-cache entries and skeleton traces recorded against them
-  /// stay valid); dirty pairs get fresh storage stamped with `epoch`.
+  /// by `new_edges` are copied by pointer: they keep their timestamp
+  /// and flow storage and their identity (so window-cache entries and
+  /// skeleton traces recorded against them stay valid); dirty pairs get
+  /// fresh storage stamped with `epoch`.
   /// The CSR index is shared by identity unless `new_edges` introduces
   /// a new (src, dst) pair or `num_vertices` grows, in which case it is
   /// rebuilt under `epoch`. This is the seal step of graph/epoch_log.h.
@@ -114,20 +116,21 @@ class TimeSeriesGraph {
   /// Returns a *flow-permutation view*: same structure and timestamps —
   /// shared by identity, not copied — with the multiset of flow values
   /// randomly permuted across all interactions, the randomization used
-  /// for the significance analysis (Sec. 6.3). The view owns only its
-  /// flow arrays (plus prefix sums); every series reports the same
-  /// timestamp_identity() as the original, so timestamp-keyed window
+  /// for the significance analysis (Sec. 6.3). The view allocates only
+  /// its flow blocks (flows plus prefix sums); every series reports the
+  /// same timestamp_identity() as the original, so timestamp-keyed window
   /// caches built on the real graph are warm for the view. The original
   /// graph is never modified. The RNG stream consumed is identical to
   /// the pre-view (deep-copying) implementation, so a seed reproduces
   /// the same flows.
   TimeSeriesGraph WithPermutedFlows(Rng* rng) const;
 
-  /// Deep copy with freshly owned timestamp and topology storage: every
-  /// series gets a new timestamp_identity(), so no timestamp-keyed cache
-  /// entry can alias the source graph. The pre-refactor copying
-  /// semantics, retained for the significance equivalence reference and
-  /// for callers that need storage-independent graphs.
+  /// Deep copy with freshly allocated timestamp, flow and topology
+  /// storage: every series gets a new timestamp_identity(), so no
+  /// timestamp-keyed cache entry can alias the source graph. The
+  /// pre-refactor copying semantics, retained for the significance
+  /// equivalence reference and for callers that need storage-independent
+  /// graphs.
   TimeSeriesGraph DeepCopy() const;
 
   /// Stable identity of the shared CSR topology storage: equal for this

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -109,23 +108,21 @@ EpochLog::SealInfo QueryService::SealEpoch() {
     return info;
   }
 
-  // Identities reachable from the new live snapshot. Series untouched
-  // by the seal kept their storage (and epoch stamp), so their tier
-  // entries survive; resealed dirty series got fresh storage, so their
-  // old entries fail this test and are swept.
-  std::unordered_set<StorageIdentity> live;
-  live.reserve(static_cast<size_t>(info.graph->num_pairs()));
-  for (const TimeSeriesGraph::PairEdge& pair : info.graph->pairs()) {
-    live.insert(pair.series.timestamp_identity());
-  }
-
+  // The tiers are left alone. Series untouched by the seal kept their
+  // storage (and epoch stamp), so their entries stay warm; a resealed
+  // series got fresh storage under a strictly larger epoch, so no lookup
+  // can reach its old entries again, and each tier's two-generation
+  // clock rotates them out as it fills.
+  //
   // What the seal drops is released after mu_ is unlocked: freeing
-  // results and match lists while holding it would stall every Submit.
+  // the old snapshot, results and match lists while holding it would
+  // stall every Submit.
+  std::shared_ptr<const TimeSeriesGraph> old_graph;
   std::vector<CachedResult> stale_results;
   std::vector<std::shared_ptr<const MatchList>> stale_lists;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    live_graph_ = info.graph;
+    old_graph = std::exchange(live_graph_, info.graph);
     live_epoch_ = info.epoch;
     ++stats_.seals;
     // Completed results describe the pre-seal snapshot; epoch-qualified
@@ -134,11 +131,6 @@ EpochLog::SealInfo QueryService::SealEpoch() {
     // A seal that added no pair kept the topology: its lists stay.
     stale_lists =
         match_lists_.SetLiveTopology(live_graph_->topology_identity());
-    for (const auto& tier : tiers_) {
-      tier.second.cache->SweepGenerations([&live](const StorageIdentity& id) {
-        return live.count(id) > 0;
-      });
-    }
   }
   return info;
 }
@@ -537,6 +529,7 @@ ServiceStats QueryService::Stats() const {
     out.tier_lookups += tier.second.cache->num_lookups();
     out.tier_hits += tier.second.cache->num_hits();
     out.tier_rotations += tier.second.cache->num_rotations();
+    out.tier_generations += tier.second.cache->num_live_generations();
   }
   out.tiers = static_cast<int64_t>(tiers_.size());
   // Hits first: both only grow, so the pair read never shows more hits

@@ -40,9 +40,10 @@ namespace flowmotif {
 ///    per delta, for at most kMaxTiers deltas, that every running
 ///    query's readers read directly. Its StorageIdentity{storage, epoch}
 ///    keys make entries for series untouched by a seal stay warm across
-///    epochs, while a post-seal sweep drops entries unreachable from the
-///    live snapshot (stale lists are never served, memory does not grow
-///    monotonically);
+///    epochs. A resealed series gets fresh storage under a larger epoch,
+///    so its old entries can never be looked up again (stale lists are
+///    never served); they age out through the tier's two-generation
+///    clock, which bounds its memory without any work at seal time;
 ///  * admission control and tenant-fair scheduling — a bounded queue in
 ///    front of a concurrency cap, rejecting overload with a kRejected
 ///    Termination instead of blocking, skipping over-cap tenants, and
@@ -206,6 +207,11 @@ struct ServiceStats {
   int64_t tier_rotations = 0;
   /// Gauge: per-delta tiers held now (at most QueryService::kMaxTiers).
   int64_t tiers = 0;
+  /// Gauge: window-list generations the held tiers keep allocated now,
+  /// summed over tiers — each tier's own pair plus any older generation
+  /// a running reader still leases. With no query running it is at
+  /// most 2 * tiers: the clock, not the seals, bounds tier memory.
+  int64_t tier_generations = 0;
   /// Match-list cache: engine runs that asked it for their motif's list
   /// on their snapshot's topology, and how many found one (and so ran
   /// no phase P1).
@@ -263,11 +269,13 @@ class QueryService {
   /// the served graph: submissions after this call run against the new
   /// epoch; in-flight and queued requests keep their submit-time
   /// snapshot (alive via shared_ptr — drain semantics unchanged). A
-  /// real seal clears the completed-result cache, sweeps tier entries
-  /// whose storage identity is no longer reachable from the live
-  /// snapshot, and drops the match lists of a topology it replaced (a
-  /// seal that adds no pair keeps the topology, and so the lists); an
-  /// empty-tail seal is a no-op that invalidates nothing.
+  /// real seal clears the completed-result cache and drops the match
+  /// lists of a topology it replaced (a seal that adds no pair keeps
+  /// the topology, and so the lists); an empty-tail seal is a no-op
+  /// that invalidates nothing. The tiers are not touched: entries of
+  /// resealed series are unreachable by key and age out through each
+  /// tier's clock. The seal's cost under the service lock is a pointer
+  /// swap plus those two cache updates, not a pass over the graph.
   EpochLog::SealInfo SealEpoch();
 
   /// The currently served snapshot; safe to hold across later seals.
@@ -362,8 +370,8 @@ class QueryService {
   LruMap<std::string, CachedResult> result_cache_;
   /// One tier per delta, at most kMaxTiers. A running request shares
   /// ownership of its tier (Pending::tier), so retiring one here never
-  /// frees it under an engine run; generational replacement and
-  /// post-seal sweeps bound each tier's memory.
+  /// frees it under an engine run; generational replacement alone
+  /// bounds each tier's memory (ServiceStats::tier_generations).
   std::map<Timestamp, Tier> tiers_;
   /// Thread-safe on its own; every served run reads it directly. Its
   /// live topology moves with live_graph_ at each real seal.

@@ -109,6 +109,38 @@ TEST(EdgeSeriesTest, ReplaceFlowsRebuildsPrefixSums) {
   EXPECT_EQ(s.time(0), 10);  // timestamps untouched
 }
 
+TEST(EdgeSeriesTest, FlowChangesOnACopyLeaveTheSourceUnchanged) {
+  // Copies share one immutable flow block. ReplaceFlows is copy-on-write
+  // and WithFlows builds a fresh block, so neither writes through to the
+  // series the storage came from.
+  const EdgeSeries source = MakeSeries();  // flows 5, 2, 3, 7
+  const std::vector<Flow> source_flows = {5.0, 2.0, 3.0, 7.0};
+  const auto expect_source_unchanged = [&] {
+    EXPECT_EQ(source.flows(), source_flows);
+    for (size_t i = 0; i < source_flows.size(); ++i) {
+      EXPECT_EQ(source.flow(i), source_flows[i]);
+    }
+    EXPECT_EQ(source.FlowSum(1, 2), 5.0);
+    EXPECT_EQ(source.FlowSum(0, 3), 17.0);
+    EXPECT_EQ(source.TotalFlow(), 17.0);
+  };
+
+  EdgeSeries copy = source;
+  EXPECT_EQ(copy.prefix_sums(), source.prefix_sums());  // one shared block
+  copy.ReplaceFlows({1.0, 1.0, 1.0, 1.0});
+  EXPECT_NE(copy.prefix_sums(), source.prefix_sums());
+  EXPECT_EQ(copy.TotalFlow(), 4.0);
+  EXPECT_EQ(copy.FlowSum(1, 2), 2.0);
+  EXPECT_EQ(copy.timestamp_identity(), source.timestamp_identity());
+  expect_source_unchanged();
+
+  const EdgeSeries view = source.WithFlows({4.0, 3.0, 2.0, 1.0});
+  EXPECT_EQ(view.flow(0), 4.0);
+  EXPECT_EQ(view.FlowSum(1, 2), 5.0);
+  EXPECT_EQ(view.TotalFlow(), 10.0);
+  expect_source_unchanged();
+}
+
 TEST(EdgeSeriesDeathTest, NonPositiveFlowRejected) {
   EXPECT_DEATH(EdgeSeries({{1, 0.0}}), "positive");
   EXPECT_DEATH(EdgeSeries({{1, -2.0}}), "positive");

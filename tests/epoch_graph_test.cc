@@ -24,6 +24,12 @@ namespace {
 
 using testing_util::MakeGraph;
 
+/// Address of a series' flow storage; its flows and prefix sums live
+/// in one block, so one address identifies both.
+const double* FlowStorage(const EdgeSeries& series) {
+  return &series.prefix_sums()[0];
+}
+
 void ExpectSameGraph(const TimeSeriesGraph& a, const TimeSeriesGraph& b,
                      const std::string& label) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices()) << label;
@@ -66,6 +72,16 @@ TEST(EpochGraphTest, ExtendWithEqualsBatchBuildAndSharesUntouchedStorage) {
   const EdgeSeries* ext_01 = extended.FindSeries(0, 1);
   ASSERT_NE(base_01->timestamp_identity(), ext_01->timestamp_identity());
   ASSERT_EQ(ext_01->timestamp_identity().epoch, 1u);
+  // The seal copies an untouched series by pointer: its flows and prefix
+  // sums are the base's storage, not a copy of it. The dirty series and
+  // the new pair get storage no base series holds.
+  EXPECT_EQ(FlowStorage(*ext_12), FlowStorage(*base_12));
+  const EdgeSeries* ext_23 = extended.FindSeries(2, 3);
+  ASSERT_NE(ext_23, nullptr);
+  for (const TimeSeriesGraph::PairEdge& pair : base.pairs()) {
+    EXPECT_NE(FlowStorage(*ext_01), FlowStorage(pair.series));
+    EXPECT_NE(FlowStorage(*ext_23), FlowStorage(pair.series));
+  }
   // The new pair forced a topology rebuild under the new epoch.
   ASSERT_NE(extended.topology_identity(), base.topology_identity());
   ASSERT_EQ(extended.topology_identity().epoch, 1u);
@@ -75,6 +91,7 @@ TEST(EpochGraphTest, ExtendWithEqualsBatchBuildAndSharesUntouchedStorage) {
   const TimeSeriesGraph flow_only = TimeSeriesGraph::ExtendWith(
       base, {{0, 1, 12, 1.0}}, base.num_vertices(), /*epoch=*/1);
   ASSERT_EQ(flow_only.topology_identity(), base.topology_identity());
+  EXPECT_EQ(FlowStorage(*flow_only.FindSeries(1, 2)), FlowStorage(*base_12));
 }
 
 TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {

@@ -9,8 +9,9 @@
 // in-flight and queued requests keep their submit-time snapshot across
 // a seal, the completed-result cache invalidates exactly at real seals
 // (no-op seals keep it warm), tier entries for series untouched by a
-// seal stay warm across epochs, and a tiny generational tier rotates
-// instead of freezing. The schedule suite is a TSan target (see
+// seal stay warm across epochs, a tiny generational tier rotates
+// instead of freezing, and across hundreds of seals the clock alone
+// keeps tier memory bounded. The schedule suite is a TSan target (see
 // .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
@@ -448,6 +449,88 @@ TEST(ServingEpochTest, TinyGenerationalTierRotatesInsteadOfFreezing) {
     }
   }
   EXPECT_GT(service.Stats().tier_rotations, 0);
+}
+
+TEST(ServingEpochTest, TiersStayBoundedAcrossManySealsWithoutASweep) {
+  // A seal never touches the tiers: entries keyed on a resealed series'
+  // old storage can no longer be looked up, and only each tier's
+  // two-generation clock bounds its memory. Soak a tiny tier through
+  // 500 seals, alternately adding a pair and appending to existing
+  // pairs only, with kCount and kTopK reads at two deltas after each.
+  // While idle, no tier may keep more than its own generation pair, and
+  // every 100th epoch the reads equal fresh engines on that snapshot.
+  constexpr int kNumSeals = 500;
+  constexpr VertexId kVertices = 64;  // sparse: reads stay cheap
+  std::mt19937_64 rng(17);
+  Timestamp t = 0;
+  const auto next_time = [&] { return t += static_cast<Timestamp>(rng() % 3); };
+  const auto next_flow = [&] { return static_cast<Flow>(1 + rng() % 9); };
+
+  InteractionGraph multigraph;
+  for (int i = 0; i < 30; ++i) {
+    const VertexId src = static_cast<VertexId>(rng() % kVertices);
+    const VertexId dst = (src + 1 + static_cast<VertexId>(
+                                        rng() % (kVertices - 1))) %
+                         kVertices;
+    ASSERT_TRUE(multigraph.AddEdge(src, dst, next_time(), next_flow()).ok());
+  }
+  ServiceConfig config;
+  config.num_workers = 1;
+  config.enable_dedup = false;
+  config.enable_result_cache = false;  // every read reaches the tier
+  config.tier_max_entries = 4;
+  QueryService service(TimeSeriesGraph::Build(multigraph), config);
+
+  std::vector<Case> cases;
+  for (const Timestamp delta : {Timestamp{10}, Timestamp{40}}) {
+    const std::vector<Case> mixed = MixedCases(delta);
+    cases.push_back(mixed[0]);  // kCount
+    cases.push_back(mixed[1]);  // kTopK
+  }
+
+  for (int e = 1; e <= kNumSeals; ++e) {
+    const std::shared_ptr<const TimeSeriesGraph> before = service.Snapshot();
+    const bool add_pair = e % 2 == 1;
+    for (int i = 0; i < 2; ++i) {
+      VertexId src = 0;
+      VertexId dst = 0;
+      if (add_pair && i == 0) {
+        do {
+          src = static_cast<VertexId>(rng() % kVertices);
+          dst = static_cast<VertexId>(rng() % kVertices);
+        } while (src == dst || before->FindPairIndex(src, dst) >= 0);
+      } else {
+        const TimeSeriesGraph::PairEdge& pair = before->pair(
+            static_cast<size_t>(rng() % static_cast<uint64_t>(
+                                            before->num_pairs())));
+        src = pair.src;
+        dst = pair.dst;
+      }
+      ASSERT_TRUE(service.Append(src, dst, next_time(), next_flow()).ok());
+    }
+    const EpochLog::SealInfo info = service.SealEpoch();
+    ASSERT_EQ(info.epoch, static_cast<EpochId>(e));
+    ASSERT_EQ(info.new_pairs.size(), add_pair ? 1u : 0u);
+
+    for (size_t i = 0; i < cases.size(); ++i) {
+      ServeRequest request{*MotifCatalog::ByName(cases[i].motif_name),
+                           cases[i].options};
+      const ServedResult served = service.Submit(std::move(request)).get();
+      ASSERT_TRUE(served.result->termination.complete());
+      if (e % 100 == 0) {
+        ExpectSameResult(*served.result, SoloRun(*info.graph, cases[i]),
+                         "epoch " + std::to_string(e) + " case " +
+                             std::to_string(i));
+      }
+    }
+    const ServiceStats stats = service.Stats();
+    ASSERT_LE(stats.tiers, static_cast<int64_t>(QueryService::kMaxTiers));
+    ASSERT_LE(stats.tier_generations, 2 * stats.tiers) << "epoch " << e;
+  }
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.seals, kNumSeals);
+  EXPECT_EQ(stats.tiers, 2);
+  EXPECT_GT(stats.tier_rotations, kNumSeals);
 }
 
 }  // namespace

@@ -67,16 +67,6 @@ Schedule MakeSchedule(uint64_t seed_value) {
   return schedule;
 }
 
-InteractionGraph BuildMultigraph(
-    const std::vector<InteractionGraph::Edge>& edges) {
-  InteractionGraph multigraph;
-  for (const InteractionGraph::Edge& e : edges) {
-    const Status status = multigraph.AddEdge(e.src, e.dst, e.t, e.f);
-    ASSERT_TRUE(status.ok()) << status, multigraph;
-  }
-  return multigraph;
-}
-
 /// Per-epoch check: the monitor's live aggregates against batch runs on
 /// the equivalent static prefix graph at every thread count.
 void ExpectEpochMatchesBatch(const StreamingMotifMonitor& monitor,

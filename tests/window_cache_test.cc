@@ -387,55 +387,6 @@ TEST(SharedWindowCacheTest, PromotedPrevHitSurvivesRotationUntouchedDoesNot) {
   EXPECT_EQ(cache.num_hits(), hits_before);  // miss: aged out
 }
 
-TEST(SharedWindowCacheTest, SweepGenerationsKeepsLiveDropsDead) {
-  // SweepGenerations rebuilds the generation pair keeping only entries
-  // whose identities satisfy the predicate — the serving layer's
-  // post-seal invalidation. Kept entries still hit through a fresh
-  // reader; dropped ones are recomputed exactly; an older reader's last
-  // list survives the sweep under its lease.
-  const TimeSeriesGraph graph = RandomGraph(97, 5, 70, 40);
-  ASSERT_GE(graph.num_pairs(), 2);
-  const std::vector<std::pair<const EdgeSeries*, const EdgeSeries*>> pairs =
-      AllSeriesPairs(graph);
-  constexpr Timestamp kDelta = 8;
-
-  SharedWindowCache cache(kDelta, /*max_entries=*/256);
-  SharedWindowCache::Reader old_reader(&cache, kDelta);
-  const std::vector<Window>* last_served = nullptr;
-  for (const auto& [first, last] : pairs) {
-    last_served = &old_reader.Get(*first, *last);
-  }
-  EXPECT_EQ(cache.size(), pairs.size());
-
-  // Keep only entries keyed entirely on pair 0's timestamp storage —
-  // exactly the (0, 0) entry.
-  const StorageIdentity live_id = graph.pair(0).series.timestamp_identity();
-  cache.SweepGenerations([&](const StorageIdentity& id) {
-    return id == live_id;
-  });
-  EXPECT_EQ(cache.size(), 1u);
-
-  // A fresh reader sees the swept pair: the surviving entry hits, a
-  // dropped one misses and is recomputed bit-exactly.
-  SharedWindowCache::Reader fresh(&cache, kDelta);
-  const EdgeSeries& live_series = graph.pair(0).series;
-  int64_t hits_before = cache.num_hits();
-  EXPECT_EQ(fresh.Get(live_series, live_series),
-            ComputeProcessedWindows(live_series, live_series, kDelta));
-  EXPECT_EQ(cache.num_hits(), hits_before + 1);
-
-  const EdgeSeries& dead_series = graph.pair(1).series;
-  hits_before = cache.num_hits();
-  EXPECT_EQ(fresh.Get(dead_series, dead_series),
-            ComputeProcessedWindows(dead_series, dead_series, kDelta));
-  EXPECT_EQ(cache.num_hits(), hits_before);
-
-  // The old reader's last list is untouched by the sweep.
-  EXPECT_EQ(*last_served, ComputeProcessedWindows(*pairs.back().first,
-                                                  *pairs.back().second,
-                                                  kDelta));
-}
-
 TEST(SharedWindowCacheTest, ConcurrentLeasedReadersUnderTinyCap) {
   // Several threads, each with its own reader, hammer a key population
   // far beyond the per-generation cap so rotations race with lookups,
