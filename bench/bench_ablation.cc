@@ -2,9 +2,7 @@
 //  1. prefix phi-pruning (Algorithm 1 line 16) on vs off;
 //  2. the window novelty-skip rule on vs off (off also shows how many
 //     redundant, non-maximal instances the rule prevents);
-//  3. structural-match reuse across randomized graphs in the
-//     significance analysis on vs off;
-//  4. the strict Def. 3.3 maximality post-filter cost.
+//  3. the strict Def. 3.3 maximality post-filter cost.
 // Run on the facebook dataset (the most instance-dense one) with the
 // default parameters; M(3,2), M(3,3) and M(4,3) cover chain and cycle
 // behavior.
@@ -13,7 +11,6 @@
 #include "bench_common.h"
 #include "core/enumerator.h"
 #include "core/motif_catalog.h"
-#include "core/significance.h"
 #include "util/timer.h"
 
 using namespace flowmotif;
@@ -86,42 +83,8 @@ int main() {
               FormatCount(without_skip.num_redundant_instances)});
   }
 
-  // --- 3. match reuse in the significance analysis -------------------------
+  // --- 3. strict maximality post-filter ------------------------------------
   PrintHeader("Ablation 3 (" + preset.name +
-              "): match reuse across randomized graphs (5 permutations)");
-  PrintRow({"motif", "reuse", "recompute", "speedup"});
-  for (const std::string& name : motif_names) {
-    Motif motif = *MotifCatalog::ByName(name);
-    SignificanceAnalyzer::Options options;
-    options.num_random_graphs = 5;
-    options.seed = 7;
-    options.delta = preset.default_delta;
-    options.phi = preset.default_phi;
-
-    options.reuse_matches = true;
-    SignificanceAnalyzer with_reuse(graph, options);
-    WallTimer reuse_timer;
-    SignificanceAnalyzer::MotifReport a = with_reuse.Analyze(motif);
-    const double reuse_seconds = reuse_timer.ElapsedSeconds();
-
-    options.reuse_matches = false;
-    SignificanceAnalyzer without_reuse(graph, options);
-    WallTimer recompute_timer;
-    SignificanceAnalyzer::MotifReport b = without_reuse.Analyze(motif);
-    const double recompute_seconds = recompute_timer.ElapsedSeconds();
-
-    if (a.random_counts != b.random_counts) {
-      std::cout << "!! match reuse changed results on " << name << "\n";
-      return 1;
-    }
-    PrintRow({name, FormatSeconds(reuse_seconds),
-              FormatSeconds(recompute_seconds),
-              FormatDouble(recompute_seconds / std::max(1e-9, reuse_seconds),
-                           2) + "x"});
-  }
-
-  // --- 4. strict maximality post-filter ------------------------------------
-  PrintHeader("Ablation 4 (" + preset.name +
               "): Def. 3.3 strict maximality post-filter");
   PrintRow({"motif", "faithful", "strict", "overhead", "rejected"});
   for (const std::string& name : motif_names) {

@@ -6,12 +6,12 @@
 // (so --threads=N parallelizes every cell).
 //
 // A second section goes beyond the paper: per-phase thread scalability.
-// For each preset it times phase P1 (structural matching) serial vs
-// parallel over the work-unit decomposition, checks the match lists are
-// byte-identical, then runs threshold enumeration and top-k over the
-// precomputed matches with one thread and with --threads workers
-// (isolating the phase-P2 speedup), checking that instance counts and
-// top-k flows are byte-identical too.
+// For each preset it times phase P1 (the one flat structural-match
+// scan) serial vs parallel over the work-unit decomposition, checks the
+// match lists are byte-identical, then runs threshold enumeration and
+// top-k over the precomputed matches with one thread and with --threads
+// workers (isolating the phase-P2 speedup), checking that instance
+// counts and top-k flows are byte-identical too.
 //
 // Paper shape: cost grows with data size but at a slower pace than the
 // number of instances.
@@ -19,6 +19,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "core/match_list.h"
 #include "core/motif_catalog.h"
 #include "core/structural_match.h"
 #include "engine/query_engine.h"
@@ -36,23 +37,37 @@ std::string Speedup(double serial_seconds, double parallel_seconds) {
          "x";
 }
 
+bool SameMatches(const MatchList& a, const MatchList& b) {
+  if (a.size() != b.size()) return false;
+  for (int64_t i = 0; i < a.size(); ++i) {
+    if (!std::equal(a[i].begin(), a[i].end(), b[i].begin(), b[i].end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// One serial-vs-parallel comparison; returns false on any mismatch.
 bool CompareThreadScaling(const TimeSeriesGraph& graph, const Motif& motif,
                           const DatasetPreset& preset) {
   const QueryEngine engine(graph);
   const StructuralMatcher matcher(graph, motif);
 
-  // Phase P1: serial reference vs the work-unit-parallel path.
+  // Phase P1: the one flat scan, serial vs over work-unit ranges on a
+  // pool.
   WallTimer p1_serial_timer;
-  const std::vector<MatchBinding> matches = matcher.FindAllMatches();
+  const MatchList serial_matches =
+      FindMatchesControlled(matcher, /*pool=*/nullptr, /*control=*/nullptr);
   const double p1_serial = p1_serial_timer.ElapsedSeconds();
 
   ThreadPool p1_pool(BenchThreads());
   WallTimer p1_parallel_timer;
-  const std::vector<MatchBinding> parallel_matches =
-      matcher.FindAllMatchesParallel(&p1_pool);
+  const MatchList parallel_matches =
+      FindMatchesControlled(matcher, &p1_pool, /*control=*/nullptr);
   const double p1_parallel = p1_parallel_timer.ElapsedSeconds();
-  bool identical = parallel_matches == matches;
+  bool identical = SameMatches(serial_matches, parallel_matches);
+
+  const std::vector<MatchBinding> matches = matcher.FindAllMatches();
 
   // Phase P2 in isolation, over the precomputed matches.
   QueryOptions enumerate = BenchQueryOptions(

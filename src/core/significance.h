@@ -5,10 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "core/enumerator.h"
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "core/skeleton.h"
-#include "core/window_cursor.h"
 #include "graph/time_series_graph.h"
 #include "util/cancellation.h"
 #include "util/stats.h"
@@ -24,29 +23,21 @@ namespace flowmotif {
 /// the real count exceeds the randomized counts by many standard
 /// deviations (z-score) with a low empirical p-value.
 ///
-/// Because only flows are randomized, the randomized graphs are
-/// *flow-permutation views* (TimeSeriesGraph::WithPermutedFlows): they
-/// share the real graph's timestamp and topology storage and own only
-/// permuted flow arrays — a view costs flow + prefix arrays, not a
-/// graph copy (and Analyze keeps at most one pool-width wave of views
-/// resident; AnalyzeAll holds all N for the duration of the set).
-/// Everything timestamp-derived is shared across the whole ensemble:
-/// structural matches are computed once (reuse_matches), and one
-/// ensemble SharedWindowCache serves all N+1 graphs — window lists
-/// are computed once (usually on the real graph) and hit N times, for
-/// every motif shape, since the cache keys on timestamp-storage
-/// identity.
-///
-/// On top of that sharing, the default execution path goes further
-/// (Options::skeleton_replay): the *entire* timestamp-only enumeration
-/// — cursor slides, domination probes, recursion shape — is recorded
-/// once on the real graph as a flat skeleton trace (core/skeleton.h),
-/// and each of the N+1 counts is a dense replay kernel over that trace
-/// against the graph's flow prefix sums. Permutations are drawn
-/// straight into flat prefix arenas (FlowPermutationStream), so no
-/// graph views are constructed at all; the PR 5 view-based enumeration
-/// remains as the fallback (and as the reference the equivalence tests
-/// compare against).
+/// Because only flows are randomized, everything timestamp-derived is
+/// shared across the whole ensemble. Each motif pays one structural
+/// match scan (the flat P1 scan of core/structural_match.h) and, by
+/// default (Options::skeleton_replay), one recording of its
+/// timestamp-only enumeration as a flat skeleton trace
+/// (core/skeleton.h). Then ONE streamed pass counts every motif on every
+/// graph: task 0 is the real graph, task i draws permutation i from the
+/// seeded FlowPermutationStream, fills one flow prefix arena and replays
+/// every recorded skeleton against it as a dense kernel pass. Motifs
+/// whose recording was bypassed (or every motif, with replay off) are
+/// enumerated instead on a flow view built from the same draw
+/// (TimeSeriesGraph::WithFlows), through one ensemble window cache whose
+/// timestamp-identity keys every view shares. Tasks run in pool-width
+/// waves, so at most one wave of permutations is resident; the ensemble
+/// itself is never materialized.
 class SignificanceAnalyzer {
  public:
   struct Options {
@@ -61,39 +52,37 @@ class SignificanceAnalyzer {
     Timestamp delta = 0;
     Flow phi = 0.0;
 
-    /// Structural matches do not depend on flows, so they are identical
-    /// across all randomized graphs; when true they are computed once on
-    /// the real graph and re-used, which changes no counts (verified by
-    /// tests) and removes the redundant P1 work.
-    bool reuse_matches = true;
-
-    /// Optional worker pool (not owned). When set, the per-graph counts
-    /// — the real graph plus every randomized one — run as parallel
-    /// tasks. The randomized views are always generated serially from
-    /// the single seeded RNG stream before any counting starts, so view
-    /// i is the same graph for every pool size (and for the serial run)
-    /// and the report is byte-identical for any thread count.
+    /// Optional worker pool (not owned). When set, the ensemble tasks
+    /// of each wave run as parallel tasks. Permutations are always drawn
+    /// serially from the single seeded stream, so permutation i is the
+    /// same for every pool size (and for the serial run) and the report
+    /// is byte-identical for any thread count.
     ThreadPool* pool = nullptr;
 
-    /// Record-once / replay-many (core/skeleton.h): record the
-    /// timestamp-only enumeration skeleton once on the real graph and
-    /// replay it against every flow permutation as a dense kernel pass,
-    /// instead of running N+1 full enumerations. Counts are identical
-    /// either way (the equivalence tests lock this in); disable to
-    /// force the per-graph enumeration path. When recording is
-    /// bypassed (trace budget exceeded, see max_skeleton_edges), the
-    /// analyzer falls back to that path on its own.
+    /// Record-once / replay-many (core/skeleton.h): record each
+    /// motif's timestamp-only enumeration skeleton once on the real
+    /// graph and replay it against every flow permutation as a dense
+    /// kernel pass, instead of running N+1 full enumerations. Counts
+    /// are identical either way (the equivalence tests lock this in);
+    /// disable to force the per-graph enumeration path. A motif whose
+    /// recording is bypassed (trace budget exceeded, see
+    /// max_skeleton_edges) takes that path on its own.
     bool skeleton_replay = true;
 
     /// Trace budget handed to EnumerationSkeleton::Record; recordings
     /// that would exceed it fall back to per-graph enumeration.
     size_t max_skeleton_edges = EnumerationSkeleton::kDefaultMaxEdges;
 
-    /// Optional query lifecycle control (not owned), checked once per
-    /// ensemble task (site "sig.task") on every counting path. On stop
-    /// the report covers the contiguous prefix of completed tasks —
-    /// identical to a clean run with that many random graphs, since
-    /// permutations are drawn serially from the seed.
+    /// Optional query lifecycle control (not owned). The match scans
+    /// check it per work unit ("p1.unit") and honor
+    /// WorkBudget::max_matches — a cut analyzes the canonical match
+    /// prefix, exactly as kCount counts it — and the recordings check
+    /// it per match ("sweep.record"). A hard stop there leaves every
+    /// report at graphs_completed = 0. The pass checks it once per
+    /// ensemble task ("sig.task"); on a stop every report covers the
+    /// contiguous prefix of completed tasks — identical to a clean run
+    /// with that many random graphs, since permutations are drawn
+    /// serially from the seed.
     QueryControl* control = nullptr;
   };
 
@@ -105,11 +94,13 @@ class SignificanceAnalyzer {
     double z_score = 0.0;
     double p_value = 0.0;               // empirical p-value
 
-    /// Execution footprint of the skeleton-replay path: whether this
-    /// report came from one recording + N+1 replays (vs N+1 full
-    /// enumerations), the recorded trace size, and the wall seconds
-    /// spent recording vs replaying the whole ensemble. All zero when
-    /// the enumeration path ran.
+    /// Execution footprint: whether this motif's counts came from one
+    /// recording + N+1 replays (vs N+1 full enumerations), its recorded
+    /// trace size and the wall seconds its recording took (all zero
+    /// when the enumeration path ran), and the wall seconds of the one
+    /// ensemble pass that counted every motif of the call on every
+    /// graph — shared, so every report of one AnalyzeAll carries the
+    /// same replay_seconds.
     bool used_skeleton_replay = false;
     int64_t skeleton_edges = 0;
     double record_seconds = 0.0;
@@ -129,74 +120,33 @@ class SignificanceAnalyzer {
   // The analyzer keeps a reference to the graph: temporaries would dangle.
   SignificanceAnalyzer(TimeSeriesGraph&&, const Options&) = delete;
 
-  /// Analyzes one motif with one ensemble window cache warm for all
-  /// N+1 graphs. Views are drawn in waves of pool-width (1 when
-  /// serial), so at most one wave of flow arrays is resident at a time
-  /// — the cache outlives the waves, so later waves still hit every
-  /// window list already built.
+  /// Analyzes one motif: AnalyzeAll({motif}).front().
   MotifReport Analyze(const Motif& motif) const;
 
   /// Analyzes a set of motifs against ONE shared permutation ensemble —
   /// the paper's setup (one set of randomized datasets serves every
-  /// motif) — and one shared window cache, holding all N views (flow
-  /// arrays only) for the duration. The ensemble is drawn from the seed
-  /// exactly as Analyze draws it, so each report is identical to the
-  /// corresponding single-motif Analyze call regardless of the set's
-  /// composition or order.
+  /// motif) — in one streamed pass over the N+1 graphs. Permutation i
+  /// is drawn once from the seed and serves every motif, so each report
+  /// is identical to the corresponding single-motif Analyze call
+  /// regardless of the set's composition or order.
   std::vector<MotifReport> AnalyzeAll(const std::vector<Motif>& motifs) const;
 
  private:
-  /// Per-motif flow-independent setup shared by all N+1 counting tasks:
-  /// enumeration options bound to the ensemble cache, plus the
-  /// structural matches of the real graph when reuse_matches is set.
+  /// One motif's flow-independent setup: its structural matches (kept
+  /// only when the enumeration path needs them) and its recording.
   struct PreparedMotif {
-    EnumerationOptions enum_options;
-    std::vector<MatchBinding> matches;
+    MatchList matches;
+    EnumerationSkeleton skeleton;
+    double record_seconds = 0.0;
   };
 
-  /// The N flow-permutation views, generated serially from Rng(seed).
-  std::vector<TimeSeriesGraph> GeneratePermutedViews() const;
-
-  /// The same N permutations as flat pair-order flow vectors — the
-  /// replay path's ensemble. FlowPermutationStream consumes the RNG
-  /// stream exactly as GeneratePermutedViews does, so vector i carries
-  /// the flows of view i.
-  std::vector<std::vector<Flow>> GeneratePermutedFlows() const;
-
-  PreparedMotif Prepare(const Motif& motif, SharedWindowCache* cache) const;
-
-  /// Records the motif's skeleton on the real graph (computing matches
-  /// first when reuse_matches is off). False = bypassed; caller falls
-  /// back to per-graph enumeration.
-  bool RecordSkeleton(const Motif& motif, const PreparedMotif& prepared,
-                      SharedWindowCache* cache,
-                      EnumerationSkeleton* skeleton) const;
-
-  /// Replays the skeleton against the real graph (task 0) and every
-  /// permutation of a pre-drawn ensemble, one task per graph on the
-  /// pool when present. Each task fills a private arena and runs the
-  /// fused count kernel, so counts are integers summed per task —
-  /// byte-identical for any thread count. AnalyzeAll's path: the
-  /// materialized ensemble is drawn once and shared by every motif.
-  /// Returns the contiguous prefix of tasks completed (== counts size
-  /// unless Options::control stopped the run).
-  int64_t ReplayEnsemble(const EnumerationSkeleton& skeleton,
-                         const std::vector<std::vector<Flow>>& permuted_flows,
-                         std::vector<int64_t>* counts) const;
-
-  /// Analyze's path: the same counts without ever materializing the
-  /// ensemble. Permutations are drawn lazily from the seeded stream
-  /// into per-slot reused buffers (serially, so permutation i is
-  /// identical for any pool size), one wave of pool-width at a time;
-  /// arenas and replayers persist across waves, so the steady state
-  /// allocates nothing. Returns the contiguous prefix of tasks
-  /// completed, as ReplayEnsemble does.
-  int64_t ReplayEnsembleStreaming(const EnumerationSkeleton& skeleton,
-                                  std::vector<int64_t>* counts) const;
-
-  /// Instance count of `motif` on one graph of the ensemble.
-  int64_t CountOn(const TimeSeriesGraph& target, const Motif& motif,
-                  const PreparedMotif& prepared) const;
+  /// The one ensemble pass: counts every motif on the real graph
+  /// (task 0) and on each of the N permutations, filling
+  /// (*counts)[motif][task]. Returns the contiguous prefix of tasks
+  /// completed (N + 1 unless Options::control stopped the pass).
+  int64_t CountEnsemble(const std::vector<Motif>& motifs,
+                        const std::vector<PreparedMotif>& prepared,
+                        std::vector<std::vector<int64_t>>* counts) const;
 
   /// Summary statistics over the first `tasks_completed` per-task
   /// counts (index 0 = real). Fills graphs_completed and, when the

@@ -2,12 +2,11 @@
 
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "core/skeleton_kernel.h"
 #include "core/sliding_window.h"
-#include "util/cancellation.h"
+#include "core/window_cursor.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -351,63 +350,24 @@ void EnumerationSkeleton::Clear() {
 
 bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
                                  const Motif& motif, Timestamp delta,
-                                 const std::vector<MatchBinding>& matches,
-                                 SharedWindowCache* cache,
+                                 const MatchList& matches,
+                                 QueryControl* control,
                                  const Options& options) {
-  FLOWMOTIF_CHECK_GE(delta, 0);
-  Clear();
+  std::vector<EnumerationSkeleton> one;
+  RecordSweepDescending(graph, motif, {delta}, matches, options, &one,
+                        control);
+  *this = std::move(one.front());
+  return recorded_;
+}
 
-  std::vector<size_t> offsets;
-  const size_t total_prefix = BuildPrefixOffsets(graph, &offsets);
-  if (total_prefix > std::numeric_limits<uint32_t>::max()) return false;
-  const SeriesPairIndexer series_pair_index(graph);
-
-  const int m = motif.num_edges();
-  std::vector<const EdgeSeries*> series(static_cast<size_t>(m));
-  std::vector<size_t> base(static_cast<size_t>(m));
-  WindowCursorSet cursors;
-  // Same cache policy as the counting/enumeration paths.
-  std::unique_ptr<SharedWindowCache> owned_cache;
-  SharedWindowCache::Reader windows(
-      ResolveWindowCache(cache, motif, delta, &owned_cache), delta,
-      options.query_control);
-
-  std::vector<Recorder::EdgeRec> edges;
-  Recorder rec;
-  rec.out = this;
-  rec.out_edges = &edges;
-  rec.series = series.data();
-  rec.base = base.data();
-  rec.num_edges = m;
-  rec.max_edges = options.max_edges;
-  rec.memo_state.resize(static_cast<size_t>(m));
-  rec.memo_gen.resize(static_cast<size_t>(m));
-  rec.scratch.resize(static_cast<size_t>(m));
-
-  match_viable_.assign(matches.size(), 0);
-  for (size_t match_index = 0; match_index < matches.size(); ++match_index) {
-    const MatchBinding& binding = matches[match_index];
-    ResolveMatchSeries(graph, motif, binding, &series);
-    for (int k = 0; k < m; ++k) {
-      base[static_cast<size_t>(k)] =
-          offsets[series_pair_index(series[static_cast<size_t>(k)])];
-    }
-    rec.BeginMatch(series);
-
-    if (rec.RecordMatchWindows(&cursors, series,
-                               windows.Get(*series.front(), *series.back()))) {
-      match_viable_[match_index] = 1;
-    }
-    if (rec.over_budget) {
-      Clear();
-      return false;
-    }
-  }
-
-  Recorder::Finalize(this, edges);
-  topology_identity_ = graph.topology_identity();
-  recorded_ = true;
-  return true;
+bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
+                                 const Motif& motif, Timestamp delta,
+                                 const std::vector<MatchBinding>& matches,
+                                 QueryControl* control,
+                                 const Options& options) {
+  return Record(graph, motif, delta,
+                MatchList::FromBindings(matches, motif.num_nodes()), control,
+                options);
 }
 
 void EnumerationSkeleton::RecordSweepDescending(

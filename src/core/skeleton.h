@@ -8,8 +8,8 @@
 #include "core/match_list.h"
 #include "core/motif.h"
 #include "core/structural_match.h"
-#include "core/window_cursor.h"
 #include "graph/time_series_graph.h"
+#include "util/cancellation.h"
 #include "util/random.h"
 
 namespace flowmotif {
@@ -133,35 +133,36 @@ class EnumerationSkeleton {
 
   struct Options {
     size_t max_edges = kDefaultMaxEdges;
-
-    /// Lifecycle control (non-owning, may be null) billed for every
-    /// window list recording materializes — through the cache or
-    /// recomputed privately — at site "cache.windows", keeping
-    /// WorkBudget window/memory caps uniform across motif shapes.
-    QueryControl* query_control = nullptr;
   };
 
   /// Records the skeleton of enumerating `motif` at `delta` over
-  /// `matches` on `graph`. Window lists are read through `cache` when
-  /// provided (it must be bound to the same delta). Returns false —
-  /// leaving the skeleton unrecorded — when the trace would exceed
-  /// options.max_edges or the prefix arena would overflow 32-bit
-  /// indices; callers then fall back to ordinary per-graph
-  /// enumeration. Recording consults no flow values, so a false return
-  /// happens before any flow-dependent work.
+  /// `matches` on `graph` — the one-delta call of RecordSweepDescending,
+  /// so it reads the same window lists, charges `control` the same way
+  /// and checks "sweep.record" per match. Returns false — leaving the
+  /// skeleton unrecorded — when the trace would exceed
+  /// options.max_edges, the prefix arena would overflow 32-bit indices,
+  /// or `control` stopped the recording; callers then fall back to
+  /// ordinary per-graph enumeration. Recording consults no flow values,
+  /// so a false return happens before any flow-dependent work.
+  bool Record(const TimeSeriesGraph& graph, const Motif& motif,
+              Timestamp delta, const MatchList& matches,
+              QueryControl* control, const Options& options);
+  /// The same over owned bindings, flattened once.
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const std::vector<MatchBinding>& matches,
-              SharedWindowCache* cache, const Options& options);
+              QueryControl* control, const Options& options);
+  /// The same with the default options.
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const std::vector<MatchBinding>& matches,
-              SharedWindowCache* cache) {
-    return Record(graph, motif, delta, matches, cache, Options());
+              QueryControl* control = nullptr) {
+    return Record(graph, motif, delta, matches, control, Options());
   }
 
   /// Records one skeleton per entry of `deltas` (which must be
-  /// non-increasing) in a SINGLE pass over `matches` — the delta-grid
-  /// recording path of QueryEngine::RunSweep. Two things make this
-  /// cheaper than one Record call per delta:
+  /// non-increasing) in a SINGLE pass over `matches` — the one recorder:
+  /// QueryEngine::RunSweep calls it with its delta grid, and Record
+  /// with one delta. Two things make a grid cheaper than one recording
+  /// per delta:
   ///
   ///  * shared per-match work: series resolution, arena offsets, and
   ///    the window scan (ComputeProcessedWindowsMulti walks the match's
@@ -180,10 +181,11 @@ class EnumerationSkeleton {
   /// excluded from the viability cascade, without disturbing the other
   /// deltas. `skeletons` is resized to deltas.size(), index-aligned.
   /// `control` (optional) adds a cooperative cancellation point per
-  /// match scanned (site "sweep.record"). A stop aborts the whole
-  /// recording: every skeleton reports recorded() == false — a
-  /// half-recorded trace would replay wrong counts, so there is no
-  /// partial recording, only a clean fallback.
+  /// match scanned (site "sweep.record") and is charged at
+  /// "cache.windows" for every window list the scan computes. A stop
+  /// aborts the whole recording: every skeleton reports recorded() ==
+  /// false — a half-recorded trace would replay wrong counts, so there
+  /// is no partial recording, only a clean fallback.
   static void RecordSweepDescending(
       const TimeSeriesGraph& graph, const Motif& motif,
       const std::vector<Timestamp>& deltas, const MatchList& matches,
@@ -207,13 +209,13 @@ class EnumerationSkeleton {
   const uint32_t* state_begin() const { return state_begin_.data(); }
   const uint32_t* roots() const { return roots_.data(); }
 
-  /// Per recorded match (aligned with the `matches` argument of
-  /// Record), whether the match contributed any root — i.e. has at
-  /// least one structurally viable completion at this delta with
-  /// phi = 0. Because shrinking delta and raising phi only remove
-  /// instances, a non-viable match counts zero for EVERY delta' <=
-  /// delta and every phi — the delta-monotonicity filter RunSweep uses
-  /// to skip dead matches when recording the smaller deltas of a grid.
+  /// Per recorded match (aligned with the `matches` argument), whether
+  /// the match contributed any root — i.e. has at least one
+  /// structurally viable completion at this delta with phi = 0.
+  /// Because shrinking delta and raising phi only remove instances, a
+  /// non-viable match counts zero for EVERY delta' <= delta and every
+  /// phi — the delta-monotonicity filter RunSweep uses to skip dead
+  /// matches when recording the smaller deltas of a grid.
   const std::vector<uint8_t>& match_viability() const {
     return match_viable_;
   }

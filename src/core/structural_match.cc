@@ -2,8 +2,8 @@
 
 #include <set>
 
+#include "util/failpoint.h"
 #include "util/logging.h"
-#include "util/partition.h"
 
 namespace flowmotif {
 
@@ -69,40 +69,6 @@ void StructuralMatcher::FindInUnitImpl(int64_t unit, MatchBinding* binding,
   (*binding)[static_cast<size_t>(dst_node)] = -1;
   (*vertex_used)[static_cast<size_t>(pe.src)] = false;
   (*binding)[static_cast<size_t>(src_node)] = -1;
-}
-
-std::vector<MatchBinding> StructuralMatcher::FindAllMatchesParallel(
-    ThreadPool* pool) const {
-  FLOWMOTIF_CHECK(pool != nullptr);
-  if (pool->num_threads() == 1) return FindAllMatches();
-  // Several unit ranges per worker (the shared chunking heuristic):
-  // match density varies wildly across origins, so dynamic scheduling
-  // needs the slack.
-  const std::vector<IndexRange> ranges =
-      PartitionIndexSpace(NumWorkUnits(), pool->num_threads());
-  if (ranges.empty()) return {};
-
-  std::vector<std::vector<MatchBinding>> shards(ranges.size());
-  pool->ParallelFor(static_cast<int64_t>(ranges.size()), [&](int64_t r) {
-    std::vector<MatchBinding>& shard = shards[static_cast<size_t>(r)];
-    FindInUnits(ranges[static_cast<size_t>(r)].begin,
-                ranges[static_cast<size_t>(r)].end,
-                [&shard](const MatchBinding& b) {
-                  shard.push_back(b);
-                  return true;
-                });
-  });
-
-  // Deterministic merge: concatenating the shards in range order is the
-  // serial discovery order.
-  size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<MatchBinding> matches;
-  matches.reserve(total);
-  for (auto& shard : shards) {
-    for (MatchBinding& b : shard) matches.push_back(std::move(b));
-  }
-  return matches;
 }
 
 void StructuralMatcher::GeneralDfs(int edge_idx, MatchBinding* binding,
@@ -238,6 +204,62 @@ bool StructuralMatcher::IsMatch(const MatchBinding& binding) const {
     }
   }
   return true;
+}
+
+bool ScanMatchUnits(const StructuralMatcher& matcher, IndexRange units,
+                    QueryControl* control, int64_t cap, MatchList* out) {
+  const StructuralMatcher::MatchVisitor push =
+      [out, cap](const MatchBinding& binding) {
+        if (cap >= 0 && out->size() >= cap) return false;
+        out->Append(binding);
+        return true;
+      };
+  if (control == nullptr) {
+    return matcher.FindInUnits(units.begin, units.end, push);
+  }
+  for (int64_t u = units.begin; u < units.end; ++u) {
+    if (control->CheckAt(failpoint::kP1Unit) ||
+        !matcher.FindInUnits(u, u + 1, push)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+MatchList FindMatchesControlled(const StructuralMatcher& matcher,
+                                ThreadPool* pool, QueryControl* control) {
+  MatchList matches(matcher.motif().num_nodes());
+  const int64_t max_matches =
+      control != nullptr ? control->budget().max_matches : -1;
+  if (max_matches >= 0 || pool == nullptr || pool->num_threads() == 1) {
+    // One serial unit scan. Under max_matches the cut lands at exactly
+    // max_matches in canonical order, independent of scheduling; it is
+    // a soft truncation, so callers still evaluate the kept prefix.
+    if (!ScanMatchUnits(matcher, {0, matcher.NumWorkUnits()}, control,
+                        max_matches, &matches) &&
+        max_matches >= 0 && !control->ShouldStop()) {
+      control->MarkTruncated(TerminationCode::kBudgetExceeded,
+                             failpoint::kP1Unit, "max_matches");
+    }
+    return matches;
+  }
+  const std::vector<IndexRange> ranges =
+      PartitionIndexSpace(matcher.NumWorkUnits(), pool->num_threads());
+  std::vector<MatchList> buffers(ranges.size(), matches);
+  std::vector<uint8_t> complete(ranges.size(), 0);
+  pool->ParallelFor(static_cast<int64_t>(ranges.size()), [&](int64_t r) {
+    const size_t i = static_cast<size_t>(r);
+    complete[i] =
+        ScanMatchUnits(matcher, ranges[i], control, /*cap=*/-1, &buffers[i]);
+  });
+  int64_t total = 0;
+  for (const MatchList& buffer : buffers) total += buffer.size();
+  matches.Reserve(total);
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    matches.Append(buffers[r]);
+    if (complete[r] == 0) break;
+  }
+  return matches;
 }
 
 }  // namespace flowmotif

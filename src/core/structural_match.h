@@ -8,6 +8,8 @@
 #include "core/match_list.h"
 #include "core/motif.h"
 #include "graph/time_series_graph.h"
+#include "util/cancellation.h"
+#include "util/partition.h"
 #include "util/thread_pool.h"
 
 namespace flowmotif {
@@ -35,9 +37,10 @@ namespace flowmotif {
 ///
 /// The search decomposes into independent *work units* — one candidate
 /// origin vertex for path motifs, one pair edge as the image of the
-/// first labeled edge for general motifs — which is what the engine's
-/// parallel execution path partitions across workers: per-unit match
-/// lists concatenated in unit order reproduce the serial order exactly.
+/// first labeled edge for general motifs — which is what the flat scan
+/// below (ScanMatchUnits, FindMatchesControlled) partitions across
+/// workers: per-unit match lists concatenated in unit order reproduce
+/// the serial order exactly.
 class StructuralMatcher {
  public:
   /// Visitor invoked per match; return false to stop the search early.
@@ -66,13 +69,6 @@ class StructuralMatcher {
   /// Convenience: materializes all matches.
   std::vector<MatchBinding> FindAllMatches() const;
 
-  /// Parallel phase P1: partitions the work units into contiguous
-  /// ranges dispatched on `pool`, then concatenates the per-range match
-  /// buffers in range order — byte-identical to FindAllMatches() for
-  /// every thread count. Early stop is not supported (the visitor-free
-  /// API materializes everything).
-  std::vector<MatchBinding> FindAllMatchesParallel(ThreadPool* pool) const;
-
   /// Counts matches without materializing them.
   int64_t CountMatches() const;
 
@@ -100,6 +96,31 @@ class StructuralMatcher {
   const Motif motif_;  // by value: motifs are tiny and callers often pass
                        // temporaries
 };
+
+/// The one flat P1 scan, which every list-building path runs: the
+/// engine's streamed P1 shards, its scans before P2 and RunSweep's
+/// shared list, and the significance analyzer. Appends the vertices of
+/// each match of work units `units` to `out` in serial order, with no
+/// allocation per match. Under a control each unit is preceded by a
+/// "p1.unit" check, and `cap` >= 0 ends the scan when a match arrives
+/// while `out` already holds `cap`. Returns false when the scan ended
+/// early either way; `out` then holds a canonical prefix of the units.
+bool ScanMatchUnits(const StructuralMatcher& matcher, IndexRange units,
+                    QueryControl* control, int64_t cap, MatchList* out);
+
+/// Phase P1 into one list under an optional control (null = no
+/// checks). With WorkBudget::max_matches set the scan runs serially and
+/// truncates at exactly that many matches (a soft kBudgetExceeded at
+/// "p1.unit": callers still evaluate the prefix). Otherwise, on a pool
+/// of more than one thread, contiguous work-unit ranges — several per
+/// worker, so dynamic scheduling absorbs the match-density skew across
+/// units — are scanned as pool tasks and concatenated in range order,
+/// and a stop keeps the canonical prefix: every leading range plus the
+/// first stopped range's leading units. `pool` may be null (one serial
+/// scan). Byte-identical to FindAllMatches() when nothing stops it, for
+/// every thread count.
+MatchList FindMatchesControlled(const StructuralMatcher& matcher,
+                                ThreadPool* pool, QueryControl* control);
 
 }  // namespace flowmotif
 

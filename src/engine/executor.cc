@@ -25,32 +25,6 @@ constexpr int64_t kBatchCap = 256;
 
 constexpr int64_t kNoStoppedShard = std::numeric_limits<int64_t>::max();
 
-/// The one per-unit P1 scan: appends the vertices of each match of
-/// work units `units` to `out` in serial order — flat, so no allocation
-/// per match. Under a control each unit is preceded by a "p1.unit"
-/// check, and `cap` >= 0 ends the scan when a match arrives while `out`
-/// already holds `cap`. Returns false when the scan ended early either
-/// way; `out` then holds a canonical prefix of the units.
-bool ScanUnits(const StructuralMatcher& matcher, IndexRange units,
-               QueryControl* control, int64_t cap, MatchList* out) {
-  const StructuralMatcher::MatchVisitor push =
-      [out, cap](const MatchBinding& binding) {
-        if (cap >= 0 && out->size() >= cap) return false;
-        out->Append(binding);
-        return true;
-      };
-  if (control == nullptr) {
-    return matcher.FindInUnits(units.begin, units.end, push);
-  }
-  for (int64_t u = units.begin; u < units.end; ++u) {
-    if (control->CheckAt(failpoint::kP1Unit) ||
-        !matcher.FindInUnits(u, u + 1, push)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Called from a P1 shard's task with its matches and whether its scan
 /// ran to the end.
 using ShardFn =
@@ -69,8 +43,8 @@ double ScanShards(const StructuralMatcher& matcher,
     pool->Submit([&, s] {
       WallTimer timer;
       MatchList matches(matcher.motif().num_nodes());
-      const bool complete =
-          ScanUnits(matcher, shards[s], control, /*cap=*/-1, &matches);
+      const bool complete = ScanMatchUnits(matcher, shards[s], control,
+                                           /*cap=*/-1, &matches);
       seconds[s] = timer.ElapsedSeconds();
       on_shard(static_cast<int64_t>(s), std::move(matches), complete);
     });
@@ -79,11 +53,6 @@ double ScanShards(const StructuralMatcher& matcher,
   double total = 0.0;
   for (const double t : seconds) total += t;
   return total;
-}
-
-std::vector<IndexRange> P1Shards(const StructuralMatcher& matcher,
-                                 const ThreadPool& pool) {
-  return PartitionIndexSpace(matcher.NumWorkUnits(), pool.num_threads());
 }
 
 /// Applies batch folds in serial match order. Batches arrive in any
@@ -198,7 +167,8 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
     submit_shard(0, 0, list, list_size, nullptr);
     pool->Wait();
   } else {
-    const std::vector<IndexRange> shards = P1Shards(matcher, *pool);
+    const std::vector<IndexRange> shards =
+        PartitionIndexSpace(matcher.NumWorkUnits(), pool->num_threads());
     ShardPrefixMerger merger(static_cast<int64_t>(shards.size()));
     p1_seconds = ScanShards(
         matcher, shards, pool, control,
@@ -224,43 +194,6 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
   stats.num_batches = num_batches.load(std::memory_order_relaxed);
   stats.p1_seconds = p1_seconds;
   return stats;
-}
-
-MatchList FindMatchesControlled(const StructuralMatcher& matcher,
-                                ThreadPool* pool, QueryControl* control) {
-  MatchList matches(matcher.motif().num_nodes());
-  const int64_t max_matches =
-      control != nullptr ? control->budget().max_matches : -1;
-  if (max_matches >= 0) {
-    // Serial unit scan so the cut lands at exactly max_matches in
-    // canonical order, independent of scheduling. A cut is a soft
-    // truncation: P2 still runs, exactly, over the kept prefix.
-    if (!ScanUnits(matcher, {0, matcher.NumWorkUnits()}, control,
-                   max_matches, &matches) &&
-        !control->ShouldStop()) {
-      control->MarkTruncated(TerminationCode::kBudgetExceeded,
-                             failpoint::kP1Unit, "max_matches");
-    }
-    return matches;
-  }
-  const std::vector<IndexRange> shards = P1Shards(matcher, *pool);
-  std::vector<MatchList> buffers(shards.size());
-  std::vector<uint8_t> complete(shards.size(), 0);
-  ScanShards(matcher, shards, pool, control,
-             [&](int64_t shard, MatchList found, bool done) {
-               buffers[static_cast<size_t>(shard)] = std::move(found);
-               complete[static_cast<size_t>(shard)] = done ? 1 : 0;
-             });
-  // At one thread one shard holds the whole list: no concatenation.
-  if (buffers.size() == 1) return std::move(buffers.front());
-  int64_t total = 0;
-  for (const MatchList& buffer : buffers) total += buffer.size();
-  matches.Reserve(total);
-  for (size_t s = 0; s < shards.size(); ++s) {
-    matches.Append(buffers[s]);
-    if (complete[s] == 0) break;
-  }
-  return matches;
 }
 
 }  // namespace flowmotif

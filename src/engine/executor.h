@@ -52,8 +52,9 @@ struct ExecutorStats {
 ///    list, handed in without a copy as one released shard (a list the
 ///    caller passed to RunOnMatches, RunSweep's shared list, a cached
 ///    list, or one the engine scanned before P2);
-///  - otherwise P1 shards of `matcher` — contiguous work-unit ranges
-///    scanned as pool tasks into one MatchList each and released in
+///  - otherwise P1 shards of `matcher` — contiguous work-unit ranges,
+///    each scanned as a pool task by core/structural_match.h's one flat
+///    scan (ScanMatchUnits) into a MatchList and released in
 ///    serial order by a ShardPrefixMerger, each shard's batches
 ///    submitted to the front of the pool queue so P2 runs while later
 ///    shards are still matching.
@@ -68,17 +69,6 @@ ExecutorStats ExecuteBatches(const StructuralMatcher& matcher,
                              const MatchList* list, int64_t list_size,
                              int64_t batch_size, ThreadPool* pool,
                              QueryControl* control, const BatchKernel& kernel);
-
-/// Phase P1 into one list under an optional control (null = no
-/// checks). With WorkBudget::max_matches set the scan runs serially and
-/// truncates at exactly that many matches (a soft kBudgetExceeded: P2
-/// still runs over the prefix). Otherwise it scans the executor's P1
-/// shards in parallel with a "p1.unit" check per work unit, and a stop
-/// keeps the canonical prefix: every leading shard plus the first
-/// stopped shard's leading units. Byte-identical to
-/// StructuralMatcher::FindAllMatches() when nothing stops it.
-MatchList FindMatchesControlled(const StructuralMatcher& matcher,
-                                ThreadPool* pool, QueryControl* control);
 
 }  // namespace flowmotif
 

@@ -671,16 +671,14 @@ void QueryEngine::RunSignificance(const Motif& motif,
   sopts.seed = options.seed;
   sopts.delta = options.delta;
   sopts.phi = options.phi;
-  sopts.reuse_matches = true;
   sopts.skeleton_replay = options.skeleton_replay;
   sopts.pool = pool;
   sopts.control = control;
-  // Unlike the other modes, the window cache is owned by the analyzer,
-  // not chosen here: the analyzer's cache is keyed on timestamp-storage
-  // identity, so the window lists it builds serve the real graph and
-  // every flow-permutation view of the N+1-graph ensemble — one cache
-  // per Analyze, warm across the wave of permuted counts for any motif
-  // shape.
+  // No window cache is chosen here: recording scans its own window
+  // lists, and only when the motif falls back to enumeration does the
+  // analyzer make its one ensemble cache, keyed on timestamp-storage
+  // identity, so its lists serve the real graph and every flow view of
+  // the N+1-graph ensemble.
   const SignificanceAnalyzer analyzer(graph_, sopts);
   result->significance = analyzer.Analyze(motif);
   result->stats.num_instances = result->significance.real_count;

@@ -203,11 +203,9 @@ TimeSeriesGraph::Stats TimeSeriesGraph::ComputeStats() const {
 
 TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(Rng* rng) const {
   FLOWMOTIF_CHECK(rng != nullptr);
-  // Collect every flow value in deterministic (pair, index) order, shuffle
-  // the multiset, and write it back in the same order. Structure and
-  // timestamps are untouched, exactly as in Sec. 6.3 — and since they are
-  // immutable shared storage, the view references them instead of copying:
-  // only the permuted flow arrays (and their prefix sums) are allocated.
+  // Collect every flow value in deterministic (pair, index) order and
+  // shuffle the multiset; WithFlows writes it back in the same order.
+  // Structure and timestamps are untouched, exactly as in Sec. 6.3.
   std::vector<Flow> all_flows;
   for (const PairEdge& pe : pairs_) {
     for (size_t i = 0; i < pe.series.size(); ++i) {
@@ -215,21 +213,29 @@ TimeSeriesGraph TimeSeriesGraph::WithPermutedFlows(Rng* rng) const {
     }
   }
   rng->Shuffle(&all_flows);
+  return WithFlows(all_flows);
+}
 
+TimeSeriesGraph TimeSeriesGraph::WithFlows(
+    const std::vector<Flow>& flows) const {
+  // Structure and timestamps are immutable shared storage, so the view
+  // references them instead of copying: only the flow arrays (and their
+  // prefix sums) are allocated.
   TimeSeriesGraph out;
   out.index_ = index_;  // shared topology, same identity
   out.topology_epoch_ = topology_epoch_;
   out.pairs_.reserve(pairs_.size());
   size_t cursor = 0;
-  std::vector<Flow> new_flows;  // reused: WithFlows copies into its block
+  std::vector<Flow> series_flows;  // reused: EdgeSeries::WithFlows copies
   for (const PairEdge& pe : pairs_) {
-    new_flows.assign(all_flows.begin() + cursor,
-                     all_flows.begin() + cursor + pe.series.size());
+    FLOWMOTIF_CHECK_LE(cursor + pe.series.size(), flows.size());
+    series_flows.assign(flows.begin() + cursor,
+                        flows.begin() + cursor + pe.series.size());
     cursor += pe.series.size();
     out.pairs_.push_back(
-        PairEdge{pe.src, pe.dst, pe.series.WithFlows(new_flows)});
+        PairEdge{pe.src, pe.dst, pe.series.WithFlows(series_flows)});
   }
-  FLOWMOTIF_CHECK_EQ(cursor, all_flows.size());
+  FLOWMOTIF_CHECK_EQ(cursor, flows.size());
   return out;
 }
 

@@ -125,6 +125,14 @@ class TimeSeriesGraph {
   /// the same flows.
   TimeSeriesGraph WithPermutedFlows(Rng* rng) const;
 
+  /// A flow view carrying `flows` — one per interaction, in pair order
+  /// (pairs(), then series index), the layout FlowPermutationStream
+  /// draws — over this graph's shared topology and timestamps.
+  /// WithPermutedFlows is this over a shuffled copy of the graph's own
+  /// flows. `flows.size()` must equal the interaction count; flows must
+  /// be > 0.
+  TimeSeriesGraph WithFlows(const std::vector<Flow>& flows) const;
+
   /// Deep copy with freshly allocated timestamp, flow and topology
   /// storage: every series gets a new timestamp_identity(), so no
   /// timestamp-keyed cache entry can alias the source graph. The

@@ -161,8 +161,9 @@ TEST_F(FaultInjectionTest, EverySiteModeActionTerminatesAndEngineRecovers) {
     o.delta = w.delta;
     o.num_random_graphs = 4;
     o.seed = 7;
-    modes.push_back(
-        {"significance", o, {failpoint::kEngineStart, failpoint::kSigTask}});
+    modes.push_back({"significance", o,
+                     {failpoint::kEngineStart, failpoint::kP1Unit,
+                      failpoint::kSweepRecord, failpoint::kSigTask}});
   }
 
   struct ActionCase {
@@ -303,6 +304,31 @@ TEST_F(FaultInjectionTest, MaxMatchesBudgetTruncatesToExactPrefix) {
       ASSERT_TRUE(reference.termination.complete());
       ExpectSamePayload(result, reference, context);
     }
+  }
+
+  // kSignificance analyzes the same canonical prefix: its real count is
+  // the kCount of the first kCap matches, over the whole ensemble.
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("max_matches significance threads=" +
+                 std::to_string(threads));
+    QueryOptions options;
+    options.mode = QueryMode::kSignificance;
+    options.delta = w.delta;
+    options.num_random_graphs = 3;
+    options.num_threads = threads;
+    options.budget.max_matches = kCap;
+    const QueryResult result = engine.Run(w.motif, options);
+    EXPECT_EQ(result.termination.code, TerminationCode::kBudgetExceeded);
+    EXPECT_EQ(result.termination.stopped_at, failpoint::kP1Unit);
+    EXPECT_EQ(result.termination.detail, "max_matches");
+    EXPECT_EQ(result.significance.graphs_completed, 4);
+    EXPECT_EQ(result.significance.random_counts.size(), 3u);
+
+    QueryOptions count = options;
+    count.mode = QueryMode::kCount;
+    const QueryResult counted = engine.Run(w.motif, count);
+    EXPECT_EQ(counted.termination.code, TerminationCode::kBudgetExceeded);
+    EXPECT_EQ(result.significance.real_count, counted.stats.num_instances);
   }
 }
 

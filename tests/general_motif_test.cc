@@ -9,8 +9,10 @@
 #include "core/counter.h"
 #include "core/enumerator.h"
 #include "core/instance.h"
+#include "core/match_list.h"
 #include "core/motif.h"
 #include "core/structural_match.h"
+#include "gen/presets.h"
 #include "test_util.h"
 #include "util/thread_pool.h"
 
@@ -95,11 +97,39 @@ TEST(GeneralMotifMatchTest, LabelOrderBindingFreshWeakComponent) {
   EXPECT_EQ(matcher.CountMatches(), 1);
 
   // The per-first-edge work-unit decomposition must reproduce the same
-  // list for the mid-search fresh-component branch too.
-  for (int threads : {2, 8}) {
+  // list for the mid-search fresh-component branch too, through the one
+  // flat P1 scan at every pool size.
+  for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(matcher.FindAllMatchesParallel(&pool), matches)
+    const MatchList flat = FindMatchesControlled(matcher, &pool, nullptr);
+    ASSERT_EQ(flat.size(), static_cast<int64_t>(matches.size()))
         << "threads=" << threads;
+    for (int64_t i = 0; i < flat.size(); ++i) {
+      EXPECT_EQ(flat[i].ToBinding(), matches[static_cast<size_t>(i)])
+          << "threads=" << threads << " match " << i;
+    }
+  }
+}
+
+TEST(GeneralMotifMatchTest, PooledFlatScanEqualsSerialOnGeneralShapes) {
+  // Per-first-edge work units over a graph with many matches: the one
+  // flat P1 scan equals FindAllMatches() at every pool size.
+  const TimeSeriesGraph g =
+      GenerateDataset(GetPreset(DatasetKind::kBitcoin), 0.02);
+  for (const Motif& motif : {FanOut2(), FanIn2(), Diamond()}) {
+    const StructuralMatcher matcher(g, motif);
+    const std::vector<MatchBinding> matches = matcher.FindAllMatches();
+    ASSERT_GT(matches.size(), 16u) << motif.name();
+    for (int threads : {1, 2, 4, 8}) {
+      ThreadPool pool(threads);
+      const MatchList flat = FindMatchesControlled(matcher, &pool, nullptr);
+      ASSERT_EQ(flat.size(), static_cast<int64_t>(matches.size()))
+          << motif.name() << " threads=" << threads;
+      for (int64_t i = 0; i < flat.size(); ++i) {
+        ASSERT_EQ(flat[i].ToBinding(), matches[static_cast<size_t>(i)])
+            << motif.name() << " threads=" << threads << " match " << i;
+      }
+    }
   }
 }
 

@@ -14,7 +14,6 @@
 #include "core/match_list.h"
 #include "core/motif_catalog.h"
 #include "core/structural_match.h"
-#include "engine/executor.h"
 #include "engine/match_list_cache.h"
 #include "engine/query_engine.h"
 #include "gen/presets.h"
@@ -51,19 +50,7 @@ std::vector<Workload> Workloads() {
 }
 
 TEST(ParallelEquivalenceTest, P1MatchListIdenticalAcrossThreadCounts) {
-  for (const Workload& w : Workloads()) {
-    const StructuralMatcher matcher(w.graph, w.motif);
-    const std::vector<MatchBinding> serial = matcher.FindAllMatches();
-    for (int threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      ASSERT_EQ(matcher.FindAllMatchesParallel(&pool), serial)
-          << w.motif.name() << " threads=" << threads;
-    }
-  }
-}
-
-TEST(ParallelEquivalenceTest, ExecutorMatchListEqualsFindAllMatches) {
-  // The executor's flat P1 scan (shards appended into MatchLists and
+  // The one flat P1 scan (work-unit ranges appended into MatchLists and
   // concatenated in unit order) holds exactly FindAllMatches(), match
   // for match and vertex for vertex, at every thread count.
   for (const Workload& w : Workloads()) {

@@ -1,21 +1,25 @@
-// Byte-identical equivalence of the view-based significance path
-// (flow-permutation views sharing timestamp storage, one cross-graph
-// SharedWindowCache across the ensemble, one hoisted ensemble for
-// AnalyzeAll) against a retained pre-refactor reference: deep-copying
-// WithPermutedFlows (fresh timestamp/topology storage per randomized
-// graph) plus per-graph enumeration with no shared cache. Real counts,
-// random counts, z-scores, and p-values must match exactly across ~50
-// seeded random graphs, every catalog motif, reuse_matches on/off, and
-// engine pool sizes {1, 2, 4, 8}.
+// Byte-identical equivalence of the significance analyzer's one
+// ensemble pass (skeleton replay against flat prefix arenas, or
+// enumeration on flow views sharing timestamp storage through one
+// cross-graph SharedWindowCache) against a retained pre-refactor
+// reference: deep-copying WithPermutedFlows (fresh timestamp/topology
+// storage per randomized graph) plus per-graph enumeration with no
+// shared cache. Real counts, random counts, z-scores, and p-values must
+// match exactly across ~50 seeded random graphs, every catalog motif,
+// replayed and enumerated motifs mixed in one pass, and pool sizes
+// {1, 2, 4, 8}.
 #include "core/significance.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/enumerator.h"
 #include "core/motif_catalog.h"
+#include "core/skeleton.h"
 #include "core/structural_match.h"
 #include "graph/interaction_graph.h"
 #include "graph/time_series_graph.h"
@@ -76,17 +80,13 @@ SignificanceAnalyzer::MotifReport ReferenceAnalyze(
   enum_options.delta = options.delta;
   enum_options.phi = options.phi;
 
-  std::vector<MatchBinding> matches;
-  if (options.reuse_matches) {
-    const StructuralMatcher matcher(graph, motif);
-    matches = matcher.FindAllMatches();
-  }
+  const StructuralMatcher matcher(graph, motif);
+  const std::vector<MatchBinding> matches = matcher.FindAllMatches();
 
   Rng rng(options.seed);
   const auto count_on = [&](const TimeSeriesGraph& target) {
     FlowMotifEnumerator enumerator(target, motif, enum_options);
-    return options.reuse_matches ? enumerator.RunOnMatches(matches)
-                                 : enumerator.Run();
+    return enumerator.RunOnMatches(matches);
   };
   report.real_count = count_on(graph).num_instances;
   for (int i = 0; i < options.num_random_graphs; ++i) {
@@ -149,9 +149,8 @@ SignificanceAnalyzer::Options BaseOptions(uint64_t seed) {
   return options;
 }
 
-// Every catalog motif on ~50 seeded random graphs, serial analyzer,
-// reuse_matches on: the view-based ensemble must reproduce the copying
-// reference bit for bit.
+// Every catalog motif on ~50 seeded random graphs, serial analyzer:
+// the ensemble pass must reproduce the copying reference bit for bit.
 TEST(SignificanceEquivalenceTest, CatalogMotifsOnSeededGraphs) {
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 60, 40);
@@ -166,34 +165,29 @@ TEST(SignificanceEquivalenceTest, CatalogMotifsOnSeededGraphs) {
   }
 }
 
-// reuse_matches {on, off} x engine pools {1, 2, 4, 8}: the parallel
-// path must equal the serial copying reference for interior and
-// non-interior motifs alike (the cross-graph cache serves both).
-TEST(SignificanceEquivalenceTest, ThreadAndReuseSweep) {
+// Pools {1, 2, 4, 8}: the parallel pass must equal the serial copying
+// reference for interior and non-interior motifs alike.
+TEST(SignificanceEquivalenceTest, PoolSizeSweep) {
   const std::vector<Motif> motifs = {*MotifCatalog::ByName("M(3,3)"),
                                      *MotifCatalog::ByName("M(4,3)"),
                                      *MotifCatalog::ByName("M(5,4)"),
                                      *MotifCatalog::ByName("M(4,4)C")};
   for (uint64_t seed : {3u, 11u, 27u}) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 70, 30);
-    for (const bool reuse : {true, false}) {
-      SignificanceAnalyzer::Options options = BaseOptions(seed);
-      options.reuse_matches = reuse;
-      for (const Motif& motif : motifs) {
-        const SignificanceAnalyzer::MotifReport expected =
-            ReferenceAnalyze(graph, motif, options);
-        for (const int threads : {1, 2, 4, 8}) {
-          ThreadPool pool(threads);
-          options.pool = &pool;
-          const SignificanceAnalyzer analyzer(graph, options);
-          ExpectReportsEqual(expected, analyzer.Analyze(motif),
-                             "seed=" + std::to_string(seed) +
-                                 " motif=" + motif.name() +
-                                 " reuse=" + std::to_string(reuse) +
-                                 " threads=" + std::to_string(threads));
-        }
-        options.pool = nullptr;
+    SignificanceAnalyzer::Options options = BaseOptions(seed);
+    for (const Motif& motif : motifs) {
+      const SignificanceAnalyzer::MotifReport expected =
+          ReferenceAnalyze(graph, motif, options);
+      for (const int threads : {1, 2, 4, 8}) {
+        ThreadPool pool(threads);
+        options.pool = &pool;
+        const SignificanceAnalyzer analyzer(graph, options);
+        ExpectReportsEqual(expected, analyzer.Analyze(motif),
+                           "seed=" + std::to_string(seed) +
+                               " motif=" + motif.name() +
+                               " threads=" + std::to_string(threads));
       }
+      options.pool = nullptr;
     }
   }
 }
@@ -265,12 +259,64 @@ TEST(SignificanceEquivalenceTest, ReplayOffAndForcedBypassMatchReference) {
     ExpectReportsEqual(expected, bypass_report, "budget bypass");
     EXPECT_FALSE(bypass_report.used_skeleton_replay);
 
-    // AnalyzeAll under a bypass budget takes its fallback lazily; the
-    // reports must be unchanged.
+    // AnalyzeAll under a bypass budget enumerates within its one pass;
+    // the reports must be unchanged.
     const std::vector<SignificanceAnalyzer::MotifReport> all =
         bypassed.AnalyzeAll({motif});
     ASSERT_EQ(all.size(), 1u);
     ExpectReportsEqual(expected, all[0], "AnalyzeAll budget bypass");
+  }
+}
+
+// One pass that replays some motifs and enumerates others: a trace
+// budget between the catalog's smallest and largest recordings bypasses
+// the motifs above it, and a general fan-out motif rides along. Every
+// AnalyzeAll report must equal the reference and the per-motif Analyze,
+// and used_skeleton_replay must name the path each motif took.
+TEST(SignificanceEquivalenceTest, MixedReplayAndEnumerationInOnePass) {
+  const TimeSeriesGraph graph = RandomGraph(23, 6, 90, 40);
+  SignificanceAnalyzer::Options options = BaseOptions(23);
+  std::vector<Motif> motifs(MotifCatalog::All());
+  motifs.push_back(*Motif::FromEdgeList({{0, 1}, {0, 2}}, "FanOut2"));
+
+  // Each motif's full trace size decides its path under the budget.
+  std::vector<size_t> edges;
+  for (const Motif& motif : motifs) {
+    EnumerationSkeleton skeleton;
+    ASSERT_TRUE(skeleton.Record(graph, motif, options.delta,
+                                StructuralMatcher(graph, motif)
+                                    .FindAllMatches()));
+    edges.push_back(skeleton.num_edges());
+  }
+  std::vector<size_t> sorted = edges;
+  std::sort(sorted.begin(), sorted.end());
+  options.max_skeleton_edges = sorted[sorted.size() / 2];
+  ASSERT_LT(sorted.front(), options.max_skeleton_edges);
+  ASSERT_GT(sorted.back(), options.max_skeleton_edges);
+
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    options.pool = &pool;
+    const SignificanceAnalyzer analyzer(graph, options);
+    const std::vector<SignificanceAnalyzer::MotifReport> reports =
+        analyzer.AnalyzeAll(motifs);
+    ASSERT_EQ(reports.size(), motifs.size());
+    for (size_t i = 0; i < motifs.size(); ++i) {
+      const std::string context =
+          motifs[i].name() + " threads=" + std::to_string(threads);
+      ExpectReportsEqual(ReferenceAnalyze(graph, motifs[i], options),
+                         reports[i], context);
+      ExpectReportsEqual(analyzer.Analyze(motifs[i]), reports[i],
+                         context + " vs Analyze");
+      EXPECT_EQ(reports[i].used_skeleton_replay,
+                edges[i] <= options.max_skeleton_edges)
+          << context;
+      EXPECT_EQ(reports[i].skeleton_edges,
+                reports[i].used_skeleton_replay
+                    ? static_cast<int64_t>(edges[i])
+                    : 0)
+          << context;
+    }
   }
 }
 

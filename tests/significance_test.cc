@@ -42,28 +42,6 @@ TEST(SignificanceTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.z_score, b.z_score);
 }
 
-TEST(SignificanceTest, MatchReuseDoesNotChangeCounts) {
-  // Structural matches are flow-independent, so reusing them must give
-  // identical counts to recomputing P1 on each permuted graph.
-  TimeSeriesGraph g = GenerateDataset(GetPreset(DatasetKind::kPassenger),
-                                      /*scale=*/0.1);
-  SignificanceAnalyzer::Options options;
-  options.num_random_graphs = 3;
-  options.seed = 11;
-  options.delta = 900;
-  options.phi = 2.0;
-
-  options.reuse_matches = true;
-  SignificanceAnalyzer with_reuse(g, options);
-  options.reuse_matches = false;
-  SignificanceAnalyzer without_reuse(g, options);
-
-  SignificanceAnalyzer::MotifReport a = with_reuse.Analyze(M33());
-  SignificanceAnalyzer::MotifReport b = without_reuse.Analyze(M33());
-  EXPECT_EQ(a.real_count, b.real_count);
-  EXPECT_EQ(a.random_counts, b.random_counts);
-}
-
 TEST(SignificanceTest, RealExceedsRandomOnCascadeData) {
   // The generators emit flow-conserving cascades, so real flow motifs
   // should out-count the flow-permuted graphs (the Fig. 14 effect).

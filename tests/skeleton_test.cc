@@ -21,7 +21,6 @@
 #include "core/motif_catalog.h"
 #include "core/skeleton.h"
 #include "core/structural_match.h"
-#include "core/window_cursor.h"
 #include "graph/interaction_graph.h"
 #include "graph/time_series_graph.h"
 #include "test_util.h"
@@ -81,10 +80,8 @@ TEST(SkeletonTest, ReplayMatchesEnumeratorOnPaperGraphs) {
       const StructuralMatcher matcher(graph, motif);
       const std::vector<MatchBinding> matches = matcher.FindAllMatches();
       for (const Timestamp delta : {0, 5, 10, 25}) {
-        SharedWindowCache cache(delta);
         EnumerationSkeleton skeleton;
-        ASSERT_TRUE(
-            skeleton.Record(graph, motif, delta, matches, &cache));
+        ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches));
         FlowPrefixArena arena;
         arena.FillFromGraph(graph);
         SkeletonReplayer replayer(&skeleton);
@@ -105,10 +102,8 @@ TEST(SkeletonTest, ReplayMatchesEnumeratorOnSeededRandomGraphs) {
       const StructuralMatcher matcher(graph, motif);
       const std::vector<MatchBinding> matches = matcher.FindAllMatches();
       for (const Timestamp delta : {4, 12}) {
-        SharedWindowCache cache(delta);
         EnumerationSkeleton skeleton;
-        ASSERT_TRUE(
-            skeleton.Record(graph, motif, delta, matches, &cache));
+        ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches));
         FlowPrefixArena arena;
         arena.FillFromGraph(graph);
         SkeletonReplayer replayer(&skeleton);
@@ -130,9 +125,8 @@ TEST(SkeletonTest, PhiSweepOnOneRecordingMatchesPerPhiEnumeration) {
   const std::vector<MatchBinding> matches = matcher.FindAllMatches();
   const Timestamp delta = 10;
 
-  SharedWindowCache cache(delta);
   EnumerationSkeleton skeleton;
-  ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches, &cache));
+  ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches));
   FlowPrefixArena arena;
   arena.FillFromGraph(graph);
   SkeletonReplayer replayer(&skeleton);
@@ -170,9 +164,8 @@ TEST(SkeletonTest, ReplayOnPermutedArenasMatchesEnumerationOnViews) {
   const Timestamp delta = 9;
   const Flow phi = 4.0;
 
-  SharedWindowCache cache(delta);
   EnumerationSkeleton skeleton;
-  ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches, &cache));
+  ASSERT_TRUE(skeleton.Record(graph, motif, delta, matches));
   SkeletonReplayer replayer(&skeleton);
   FlowPrefixArena arena;
 
