@@ -70,11 +70,11 @@ void PrintFooter(const QueryResult& result) {
               << " graph counts, " << result.wall_seconds << "s wall]\n";
     return;
   }
-  // The phase times sum the P1 shard and P2 batch tasks: the phases'
-  // wall times at one thread, overlapping sums across workers above it.
+  // P1 is the wall time of the scan before P2; P2 sums the batch tasks,
+  // its wall time at one thread and a sum across workers above it.
   std::cout << result.num_batches << " batches, " << result.wall_seconds
-            << "s wall, P1 " << result.stats.phase1_seconds << "s + P2 "
-            << result.stats.phase2_seconds << "s summed task time]\n";
+            << "s wall, P1 " << result.stats.phase1_seconds << "s scan + P2 "
+            << result.stats.phase2_seconds << "s summed batch time]\n";
 }
 
 }  // namespace

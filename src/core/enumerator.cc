@@ -45,6 +45,18 @@ struct FlowMotifEnumerator::Context {
   std::vector<size_t> level_limit;
   size_t level0_first = 0;
 
+  /// The per-match frame: the match's series, one slice and one cursor
+  /// per motif edge.
+  Context(const TimeSeriesGraph& graph, const Motif& motif, MatchRef b,
+          const InstanceVisitor& v, EnumerationResult* r)
+      : slices(static_cast<size_t>(motif.num_edges())),
+        binding(b),
+        visitor(&v),
+        result(r),
+        level_limit(static_cast<size_t>(motif.num_edges()), 0) {
+    ResolveMatchSeries(graph, motif, binding, &series);
+  }
+
   void AdvanceToWindow(const Window& w) {
     window = w;
     level0_first = series[0]->AdvanceLowerBound(level0_first, w.start);
@@ -171,78 +183,52 @@ SharedWindowCache::Reader FlowMotifEnumerator::NewReader() const {
 bool FlowMotifEnumerator::EnumerateMatch(
     MatchRef binding, const InstanceVisitor& visitor,
     EnumerationResult* result, SharedWindowCache::Reader* windows) const {
-  const int m = motif_.num_edges();
-  Context ctx;
-  ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
-  ctx.slices.resize(static_cast<size_t>(m));
-  ctx.level_limit.assign(static_cast<size_t>(m), 0);
-  ctx.binding = binding;
-  ctx.visitor = &visitor;
-  ctx.result = result;
-
+  Context ctx(graph_, motif_, binding, visitor, result);
   // The match's processed-window list; the reader keeps it valid for
   // the whole sweep below (the visitor never reads through it).
   std::optional<SharedWindowCache::Reader> one_match;
   if (windows == nullptr) windows = &one_match.emplace(NewReader());
   const std::vector<Window>& processed =
       windows->Get(*ctx.series.front(), *ctx.series.back());
-
-  if (options_.ablation_no_window_skip) {
-    // Ablation: run every anchor position; remember which ones the skip
-    // rule would have processed so redundant emissions can be counted.
-    const std::vector<Window> all_windows =
-        ComputeAllWindows(*ctx.series.front(), options_.delta);
-    size_t processed_cursor = 0;
-    result->num_windows_processed +=
-        static_cast<int64_t>(all_windows.size());
-    for (const Window& window : all_windows) {
-      if (ctx.stop) break;
-      while (processed_cursor < processed.size() &&
-             processed[processed_cursor].start < window.start) {
-        ++processed_cursor;
-      }
-      ctx.window_is_redundant =
-          processed_cursor >= processed.size() || !(processed[processed_cursor] == window);
-      ctx.AdvanceToWindow(window);
-      ctx.min_flow_so_far = std::numeric_limits<Flow>::infinity();
-      Recurse(&ctx, 0, window.start);
-    }
-    return !ctx.stop;
+  if (!options_.ablation_no_window_skip) {
+    return SweepWindows(&ctx, processed.data(),
+                        processed.data() + processed.size(), nullptr);
   }
-
-  result->num_windows_processed += static_cast<int64_t>(processed.size());
-  for (const Window& window : processed) {
-    if (ctx.stop) break;
-    ctx.AdvanceToWindow(window);
-    ctx.min_flow_so_far = std::numeric_limits<Flow>::infinity();
-    Recurse(&ctx, 0, window.start);
-  }
-  return !ctx.stop;
+  // Ablation: run every anchor position; remember which ones the skip
+  // rule would have processed so redundant emissions can be counted.
+  const std::vector<Window> all_windows =
+      ComputeAllWindows(*ctx.series.front(), options_.delta);
+  return SweepWindows(&ctx, all_windows.data(),
+                      all_windows.data() + all_windows.size(), &processed);
 }
 
 bool FlowMotifEnumerator::EnumerateMatchWindows(
     MatchRef binding, const Window* windows_begin,
     const Window* windows_end, const InstanceVisitor& visitor,
     EnumerationResult* result) const {
-  const int m = motif_.num_edges();
-  Context ctx;
-  ResolveMatchSeries(graph_, motif_, binding, &ctx.series);
-  ctx.slices.resize(static_cast<size_t>(m));
-  ctx.level_limit.assign(static_cast<size_t>(m), 0);
-  ctx.binding = binding;
-  ctx.visitor = &visitor;
-  ctx.result = result;
+  Context ctx(graph_, motif_, binding, visitor, result);
+  return SweepWindows(&ctx, windows_begin, windows_end, nullptr);
+}
 
-  result->num_windows_processed +=
-      static_cast<int64_t>(windows_end - windows_begin);
-  for (const Window* window = windows_begin; window != windows_end;
-       ++window) {
-    if (ctx.stop) break;
-    ctx.AdvanceToWindow(*window);
-    ctx.min_flow_so_far = std::numeric_limits<Flow>::infinity();
-    Recurse(&ctx, 0, window->start);
+bool FlowMotifEnumerator::SweepWindows(
+    Context* ctx, const Window* begin, const Window* end,
+    const std::vector<Window>* processed) const {
+  ctx->result->num_windows_processed += static_cast<int64_t>(end - begin);
+  size_t processed_cursor = 0;
+  for (const Window* window = begin; window != end && !ctx->stop; ++window) {
+    if (processed != nullptr) {
+      while (processed_cursor < processed->size() &&
+             (*processed)[processed_cursor].start < window->start) {
+        ++processed_cursor;
+      }
+      ctx->window_is_redundant = processed_cursor >= processed->size() ||
+                                 !((*processed)[processed_cursor] == *window);
+    }
+    ctx->AdvanceToWindow(*window);
+    ctx->min_flow_so_far = std::numeric_limits<Flow>::infinity();
+    Recurse(ctx, 0, window->start);
   }
-  return !ctx.stop;
+  return !ctx->stop;
 }
 
 EnumerationResult FlowMotifEnumerator::Run(

@@ -204,6 +204,12 @@ class FlowMotifEnumerator {
  private:
   struct Context;
 
+  /// The one window sweep of EnumerateMatch and EnumerateMatchWindows:
+  /// runs Algorithm 1 in every window of [begin, end) for the match
+  /// `ctx` was set up for. With `processed` set (the no-window-skip
+  /// ablation) it flags windows the skip rule would have dropped.
+  bool SweepWindows(Context* ctx, const Window* begin, const Window* end,
+                    const std::vector<Window>* processed) const;
   void Recurse(Context* ctx, int level, Timestamp lo) const;
   bool PassesFlowBound(Flow flow) const;
   void Emit(Context* ctx, Flow instance_flow) const;

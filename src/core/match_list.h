@@ -42,8 +42,9 @@ class MatchRef {
 /// occupies the `stride` entries starting at i * stride, stride being
 /// the motif's node count. Phase P1 appends to one of these with no
 /// allocation per match, and it is the engine's one match-list type —
-/// the executor's P1 shards, its existing-list input, RunSweep's shared
-/// list and the service's cached lists (DESIGN.md Sec. 5 and 11).
+/// the one list the executor runs, whether a run scanned it, the caller
+/// passed it, RunSweep shares it or the service cached it (DESIGN.md
+/// Sec. 5 and 11).
 /// About 4 bytes per vertex instead of a heap block per match.
 class MatchList {
  public:

@@ -4,6 +4,7 @@
 
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/partition.h"
 
 namespace flowmotif {
 
@@ -206,6 +207,13 @@ bool StructuralMatcher::IsMatch(const MatchBinding& binding) const {
   return true;
 }
 
+namespace {
+
+/// Appends the vertices of each match of work units `units` to `out` in
+/// serial order. Under a control each unit is preceded by a "p1.unit"
+/// check, and `cap` >= 0 ends the scan when a match arrives while `out`
+/// already holds `cap`. Returns false when the scan ended early either
+/// way; `out` then holds a canonical prefix of the units.
 bool ScanMatchUnits(const StructuralMatcher& matcher, IndexRange units,
                     QueryControl* control, int64_t cap, MatchList* out) {
   const StructuralMatcher::MatchVisitor push =
@@ -225,6 +233,8 @@ bool ScanMatchUnits(const StructuralMatcher& matcher, IndexRange units,
   }
   return true;
 }
+
+}  // namespace
 
 MatchList FindMatchesControlled(const StructuralMatcher& matcher,
                                 ThreadPool* pool, QueryControl* control) {

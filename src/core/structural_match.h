@@ -9,7 +9,6 @@
 #include "core/motif.h"
 #include "graph/time_series_graph.h"
 #include "util/cancellation.h"
-#include "util/partition.h"
 #include "util/thread_pool.h"
 
 namespace flowmotif {
@@ -38,9 +37,9 @@ namespace flowmotif {
 /// The search decomposes into independent *work units* — one candidate
 /// origin vertex for path motifs, one pair edge as the image of the
 /// first labeled edge for general motifs — which is what the flat scan
-/// below (ScanMatchUnits, FindMatchesControlled) partitions across
-/// workers: per-unit match lists concatenated in unit order reproduce
-/// the serial order exactly.
+/// below (FindMatchesControlled) partitions across workers: per-unit
+/// match lists concatenated in unit order reproduce the serial order
+/// exactly.
 class StructuralMatcher {
  public:
   /// Visitor invoked per match; return false to stop the search early.
@@ -97,28 +96,22 @@ class StructuralMatcher {
                        // temporaries
 };
 
-/// The one flat P1 scan, which every list-building path runs: the
-/// engine's streamed P1 shards, its scans before P2 and RunSweep's
-/// shared list, and the significance analyzer. Appends the vertices of
-/// each match of work units `units` to `out` in serial order, with no
-/// allocation per match. Under a control each unit is preceded by a
-/// "p1.unit" check, and `cap` >= 0 ends the scan when a match arrives
-/// while `out` already holds `cap`. Returns false when the scan ended
-/// early either way; `out` then holds a canonical prefix of the units.
-bool ScanMatchUnits(const StructuralMatcher& matcher, IndexRange units,
-                    QueryControl* control, int64_t cap, MatchList* out);
-
-/// Phase P1 into one list under an optional control (null = no
-/// checks). With WorkBudget::max_matches set the scan runs serially and
-/// truncates at exactly that many matches (a soft kBudgetExceeded at
-/// "p1.unit": callers still evaluate the prefix). Otherwise, on a pool
-/// of more than one thread, contiguous work-unit ranges — several per
-/// worker, so dynamic scheduling absorbs the match-density skew across
-/// units — are scanned as pool tasks and concatenated in range order,
-/// and a stop keeps the canonical prefix: every leading range plus the
-/// first stopped range's leading units. `pool` may be null (one serial
-/// scan). Byte-identical to FindAllMatches() when nothing stops it, for
-/// every thread count.
+/// The one flat P1 scan: phase P1 into one list under an optional
+/// control (null = no checks), appending each match's vertices with no
+/// allocation per match. Every list-building path runs it: a
+/// QueryEngine run's list before P2, RunSweep's shared list and the
+/// significance analyzer's per-motif lists. Each work unit is preceded
+/// by a "p1.unit" check. With WorkBudget::max_matches set the scan runs
+/// serially and truncates at exactly that many matches (a soft
+/// kBudgetExceeded at "p1.unit": callers still evaluate the prefix).
+/// Otherwise, on a pool of more than one thread, the work units are cut
+/// by PartitionIndexSpace into contiguous ranges — several per worker,
+/// so dynamic scheduling absorbs the match-density skew across units —
+/// scanned as one ParallelFor and concatenated in range order, and a
+/// stop keeps the canonical prefix: every leading range plus the first
+/// stopped range's leading units. `pool` may be null (one serial scan).
+/// Byte-identical to FindAllMatches() when nothing stops it, for every
+/// thread count.
 MatchList FindMatchesControlled(const StructuralMatcher& matcher,
                                 ThreadPool* pool, QueryControl* control);
 

@@ -187,10 +187,9 @@ int64_t ForEachMatch(const MatchList& matches, int64_t begin, int64_t end,
   return i;
 }
 
-/// Where a run's matches come from. With `list` null the executor
-/// streams P1 shards; otherwise the run covers the first `size` matches
-/// of `list` — the caller's list, a cached one, or one the run scanned
-/// before P2, in which case `p1_seconds` is the scan's time.
+/// A run's match list: the first `size` matches of `list` — the
+/// caller's list, a cached one, or the one the run scanned before P2, in
+/// which case `p1_seconds` is the scan's wall time.
 struct MatchSource {
   const MatchList* list = nullptr;
   int64_t size = 0;
@@ -198,16 +197,14 @@ struct MatchSource {
   std::shared_ptr<const MatchList> held;  // keeps a cached or scanned list
 };
 
-/// The match source of a Run (`list` null) or of a run over `list`.
-/// With a match-list cache (QueryOptions::match_list_cache) a hit hands
-/// over the cached list without a copy — under WorkBudget::max_matches
-/// only its first max_matches matches, marking kBudgetExceeded at
-/// "p1.unit" exactly when the list is longer, as the capped scan would
-/// — and a miss runs P1 to completion first, then publishes the list
-/// unless a stop cut it short. A max_matches run scans its capped
-/// prefix first and publishes nothing. Otherwise P1 streams.
-MatchSource SourceMatches(const TimeSeriesGraph& graph,
-                          const StructuralMatcher& matcher,
+/// The match list of a Run (`list` null) or of a run over `list`. With
+/// a match-list cache (QueryOptions::match_list_cache) a hit hands over
+/// the cached list without a copy — under WorkBudget::max_matches only
+/// its first max_matches matches, marking kBudgetExceeded at "p1.unit"
+/// exactly when the list is longer, as the capped scan would. Otherwise
+/// one FindMatchesControlled scan on the run's pool makes the list, and
+/// a cache gets it unless a cap or a stop cut it short.
+MatchSource SourceMatches(const TimeSeriesGraph& graph, const Motif& motif,
                           const MatchList* list, const QueryOptions& options,
                           ThreadPool* pool, QueryControl* control) {
   MatchSource source;
@@ -221,7 +218,7 @@ MatchSource SourceMatches(const TimeSeriesGraph& graph,
   MatchListCache* const cache = options.match_list_cache;
   const StorageIdentity topology = graph.topology_identity();
   if (cache != nullptr) {
-    source.held = cache->Find(matcher.motif(), topology);
+    source.held = cache->Find(motif, topology);
     if (source.held != nullptr) {
       source.list = source.held.get();
       source.size = source.list->size();
@@ -232,12 +229,10 @@ MatchSource SourceMatches(const TimeSeriesGraph& graph,
       }
       return source;
     }
-  } else if (max_matches < 0) {
-    return source;
   }
   WallTimer timer;
   auto scanned = std::make_shared<MatchList>(
-      FindMatchesControlled(matcher, pool, control));
+      FindMatchesControlled(StructuralMatcher(graph, motif), pool, control));
   source.p1_seconds = timer.ElapsedSeconds();
   // Only a complete list is published: never a max_matches prefix, and
   // never one a stop cut short (P2 has not started, so nothing but the
@@ -245,7 +240,7 @@ MatchSource SourceMatches(const TimeSeriesGraph& graph,
   if (cache != nullptr && max_matches < 0 &&
       (control == nullptr || !control->ShouldStop())) {
     scanned->ShrinkToFit();
-    cache->Insert(matcher.motif(), topology, scanned);
+    cache->Insert(motif, topology, scanned);
   }
   source.list = scanned.get();
   source.size = scanned->size();
@@ -260,7 +255,6 @@ struct ModeRun {
   const TimeSeriesGraph& graph;
   const Motif& motif;
   const QueryOptions& options;
-  const StructuralMatcher& matcher;
   const MatchSource& source;
   ThreadPool* pool;
   QueryControl* control;
@@ -286,11 +280,10 @@ struct ModeRun {
   /// reports the same way: the folded match prefix, the batch count,
   /// the phase times and the termination.
   void Execute(const BatchKernel& kernel) const {
-    const ExecutorStats run =
-        ExecuteBatches(matcher, source.list, source.size, options.batch_size,
-                       pool, control, kernel);
+    const ExecutorStats run = ExecuteBatches(
+        *source.list, source.size, options.batch_size, pool, control, kernel);
     result->stats.num_structural_matches = run.matches_done;
-    result->stats.phase1_seconds = source.p1_seconds + run.p1_seconds;
+    result->stats.phase1_seconds = source.p1_seconds;
     result->stats.phase2_seconds = run.p2_seconds;
     result->num_batches = run.num_batches;
     if (control != nullptr) {
@@ -308,8 +301,7 @@ void EnumerateBatches(const ModeRun& run) {
                                        run.Enumeration());
   const int64_t limit = run.options.collect_limit;
   QueryResult* const result = run.result;
-  run.Execute([&](int64_t, const MatchList& matches, int64_t begin,
-                  int64_t end) {
+  run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     EnumerationResult stats;
     SharedWindowCache::Reader windows = run.NewReader();
     std::vector<MotifInstance> collected;
@@ -346,8 +338,7 @@ void CountBatches(const ModeRun& run) {
   const InstanceCounter counter(run.graph, run.motif, run.options.delta,
                                 run.options.phi, run.cache);
   QueryResult* const result = run.result;
-  run.Execute([&](int64_t, const MatchList& matches, int64_t begin,
-                  int64_t end) {
+  run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     InstanceCounter::Result counts;
     SharedWindowCache::Reader windows = run.NewReader();
     const int64_t processed = ForEachMatch(
@@ -379,8 +370,7 @@ void TopKBatches(const ModeRun& run) {
   SharedFlowThreshold shared(k);
   TopKCollector global(k);
   QueryResult* const result = run.result;
-  run.Execute([&](int64_t first, const MatchList& matches, int64_t begin,
-                  int64_t end) {
+  run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     std::optional<SharedFlowThreshold> own;
     SharedFlowThreshold* const threshold =
         run.control != nullptr ? &own.emplace(k) : &shared;
@@ -398,7 +388,7 @@ void TopKBatches(const ModeRun& run) {
           enumerator.EnumerateMatch(
               match,
               [&](const InstanceView& view) {
-                local.Offer(view.flow, DiscoveryRank{first + i, emit_index++},
+                local.Offer(view.flow, DiscoveryRank{begin + i, emit_index++},
                             view);
                 threshold->Observe(view.flow);
                 return true;
@@ -424,8 +414,7 @@ void Top1Batches(const ModeRun& run) {
   const MaxFlowDpSearcher searcher(run.graph, run.motif, run.options.delta,
                                    run.cache);
   MaxFlowDpSearcher::Result best;
-  run.Execute([&](int64_t, const MatchList& matches, int64_t begin,
-                  int64_t end) {
+  run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     MaxFlowDpSearcher::Scratch scratch;
     MaxFlowDpSearcher::Result out =
         searcher.RunOnMatches(matches, begin, end, &scratch, run.control);
@@ -618,10 +607,9 @@ void QueryEngine::RunMode(const Motif& motif, const MatchList* list,
   if (cache == nullptr && MotifHasInteriorNode(motif)) {
     cache = &per_query.emplace(options.delta);
   }
-  const StructuralMatcher matcher(graph_, motif);
   const MatchSource source =
-      SourceMatches(graph_, matcher, list, options, pool, control);
-  const ModeRun run{graph_, motif,   options, matcher, source,
+      SourceMatches(graph_, motif, list, options, pool, control);
+  const ModeRun run{graph_, motif,   options, source,
                     pool,   control, cache,   result};
   switch (options.mode) {
     case QueryMode::kEnumerate:

@@ -25,14 +25,13 @@ namespace flowmotif {
 struct QueryResult {
   QueryMode mode = QueryMode::kEnumerate;
 
-  /// Unified counters. The phase timers are summed task time on every
-  /// path: phase1_seconds adds up the P1 shard tasks (0 for
-  /// RunOnMatches, and 0 when the match list came from
-  /// QueryOptions::match_list_cache) and phase2_seconds the folded P2
-  /// batches, so at one thread they are the phases' wall times and
-  /// never exceed wall_seconds, while at more threads they are CPU-like
-  /// sums across workers (the phases overlap). wall_seconds below is
-  /// always the end-to-end time. In kTopK mode num_instances is the
+  /// Unified counters. phase1_seconds is the wall time of the P1 scan
+  /// before P2 on every path (0 for RunOnMatches, and 0 when the match
+  /// list came from QueryOptions::match_list_cache); phase2_seconds sums
+  /// the folded P2 batches, so at one thread it is P2's wall time and
+  /// the two never exceed wall_seconds, while at more threads it is a
+  /// CPU-like sum across workers. wall_seconds below is always the
+  /// end-to-end time. In kTopK mode num_instances is the
   /// number of returned entries (== topk.size()) and num_phi_prunes is
   /// 0: the floating threshold makes the raw survivor/prune counts
   /// depend on how fast it tightened, so that execution-dependent
@@ -113,19 +112,17 @@ struct SweepResult {
 /// QueryOptions struct.
 ///
 /// Execution is the paper's two-phase algorithm, parallel in both
-/// phases, and every P2 mode runs through one executor
-/// (engine/executor.h): a batch kernel over contiguous match runs plus
-/// a fold that merges batch outputs in serial match order. Phase P1
-/// decomposes into StructuralMatcher work units (origins / first-edge
-/// images) scanned in shards; released in canonical order, the shards
-/// stream straight into P2 batches on the same worker pool, with no
-/// barrier between the phases. RunOnMatches, RunSweep's fallback cells
-/// and a QueryOptions::match_list_cache hit hand an existing flat
-/// MatchList to the same executor. Every batch
-/// fills local state (an EnumerationResult, a bounded top-k collector,
-/// a DP incumbent) that is folded deterministically, so results are
-/// byte-identical across thread counts — the parallel-vs-serial
-/// equivalence property test locks this in.
+/// phases. Every run first has one flat MatchList: the caller's
+/// (RunOnMatches, RunSweep's fallback cells), a
+/// QueryOptions::match_list_cache hit, or one pooled P1 scan
+/// (FindMatchesControlled over StructuralMatcher work units). Then
+/// every P2 mode runs that list through one executor
+/// (engine/executor.h): a batch kernel over contiguous match ranges
+/// plus a fold that merges batch outputs in serial match order. Every
+/// batch fills local state (an EnumerationResult, a bounded top-k
+/// collector, a DP incumbent) that is folded deterministically, so
+/// results are byte-identical across thread counts — the
+/// parallel-vs-serial equivalence property test locks this in.
 ///
 /// Thread-compatible: one engine may serve concurrent Run calls, since
 /// all mutable state is per-call. The engine itself is a stateless
@@ -180,8 +177,8 @@ class QueryEngine {
  private:
   /// Runs one P2 mode (kEnumerate, kCount, kTopK or kTop1) through the
   /// executor (engine/executor.h) over `list`; when `list` is null,
-  /// over the list QueryOptions::match_list_cache holds or gets, or
-  /// over streamed P1 shards.
+  /// over the list QueryOptions::match_list_cache holds, else over the
+  /// list one P1 scan on `pool` makes.
   void RunMode(const Motif& motif, const MatchList* list,
                const QueryOptions& options, ThreadPool* pool,
                QueryControl* control, QueryResult* result) const;

@@ -50,12 +50,12 @@ struct QueryOptions {
   int num_random_graphs = 20;
   uint64_t seed = 1;
 
-  /// Worker threads for phase P2. 1 = serial reference path; 0 = one
+  /// Worker threads for both phases. 1 = serial reference path; 0 = one
   /// per hardware thread. Results are byte-identical for every value.
   int num_threads = 1;
 
-  /// Structural matches per parallel batch; 0 derives a size that gives
-  /// each thread several batches for load balancing.
+  /// Structural matches per P2 batch; 0 derives the size: one batch at
+  /// one thread, about eight per thread otherwise (PartitionIndexSpace).
   int64_t batch_size = 0;
 
   /// kSignificance and RunSweep: use record-once / replay-many

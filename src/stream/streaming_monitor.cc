@@ -291,9 +291,9 @@ StreamingMotifMonitor::EpochStats StreamingMotifMonitor::SealEpoch(
     // monotone across segments (an instance hot for many epochs can
     // settle with an old end time), so this pops a prefix only; live
     // counts binary-search inside survivors either way.
-    const Timestamp watermark = log_.watermark();
-    while (!horizon_.empty() &&
-           horizon_.front().max_end <= watermark - options_.horizon) {
+    const std::optional<Timestamp> cutoff = HorizonCutoff();
+    while (cutoff.has_value() && !horizon_.empty() &&
+           horizon_.front().max_end <= *cutoff) {
       horizon_.pop_front();
     }
   }
@@ -413,15 +413,24 @@ void StreamingMotifMonitor::OfferSettled(Flow flow, size_t match_id,
   }
 }
 
+std::optional<Timestamp> StreamingMotifMonitor::HorizonCutoff() const {
+  // An empty log's watermark is the Timestamp minimum, and appends may
+  // lie within `horizon` of it: there watermark - horizon is below the
+  // time axis, and every instance is still live.
+  const Timestamp watermark = log_.watermark();
+  if (watermark < std::numeric_limits<Timestamp>::min() + options_.horizon) {
+    return std::nullopt;
+  }
+  return watermark - options_.horizon;
+}
+
 int64_t StreamingMotifMonitor::LiveInstances() const {
   if (options_.horizon <= 0) return TotalInstances();
-  const Timestamp watermark = log_.watermark();
-  // An instance is live while EndTime > watermark - horizon. Guard the
-  // subtraction: an empty log's watermark is the Timestamp minimum.
-  const Timestamp cutoff =
-      watermark < std::numeric_limits<Timestamp>::min() + options_.horizon
-          ? std::numeric_limits<Timestamp>::min()
-          : watermark - options_.horizon;
+  const std::optional<Timestamp> found = HorizonCutoff();
+  // No cutoff now means none ever was (the watermark never falls), so
+  // nothing has expired.
+  if (!found.has_value()) return TotalInstances();
+  const Timestamp cutoff = *found;
   int64_t live = 0;
   for (const HorizonSegment& segment : horizon_) {
     if (segment.max_end <= cutoff) continue;

@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -234,6 +235,10 @@ class StreamingMotifMonitor {
                      size_t b_match, int64_t b_emit) const;
   void OfferSettled(Flow flow, size_t match_id, int64_t emit_index,
                     Timestamp end, const InstanceView& view);
+  /// watermark - horizon (horizon > 0): an instance is live while its
+  /// EndTime exceeds this. Empty while it lies below the Timestamp
+  /// minimum, where no instance has aged out.
+  std::optional<Timestamp> HorizonCutoff() const;
 
   Motif motif_;
   StreamOptions options_;

@@ -9,8 +9,8 @@ namespace flowmotif {
 namespace {
 /// Target ranges per worker when the size is derived: enough slack for
 /// dynamic load balancing, few enough that per-range bookkeeping (a
-/// local result, a local top-k collector, a match shard buffer) stays
-/// negligible.
+/// local result, a local top-k collector, a P1 range's match buffer)
+/// stays negligible.
 constexpr int64_t kRangesPerWorker = 8;
 }  // namespace
 

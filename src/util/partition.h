@@ -16,12 +16,13 @@ struct IndexRange {
 };
 
 /// Partitions [0, n) into contiguous ranges for `num_workers` threads.
-/// With `chunk_size` == 0 the size is derived so each worker gets
-/// several ranges (dynamic scheduling then absorbs work items of very
-/// different cost). Ranges are returned in index order; merging
-/// per-range outputs in that order reproduces serial processing order.
-/// This is the single source of the chunking heuristic shared by the
-/// engine's P2 match batching and StructuralMatcher's parallel P1.
+/// With `chunk_size` == 0 the size is derived: one range at one worker,
+/// otherwise about eight per worker (dynamic scheduling then absorbs
+/// work items of very different cost). Ranges are returned in index
+/// order; merging per-range outputs in that order reproduces serial
+/// processing order. This is the single source of the chunking
+/// heuristic shared by the executor's P2 batches (engine/executor.h)
+/// and the pooled P1 scan (FindMatchesControlled).
 std::vector<IndexRange> PartitionIndexSpace(int64_t n, int num_workers,
                                             int64_t chunk_size = 0);
 

@@ -83,19 +83,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::SubmitFront(std::function<void()> task) {
-  if (num_threads_ == 1) {
-    RunTask(task);
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_front(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
 void ThreadPool::Wait() {
   if (num_threads_ == 1) return;
   std::unique_lock<std::mutex> lock(mu_);

@@ -13,12 +13,15 @@
 
 namespace flowmotif {
 
-/// A fixed-size worker pool for the engine's match-parallel execution
-/// path. The codebase reports errors through Status, but a task that
-/// does throw is caught at the task boundary instead of terminating
-/// the process: the first exception is recorded as an Internal Status
-/// (readable via TakeFirstError()), later tasks still run, and the
-/// pool stays serviceable for subsequent queries.
+/// A fixed-size worker pool. The engine's parallel phases — the pooled
+/// P1 scan, the P2 batches and significance's ensemble waves — each run
+/// as one ParallelFor; QueryService's workers are Submit tasks that
+/// submit the next admitted request. The codebase reports errors
+/// through Status, but a task that does throw is caught at the task
+/// boundary instead of terminating the process: the first exception is
+/// recorded as an Internal Status (readable via TakeFirstError()),
+/// later tasks still run, and the pool stays serviceable for subsequent
+/// queries.
 ///
 /// With num_threads == 1 no worker threads are spawned at all and every
 /// task runs inline on the submitting thread, so the serial path has
@@ -40,14 +43,6 @@ class ThreadPool {
 
   /// Enqueues one task. Thread-safe.
   void Submit(std::function<void()> task);
-
-  /// Enqueues one task at the *front* of the queue, ahead of all queued
-  /// work. Chained pipeline stages use this so downstream tasks (the
-  /// engine's P2 batches) run before the remaining upstream fan-out
-  /// (queued P1 shards) instead of being starved behind it in FIFO
-  /// order — which is what bounds the pipeline's in-flight buffering.
-  /// With num_threads == 1 it runs inline, exactly like Submit.
-  void SubmitFront(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.
   void Wait();

@@ -247,10 +247,9 @@ TEST(CounterEquivalenceTest, SingleElementSeries) {
 }
 
 TEST(CounterEquivalenceTest, EngineCountMatchesReferenceAcrossThreads) {
-  // The engine's kCount paths — barrier and streamed, both reading
-  // window lists through the per-query SharedWindowCache from
-  // concurrent workers — must reproduce the naive reference for every
-  // thread count.
+  // The engine's kCount batches, reading window lists through the
+  // per-query SharedWindowCache from concurrent workers, must reproduce
+  // the naive reference for every thread count.
   for (uint64_t seed : {7u, 21u}) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 90, 50);
     for (const char* name : {"M(3,2)", "M(3,3)", "M(4,3)", "M(5,4)"}) {

@@ -368,9 +368,8 @@ TEST(DpEquivalenceTest, SingleElementSeries) {
 }
 
 TEST(DpEquivalenceTest, EngineTop1MatchesReferenceAcrossThreads) {
-  // The engine's kTop1 paths (barrier and streamed, with the per-batch
-  // scratch pool) must reproduce the naive reference for every thread
-  // count.
+  // The engine's kTop1 batches, each on its own DP scratch, must
+  // reproduce the naive reference for every thread count.
   for (uint64_t seed : {7u, 21u}) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 90, 50);
     for (const char* name : {"M(3,2)", "M(3,3)", "M(4,3)"}) {

@@ -6,9 +6,9 @@
 // results, and leave the engine fully serviceable — a clean follow-up
 // query must be byte-identical to one on a fresh engine. Budget,
 // deadline, pre-cancelled-token, and async cancellation races are
-// covered without failpoints; the streamed-pipeline race at
-// batch_size = 1 is the TSan target for the deterministic-prefix
-// guarantee.
+// covered without failpoints; the async-cancel race against the
+// pooled P1 scan and the P2 batches at batch_size = 1 is the TSan
+// target for the deterministic-prefix guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,8 +37,8 @@ struct Workload {
 };
 
 /// One shared moderately sized workload: hundreds of interactions and
-/// enough structural matches that prefixes, batches, and parallel
-/// shards are all non-trivial.
+/// enough structural matches that prefixes, batches, and parallel P1
+/// ranges are all non-trivial.
 const Workload& SharedWorkload() {
   static const Workload* workload = [] {
     const DatasetPreset& preset = AllPresets().front();
@@ -263,8 +263,8 @@ TEST_F(FaultInjectionTest, MidRunStopExposesExactSerialPrefix) {
 }
 
 TEST_F(FaultInjectionTest, MaxMatchesBudgetTruncatesToExactPrefix) {
-  // The budgeted P1 scan hands its list to the executor as one shard;
-  // every P2 mode must then run exactly over that prefix.
+  // The budgeted P1 scan hands its capped list to the executor; every
+  // P2 mode must then run exactly over that prefix.
   const Workload& w = SharedWorkload();
   const QueryEngine engine(w.graph);
   const StructuralMatcher matcher(w.graph, w.motif);
@@ -329,6 +329,66 @@ TEST_F(FaultInjectionTest, MaxMatchesBudgetTruncatesToExactPrefix) {
     const QueryResult counted = engine.Run(w.motif, count);
     EXPECT_EQ(counted.termination.code, TerminationCode::kBudgetExceeded);
     EXPECT_EQ(result.significance.real_count, counted.stats.num_instances);
+  }
+}
+
+TEST_F(FaultInjectionTest, P1HardStopFoldsNothingOnEveryEntryPoint) {
+  // A hard stop inside the P1 scan leaves an incomplete match list, and
+  // P2 starts only after the scan: no P2 mode folds any of it, at any
+  // thread count, just as RunSweep validates no cell and significance
+  // completes no graph.
+  const Workload& w = SharedWorkload();
+  const QueryEngine engine(w.graph);
+  failpoint::Config config;
+  config.action = failpoint::Action::kCancel;
+  config.hits_before_trigger = 200;
+
+  for (int threads : {1, 4}) {
+    for (QueryMode mode :
+         {QueryMode::kEnumerate, QueryMode::kCount, QueryMode::kTopK,
+          QueryMode::kTop1, QueryMode::kSignificance}) {
+      const std::string context =
+          "mode=" + std::to_string(static_cast<int>(mode)) +
+          " threads=" + std::to_string(threads);
+      SCOPED_TRACE(context);
+      QueryOptions options;
+      options.mode = mode;
+      options.delta = w.delta;
+      options.collect_limit = -1;
+      options.k = 5;
+      options.num_random_graphs = 3;
+      options.num_threads = threads;
+      failpoint::Arm(failpoint::kP1Unit, config);
+      const QueryResult result = engine.Run(w.motif, options);
+      failpoint::DisarmAll();
+
+      ASSERT_EQ(result.termination.code, TerminationCode::kCancelled);
+      EXPECT_EQ(result.termination.stopped_at, failpoint::kP1Unit);
+      EXPECT_EQ(result.termination.work_completed, 0);
+      EXPECT_EQ(result.stats.num_instances, 0);
+      EXPECT_TRUE(result.instances.empty());
+      EXPECT_TRUE(result.topk.empty());
+      EXPECT_FALSE(result.top1.found);
+      if (mode == QueryMode::kSignificance) {
+        EXPECT_EQ(result.significance.graphs_completed, 0);
+      } else {
+        EXPECT_EQ(result.stats.num_structural_matches, 0);
+      }
+    }
+
+    SweepQuery sweep;
+    sweep.deltas = {w.delta};
+    sweep.phis = {0.0, 1.0};
+    QueryOptions options;
+    options.num_threads = threads;
+    failpoint::Arm(failpoint::kP1Unit, config);
+    const SweepResult swept = engine.RunSweep(w.motif, sweep, options);
+    failpoint::DisarmAll();
+    SCOPED_TRACE("sweep threads=" + std::to_string(threads));
+    ASSERT_EQ(swept.termination.code, TerminationCode::kCancelled);
+    EXPECT_EQ(swept.termination.stopped_at, failpoint::kP1Unit);
+    EXPECT_EQ(swept.termination.work_completed, 0);
+    for (const uint8_t valid : swept.cell_valid) EXPECT_EQ(valid, 0);
   }
 }
 
@@ -506,9 +566,10 @@ TEST_F(FaultInjectionTest, PreCancelledTokenStopsImmediately) {
 }
 
 TEST_F(FaultInjectionTest, AsyncCancelRacingStreamedPipelineIsPrefixExact) {
-  // The TSan target: a foreign thread cancels while the streamed P1→P2
-  // pipeline is mid-flight at batch_size = 1. Whatever the stop point,
-  // the result must be a clean serial prefix — never a torn merge.
+  // The TSan target: a foreign thread cancels while the pooled P1 scan
+  // or the P2 batches at batch_size = 1 are mid-flight. Whatever the
+  // stop point, the result must be a clean serial prefix — never a torn
+  // merge.
   const Workload& w = SharedWorkload();
   const QueryEngine engine(w.graph);
   const StructuralMatcher matcher(w.graph, w.motif);

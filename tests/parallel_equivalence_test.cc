@@ -1,6 +1,6 @@
 // The engine's central promise: parallelism — in phase P1 (structural
-// matching) and phase P2 alike, including the streamed P1→P2 pipeline —
-// never changes any result. For random graphs from the gen/ presets and
+// matching) and in the phase-P2 batches over its list alike — never
+// changes any result. For random graphs from the gen/ presets and
 // threads in {1, 2, 4, 8}, every mode must produce byte-identical
 // output — the same instance sets, the same deterministic counters, the
 // same top-k entries — with the single documented exception of the
@@ -131,8 +131,9 @@ TEST(ParallelEquivalenceTest, MatchListCacheNeverChangesResults) {
 }
 
 TEST(ParallelEquivalenceTest, StreamedCountersIdenticalAcrossThreadCounts) {
-  // collect_limit == 0 routes threads > 1 through the streamed P1→P2
-  // pipeline; all deterministic counters must match the serial run.
+  // collect_limit == 0 keeps only counters: at threads > 1 the pooled
+  // scan and out-of-order P2 batches must still match every
+  // deterministic counter of the serial run.
   for (const Workload& w : Workloads()) {
     QueryEngine engine(w.graph);
     QueryOptions options;
@@ -145,15 +146,15 @@ TEST(ParallelEquivalenceTest, StreamedCountersIdenticalAcrossThreadCounts) {
     const QueryResult serial = engine.Run(w.motif, options);
     for (int threads : kThreadCounts) {
       options.num_threads = threads;
-      const QueryResult streamed = engine.Run(w.motif, options);
-      ASSERT_EQ(streamed.stats.num_instances, serial.stats.num_instances)
+      const QueryResult parallel = engine.Run(w.motif, options);
+      ASSERT_EQ(parallel.stats.num_instances, serial.stats.num_instances)
           << w.motif.name() << " threads=" << threads;
-      ASSERT_EQ(streamed.stats.num_structural_matches,
+      ASSERT_EQ(parallel.stats.num_structural_matches,
                 serial.stats.num_structural_matches);
-      ASSERT_EQ(streamed.stats.num_windows_processed,
+      ASSERT_EQ(parallel.stats.num_windows_processed,
                 serial.stats.num_windows_processed);
-      ASSERT_EQ(streamed.stats.num_phi_prunes, serial.stats.num_phi_prunes);
-      ASSERT_EQ(streamed.stats.num_domination_skips,
+      ASSERT_EQ(parallel.stats.num_phi_prunes, serial.stats.num_phi_prunes);
+      ASSERT_EQ(parallel.stats.num_domination_skips,
                 serial.stats.num_domination_skips);
     }
   }
@@ -190,9 +191,9 @@ TEST(ParallelEquivalenceTest, EnumerateIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEquivalenceTest, StreamedEnumerateWithCollectLimitStaysIdentical) {
-  // threads > 1 with a collect limit routes through the streamed P1→P2
-  // pipeline (shards released out of order): the collected prefix must
-  // still be the serial discovery-order prefix, exactly.
+  // threads > 1 with a collect limit: P2 batches finish out of order,
+  // yet the collected prefix must still be the serial discovery-order
+  // prefix, exactly.
   for (const Workload& w : Workloads()) {
     QueryEngine engine(w.graph);
     QueryOptions options;
@@ -209,12 +210,12 @@ TEST(ParallelEquivalenceTest, StreamedEnumerateWithCollectLimitStaysIdentical) {
         // Tiny batches on the larger thread count stress the
         // out-of-order merge far harder than the derived size.
         options.batch_size = threads == 8 ? 1 : 0;
-        const QueryResult streamed = engine.Run(w.motif, options);
-        ASSERT_EQ(streamed.instances, serial.instances)
+        const QueryResult parallel = engine.Run(w.motif, options);
+        ASSERT_EQ(parallel.instances, serial.instances)
             << w.motif.name() << " threads=" << threads
             << " limit=" << limit;
-        ASSERT_EQ(streamed.stats.num_instances, serial.stats.num_instances);
-        ASSERT_EQ(streamed.stats.num_structural_matches,
+        ASSERT_EQ(parallel.stats.num_instances, serial.stats.num_instances);
+        ASSERT_EQ(parallel.stats.num_structural_matches,
                   serial.stats.num_structural_matches);
       }
     }

@@ -173,9 +173,9 @@ TEST(QueryEngineTest, SignificanceAgreesWithAnalyzer) {
 }
 
 TEST(QueryEngineTest, RunOnMatchesAgreesWithRun) {
-  // The executor's two sources — P1 shards (Run) and an existing list
-  // (RunOnMatches) — must give the same payload at every thread count
-  // and batch layout.
+  // A list Run scans itself and the caller's list (RunOnMatches) run
+  // through the same executor: the same payload and the same batch
+  // layout at every thread count and batch size.
   const TimeSeriesGraph paper = testing_util::PaperFig2Graph();
   const DatasetPreset& preset = AllPresets().front();
   const TimeSeriesGraph generated = GenerateDataset(preset, 0.05);
@@ -231,6 +231,7 @@ TEST(QueryEngineTest, RunOnMatchesAgreesWithRun) {
           EXPECT_EQ(via_matches.top1.max_flow, via_run.top1.max_flow);
           EXPECT_EQ(via_matches.top1.best, via_run.top1.best);
           EXPECT_EQ(via_matches.top1.binding, via_run.top1.binding);
+          EXPECT_EQ(via_matches.num_batches, via_run.num_batches);
           // Only Run has a P1 phase to time.
           EXPECT_EQ(via_matches.stats.phase1_seconds, 0.0);
         }
@@ -240,10 +241,10 @@ TEST(QueryEngineTest, RunOnMatchesAgreesWithRun) {
 }
 
 TEST(QueryEngineTest, OneThreadRunIsOneBatchWithinWallTime) {
-  // At one thread the executor scans P1 as one shard and runs P2 as one
-  // batch — the layout the serving path relies on — so the summed phase
-  // task times are the phases' wall times and fit in the end-to-end
-  // time, with or without an active (never-tripping) control.
+  // At one thread a run scans P1 in one pass and runs P2 as one batch —
+  // the layout the serving path relies on — so the phase times are the
+  // phases' wall times and fit in the end-to-end time, with or without
+  // an active (never-tripping) control.
   const TimeSeriesGraph g = testing_util::PaperFig7Graph();
   const QueryEngine engine(g);
   for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,

@@ -5,13 +5,16 @@
 // timestamps, growing vertex sets, optional static seeds) are replayed
 // edge for edge into both sides; counts, top-k entries, and
 // sliding-horizon live counts are compared per epoch, with the batch
-// side run at 1 and 4 threads. A brute-force EndTime filter over the
-// fully materialized instance set checks horizon expiry independently.
+// side run at 1 and 4 threads. Every schedule also runs shifted to the
+// bottom of the time axis. A brute-force EndTime filter over the fully
+// materialized instance set checks horizon expiry independently.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/motif_catalog.h"
@@ -63,6 +66,23 @@ Schedule MakeSchedule(uint64_t seed_value) {
   for (std::vector<InteractionGraph::Edge>& epoch : schedule.epochs) {
     const size_t n = 1 + rng() % 10;
     for (size_t i = 0; i < n; ++i) epoch.push_back(random_edge());
+  }
+  return schedule;
+}
+
+/// The same schedule at the bottom of the time axis: every time shifted
+/// so the first is the Timestamp minimum, where watermark - horizon
+/// leaves the range.
+Schedule AtTimeAxisBottom(Schedule schedule) {
+  const Timestamp first = schedule.seed.empty()
+                              ? schedule.epochs.front().front().t
+                              : schedule.seed.front().t;
+  const auto shift = [first](InteractionGraph::Edge& e) {
+    e.t = std::numeric_limits<Timestamp>::min() + (e.t - first);
+  };
+  for (InteractionGraph::Edge& e : schedule.seed) shift(e);
+  for (std::vector<InteractionGraph::Edge>& epoch : schedule.epochs) {
+    for (InteractionGraph::Edge& e : epoch) shift(e);
   }
   return schedule;
 }
@@ -139,10 +159,14 @@ void ExpectEpochMatchesBatch(const StreamingMotifMonitor& monitor,
     qopts.phi = sopts.phi;
     qopts.collect_limit = -1;
     const QueryResult all = engine.Run(motif, qopts);
-    const Timestamp cutoff = monitor.watermark() - sopts.horizon;
+    // Every instance is live while watermark - horizon lies below the
+    // time axis, so the subtraction runs only once it is in range.
+    const Timestamp watermark = monitor.watermark();
+    const bool all_live =
+        watermark < std::numeric_limits<Timestamp>::min() + sopts.horizon;
     int64_t live = 0;
     for (const MotifInstance& instance : all.instances) {
-      if (instance.EndTime() > cutoff) ++live;
+      if (all_live || instance.EndTime() > watermark - sopts.horizon) ++live;
     }
     ASSERT_EQ(monitor.LiveInstances(), live) << label;
   } else {
@@ -161,9 +185,12 @@ std::vector<StreamCase> StreamCases() {
   // Path motifs take the incremental affected-origin rescan; the
   // general fan-out forces the full-P1 topology refresh. phi > 0 cases
   // exercise flow pruning inside the settled/hot enumeration split;
-  // horizon > 0 cases exercise the expiry ring buffer.
+  // horizon > 0 cases exercise the expiry ring buffer. Only a one-edge
+  // instance can end at a schedule's first time, the Timestamp minimum
+  // once shifted.
   return {
       {*Motif::Parse("0-1", "M(2,1)"), 8, 0.0, 0},
+      {*Motif::Parse("0-1", "M(2,1)"), 8, 0.0, 10},
       {*MotifCatalog::ByName("M(3,2)"), 10, 0.0, 12},
       {*MotifCatalog::ByName("M(3,3)"), 14, 0.0, 0},
       {*MotifCatalog::ByName("M(3,2)"), 10, 6.0, 9},
@@ -171,46 +198,55 @@ std::vector<StreamCase> StreamCases() {
   };
 }
 
-TEST(StreamEquivalenceTest, EveryEpochMatchesBatchOnPrefixGraph) {
-  // ~50 seeded schedules; each runs every case through every epoch.
-  for (uint64_t seed = 1; seed <= 50; ++seed) {
-    const Schedule schedule = MakeSchedule(seed);
-    for (const StreamCase& c : StreamCases()) {
-      StreamOptions sopts;
-      sopts.delta = c.delta;
-      sopts.phi = c.phi;
-      sopts.k = 5;
-      sopts.horizon = c.horizon;
+/// Replays `schedule` through a monitor per stream case, checking every
+/// sealed epoch against batch runs.
+void ExpectScheduleMatchesBatch(const Schedule& schedule,
+                                const std::string& name) {
+  for (const StreamCase& c : StreamCases()) {
+    StreamOptions sopts;
+    sopts.delta = c.delta;
+    sopts.phi = c.phi;
+    sopts.k = 5;
+    sopts.horizon = c.horizon;
 
-      InteractionGraph seed_graph;
-      for (const InteractionGraph::Edge& e : schedule.seed) {
-        const Status status = seed_graph.AddEdge(e.src, e.dst, e.t, e.f);
-        ASSERT_TRUE(status.ok()) << status;
-      }
-      StreamingMotifMonitor monitor(c.motif, sopts, seed_graph);
-
-      std::vector<InteractionGraph::Edge> prefix = schedule.seed;
-      if (!prefix.empty()) {
-        ExpectEpochMatchesBatch(
-            monitor, c.motif, prefix,
-            "seed=" + std::to_string(seed) + " motif=" + c.motif.name() +
-                " epoch=0");
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-      for (size_t epoch = 0; epoch < schedule.epochs.size(); ++epoch) {
-        for (const InteractionGraph::Edge& e : schedule.epochs[epoch]) {
-          monitor.Append(e);
-          prefix.push_back(e);
-        }
-        const StreamingMotifMonitor::EpochStats stats = monitor.SealEpoch();
-        ASSERT_EQ(stats.num_appended, schedule.epochs[epoch].size());
-        ExpectEpochMatchesBatch(
-            monitor, c.motif, prefix,
-            "seed=" + std::to_string(seed) + " motif=" + c.motif.name() +
-                " epoch=" + std::to_string(epoch + 1));
-        if (::testing::Test::HasFatalFailure()) return;
-      }
+    InteractionGraph seed_graph;
+    for (const InteractionGraph::Edge& e : schedule.seed) {
+      const Status status = seed_graph.AddEdge(e.src, e.dst, e.t, e.f);
+      ASSERT_TRUE(status.ok()) << status;
     }
+    StreamingMotifMonitor monitor(c.motif, sopts, seed_graph);
+
+    std::vector<InteractionGraph::Edge> prefix = schedule.seed;
+    if (!prefix.empty()) {
+      ExpectEpochMatchesBatch(monitor, c.motif, prefix,
+                              name + " motif=" + c.motif.name() + " epoch=0");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    for (size_t epoch = 0; epoch < schedule.epochs.size(); ++epoch) {
+      for (const InteractionGraph::Edge& e : schedule.epochs[epoch]) {
+        ASSERT_TRUE(monitor.Append(e).ok());
+        prefix.push_back(e);
+      }
+      const StreamingMotifMonitor::EpochStats stats = monitor.SealEpoch();
+      ASSERT_EQ(stats.num_appended, schedule.epochs[epoch].size());
+      ExpectEpochMatchesBatch(monitor, c.motif, prefix,
+                              name + " motif=" + c.motif.name() +
+                                  " epoch=" + std::to_string(epoch + 1));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(StreamEquivalenceTest, EveryEpochMatchesBatchOnPrefixGraph) {
+  // ~50 seeded schedules, each as drawn and moved to the bottom of the
+  // time axis; each runs every case through every epoch.
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const std::string name = "seed=" + std::to_string(seed);
+    const Schedule schedule = MakeSchedule(seed);
+    ExpectScheduleMatchesBatch(schedule, name);
+    if (HasFatalFailure()) return;
+    ExpectScheduleMatchesBatch(AtTimeAxisBottom(schedule), name + " bottom");
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -23,9 +23,9 @@ TEST(ThreadPoolTest, SubmitRunsEveryTask) {
 }
 
 TEST(ThreadPoolTest, TasksMaySubmitTasksBeforeWait) {
-  // The engine's streamed P1→P2 pipeline has worker tasks submit
-  // follow-up tasks mid-execution; Wait() must cover those too (the
-  // chained Submit raises in_flight before its parent task retires).
+  // QueryService's workers submit the next admitted request from inside
+  // a running task; Wait() must cover those too (the chained Submit
+  // raises in_flight before its parent task retires).
   ThreadPool pool(4);
   std::atomic<int> ran{0};
   for (int i = 0; i < 16; ++i) {
@@ -38,27 +38,6 @@ TEST(ThreadPoolTest, TasksMaySubmitTasksBeforeWait) {
   }
   pool.Wait();
   EXPECT_EQ(ran.load(), 16 * 5);
-}
-
-TEST(ThreadPoolTest, SubmitFrontRunsEveryTaskAndInline) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    // Mixed front/back submission must still run everything exactly
-    // once and be covered by Wait().
-    if (i % 2 == 0) {
-      pool.Submit([&ran] { ran.fetch_add(1); });
-    } else {
-      pool.SubmitFront([&ran] { ran.fetch_add(1); });
-    }
-  }
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 32);
-
-  ThreadPool inline_pool(1);
-  bool ran_inline = false;
-  inline_pool.SubmitFront([&ran_inline] { ran_inline = true; });
-  EXPECT_TRUE(ran_inline);
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
