@@ -8,10 +8,13 @@
 // A second section goes beyond the paper: per-phase thread scalability.
 // For each preset it times phase P1 (the one flat structural-match
 // scan) serial vs parallel over the work-unit decomposition, checks the
-// match lists are byte-identical, then runs threshold enumeration and
-// top-k over the precomputed matches with one thread and with --threads
-// workers (isolating the phase-P2 speedup), checking that instance
-// counts and top-k flows are byte-identical too.
+// match lists are byte-identical, then records the skeletons of the
+// preset's delta sweep without a pool and on a --threads pool (the
+// recording under RunSweep and significance), checks the traces are
+// byte-identical, and runs threshold enumeration and top-k over the
+// precomputed matches with one thread and with --threads workers
+// (isolating the phase-P2 speedup), checking that instance counts and
+// top-k flows are byte-identical too.
 //
 // Paper shape: cost grows with data size but at a slower pace than the
 // number of instances.
@@ -21,6 +24,7 @@
 #include "bench_common.h"
 #include "core/match_list.h"
 #include "core/motif_catalog.h"
+#include "core/skeleton.h"
 #include "core/structural_match.h"
 #include "engine/query_engine.h"
 #include "graph/time_slice.h"
@@ -47,6 +51,31 @@ bool SameMatches(const MatchList& a, const MatchList& b) {
   return true;
 }
 
+/// Whole-trace byte equality of two recordings of one delta grid.
+bool SameRecording(const std::vector<EnumerationSkeleton>& a,
+                   const std::vector<EnumerationSkeleton>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t d = 0; d < a.size(); ++d) {
+    const EnumerationSkeleton& x = a[d];
+    const EnumerationSkeleton& y = b[d];
+    if (x.recorded() != y.recorded() || x.num_edges() != y.num_edges() ||
+        x.num_states() != y.num_states() || x.num_roots() != y.num_roots() ||
+        x.match_viability() != y.match_viability()) {
+      return false;
+    }
+    const size_t edges = x.num_edges();
+    if (!std::equal(x.edge_lo(), x.edge_lo() + edges, y.edge_lo()) ||
+        !std::equal(x.edge_hi(), x.edge_hi() + edges, y.edge_hi()) ||
+        !std::equal(x.edge_child(), x.edge_child() + edges, y.edge_child()) ||
+        !std::equal(x.state_begin(), x.state_begin() + x.num_states() + 1,
+                    y.state_begin()) ||
+        !std::equal(x.roots(), x.roots() + x.num_roots(), y.roots())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// One serial-vs-parallel comparison; returns false on any mismatch.
 bool CompareThreadScaling(const TimeSeriesGraph& graph, const Motif& motif,
                           const DatasetPreset& preset) {
@@ -66,6 +95,24 @@ bool CompareThreadScaling(const TimeSeriesGraph& graph, const Motif& motif,
       FindMatchesControlled(matcher, &p1_pool, /*control=*/nullptr);
   const double p1_parallel = p1_parallel_timer.ElapsedSeconds();
   bool identical = SameMatches(serial_matches, parallel_matches);
+
+  // Skeleton recording of the preset's delta sweep, largest delta
+  // first, without a pool vs over match ranges on the P1 pool.
+  std::vector<Timestamp> deltas = preset.delta_sweep;
+  std::sort(deltas.rbegin(), deltas.rend());
+  std::vector<EnumerationSkeleton> serial_record;
+  WallTimer record_serial_timer;
+  EnumerationSkeleton::RecordSweepDescending(
+      graph, motif, deltas, serial_matches, EnumerationSkeleton::Options(),
+      &serial_record);
+  const double record_serial = record_serial_timer.ElapsedSeconds();
+  std::vector<EnumerationSkeleton> parallel_record;
+  WallTimer record_parallel_timer;
+  EnumerationSkeleton::RecordSweepDescending(
+      graph, motif, deltas, serial_matches, EnumerationSkeleton::Options(),
+      &parallel_record, /*control=*/nullptr, &p1_pool);
+  const double record_parallel = record_parallel_timer.ElapsedSeconds();
+  identical = identical && SameRecording(serial_record, parallel_record);
 
   const std::vector<MatchBinding> matches = matcher.FindAllMatches();
 
@@ -102,7 +149,9 @@ bool CompareThreadScaling(const TimeSeriesGraph& graph, const Motif& motif,
 
   PrintRow({motif.name(), FormatCount(serial_enum.stats.num_instances),
             FormatSeconds(p1_serial), FormatSeconds(p1_parallel),
-            Speedup(p1_serial, p1_parallel),
+            Speedup(p1_serial, p1_parallel), FormatSeconds(record_serial),
+            FormatSeconds(record_parallel),
+            Speedup(record_serial, record_parallel),
             FormatSeconds(serial_enum.wall_seconds),
             FormatSeconds(parallel_enum.wall_seconds),
             Speedup(serial_enum.wall_seconds, parallel_enum.wall_seconds),
@@ -175,9 +224,9 @@ int main(int argc, char** argv) {
     const TimeSeriesGraph& graph = BenchGraph(preset);
     PrintHeader("Per-phase thread scalability (" + preset.name + "): 1 vs " +
                 std::to_string(BenchThreads()) + " threads");
-    PrintRow({"motif", "#inst", "P1 1t", "P1 Nt", "P1 spd", "enum 1t",
-              "enum Nt", "enum spd", "topk 1t", "topk Nt", "topk spd",
-              "identical"});
+    PrintRow({"motif", "#inst", "P1 1t", "P1 Nt", "P1 spd", "record 1t",
+              "record Nt", "record spd", "enum 1t", "enum Nt", "enum spd",
+              "topk 1t", "topk Nt", "topk spd", "identical"});
     for (const std::string& name : {std::string("M(3,2)"),
                                     std::string("M(3,3)")}) {
       all_identical =

@@ -154,7 +154,9 @@ int main(int argc, char** argv) {
     return 1;
   };
   if (options.delta < 0) return reject("--delta must be non-negative");
-  if (options.phi < 0.0) return reject("--phi must be non-negative");
+  if (!(options.phi >= 0.0)) {  // NaN too
+    return reject("--phi must be a non-negative number");
+  }
   if (options.k < 1) return reject("--k must be >= 1");
   if (options.collect_limit < -1) {
     return reject("--limit must be -1 (all), 0 (none), or positive");

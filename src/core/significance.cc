@@ -187,7 +187,8 @@ std::vector<SignificanceAnalyzer::MotifReport> SignificanceAnalyzer::AnalyzeAll(
     if (!options_.skeleton_replay) continue;
     WallTimer record_timer;
     if (setup.skeleton.Record(graph_, motifs[m], options_.delta,
-                              setup.matches, control, skeleton_options)) {
+                              setup.matches, control, skeleton_options,
+                              options_.pool)) {
       setup.matches = MatchList();  // the trace is all replay needs
     }
     setup.record_seconds = record_timer.ElapsedSeconds();

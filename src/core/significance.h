@@ -52,8 +52,9 @@ class SignificanceAnalyzer {
     Timestamp delta = 0;
     Flow phi = 0.0;
 
-    /// Optional worker pool (not owned). When set, the ensemble tasks
-    /// of each wave run as parallel tasks. Permutations are always drawn
+    /// Optional worker pool (not owned). When set, each motif's
+    /// recording runs over match ranges on it and the ensemble tasks of
+    /// each wave run as parallel tasks. Permutations are always drawn
     /// serially from the single seeded stream, so permutation i is the
     /// same for every pool size (and for the serial run) and the report
     /// is byte-identical for any thread count.
@@ -96,11 +97,12 @@ class SignificanceAnalyzer {
 
     /// Execution footprint: whether this motif's counts came from one
     /// recording + N+1 replays (vs N+1 full enumerations), its recorded
-    /// trace size and the wall seconds its recording took (all zero
-    /// when the enumeration path ran), and the wall seconds of the one
-    /// ensemble pass that counted every motif of the call on every
-    /// graph — shared, so every report of one AnalyzeAll carries the
-    /// same replay_seconds.
+    /// trace size and the wall seconds its recording took — on the
+    /// pool when Options::pool is set, so the pooled wall time, not a
+    /// serial one (all zero when the enumeration path ran) — and the
+    /// wall seconds of the one ensemble pass that counted every motif
+    /// of the call on every graph — shared, so every report of one
+    /// AnalyzeAll carries the same replay_seconds.
     bool used_skeleton_replay = false;
     int64_t skeleton_edges = 0;
     double record_seconds = 0.0;

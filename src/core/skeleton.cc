@@ -1,14 +1,24 @@
 #include "core/skeleton.h"
 
+#include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>  // malloc_trim
+#endif
 
 #include "core/skeleton_kernel.h"
 #include "core/sliding_window.h"
 #include "core/window_cursor.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
+#include "util/partition.h"
+#include "util/thread_pool.h"
 
 namespace flowmotif {
 
@@ -56,6 +66,75 @@ class SeriesPairIndexer {
   const char* const pairs_begin_;
   const size_t num_pairs_;
 };
+
+/// Runs task(i) for every i in [0, count) on `pool` (on the calling
+/// thread without one) and hands each task that returned true to
+/// consume(i) on the calling thread, in index order, while later tasks
+/// still run. Stops handing over at the first task that returned false
+/// or threw, and returns whether every task was handed over; it returns
+/// only after every task has ended.
+template <typename Task, typename Consume>
+bool RunInOrder(ThreadPool* pool, size_t count, const Task& task,
+                const Consume& consume) {
+  if (pool == nullptr) {
+    for (size_t i = 0; i < count; ++i) {
+      if (!task(i)) return false;
+      consume(i);
+    }
+    return true;
+  }
+  enum : uint8_t { kRunning, kSucceeded, kFailed };
+  std::mutex mu;
+  std::condition_variable ended;
+  std::vector<uint8_t> outcome(count, kRunning);  // guarded by mu
+  // Every exit, exceptional ones included, waits for the tasks that
+  // reference the locals above.
+  struct WaitForTasks {
+    ThreadPool* pool;
+    ~WaitForTasks() { pool->Wait(); }
+  } wait_for_tasks{pool};
+  const auto end_task = [&](size_t i, bool ok) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      outcome[i] = ok ? kSucceeded : kFailed;
+    }
+    ended.notify_all();
+  };
+  for (size_t i = 0; i < count; ++i) {
+    pool->Submit([&, i] {
+      bool ok = false;
+      try {
+        ok = task(i);
+      } catch (...) {
+        end_task(i, false);  // else the loop below would wait forever
+        throw;               // the pool records it at the task boundary
+      }
+      end_task(i, ok);
+    });
+  }
+  for (size_t i = 0; i < count; ++i) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ended.wait(lock, [&] { return outcome[i] != kRunning; });
+      if (outcome[i] == kFailed) return false;
+    }
+    consume(i);
+  }
+  return true;
+}
+
+/// Returns the memory the pool's workers freed to the system. glibc
+/// keeps what a thread frees in that thread's arena, for that thread
+/// alone, and trims an arena only past a threshold that grows to twice
+/// the largest block it ever unmapped; so the fragments the workers
+/// wrote would stay resident on every worker beside the main thread's
+/// traces and replay buffers (without this, batch_study's peak RSS read
+/// 53–54 MB against 46–47 MB for the serial recorder; DESIGN.md Sec. 7).
+void ReleaseFreedWorkerMemory() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 }  // namespace
 
@@ -152,15 +231,15 @@ void FlowPermutationStream::NextPermutationInto(std::vector<Flow>* flows) {
 // EnumerationSkeleton
 // ---------------------------------------------------------------------------
 
-/// One recording pass. The recursion is the counting recursion of
-/// core/counter.cc with every flow consultation replaced by trace
-/// emission: instead of accumulating prefix_flow and testing phi, each
-/// viable slice becomes a DAG edge carrying the prefix-index pair of
-/// its flow, and instead of returning counts, each (level, first)
-/// returns its memoized state id. Domination probes, galloping
-/// cursors, and window handling are untouched — they are timestamp-only
-/// and must match the enumerator exactly for replay to be
-/// byte-identical.
+/// One recording pass over one range of the match list. The recursion
+/// is the counting recursion of core/counter.cc with every flow
+/// consultation replaced by trace emission: instead of accumulating
+/// prefix_flow and testing phi, each viable slice becomes a DAG edge
+/// carrying the prefix-index pair of its flow, and instead of returning
+/// counts, each (level, first) returns its memoized state id.
+/// Domination probes, galloping cursors, and window handling are
+/// untouched — they are timestamp-only and must match the enumerator
+/// exactly for replay to be byte-identical.
 struct EnumerationSkeleton::Recorder {
   struct EdgeRec {
     uint32_t lo;
@@ -168,14 +247,42 @@ struct EnumerationSkeleton::Recorder {
     uint32_t child;
   };
 
-  EnumerationSkeleton* out;          // state_begin_ / roots_ sink
-  std::vector<EdgeRec>* out_edges;   // AoS edge sink; Finalize splits it
-  const EdgeSeries* const* series;   // per level, this match
-  const size_t* lo;      // per level, LowerBound(window.start)
-  const size_t* limit;   // per level, UpperBound(window.end)
-  const size_t* base;    // per level, arena block offset
-  int num_edges;
-  size_t max_edges;
+  /// One range's trace of one delta, numbered as if the range were the
+  /// whole list: state 0 is the unit state and the range's states
+  /// follow from 1 in post-order. Append rebases the ids.
+  struct Fragment {
+    std::vector<EdgeRec> edges;       // AoS; Append splits it
+    std::vector<uint32_t> state_end;  // state s ends at state_end[s - 1]
+    std::vector<uint32_t> roots;
+  };
+
+  /// What the ranges of one recording share. Ranges only read it, but
+  /// for the per-delta budget state and the viability bytes of their
+  /// own matches.
+  struct Sweep {
+    const TimeSeriesGraph* graph = nullptr;
+    const Motif* motif = nullptr;
+    const std::vector<Timestamp>* deltas = nullptr;
+    const MatchList* matches = nullptr;
+    std::vector<size_t> offsets;  // per pair, arena block start
+    size_t max_edges = 0;
+    QueryControl* control = nullptr;
+    std::vector<EnumerationSkeleton>* skeletons = nullptr;
+    // Per delta: edges of completed matches over all ranges, and
+    // whether the delta is abandoned. A delta dies once either proves
+    // its whole trace exceeds max_edges, so the other ranges stop
+    // recording it and the fragments stay within about max_edges.
+    std::unique_ptr<std::atomic<size_t>[]> committed;
+    std::unique_ptr<std::atomic<bool>[]> dead;
+  };
+
+  Fragment* out = nullptr;  // the current delta's fragment
+  const EdgeSeries* const* series = nullptr;  // per level, this match
+  const size_t* lo = nullptr;     // per level, LowerBound(window.start)
+  const size_t* limit = nullptr;  // per level, UpperBound(window.end)
+  const size_t* base = nullptr;   // per level, arena block offset
+  int num_edges = 0;
+  size_t max_edges = 0;
   bool over_budget = false;
   // memo[level] maps a level's first admissible index to its state id
   // (kInvalidState = no viable completion), valid within one window —
@@ -205,30 +312,16 @@ struct EnumerationSkeleton::Recorder {
 
   void BeginWindow() { ++window_gen; }
 
-  uint32_t EmitState(int level) {
-    std::vector<EdgeRec>& edges = scratch[static_cast<size_t>(level)];
-    if (out_edges->size() + edges.size() > max_edges) {
+  /// Appends one state with `edges` (checked against the budget) and
+  /// returns its fragment-local id.
+  uint32_t EmitState(const EdgeRec* edges, size_t count) {
+    if (out->edges.size() + count > max_edges) {
       over_budget = true;
       return kInvalidState;
     }
-    out_edges->insert(out_edges->end(), edges.begin(), edges.end());
-    out->state_begin_.push_back(static_cast<uint32_t>(out_edges->size()));
-    return static_cast<uint32_t>(out->state_begin_.size() - 2);
-  }
-
-  /// Splits the AoS edge buffer into the skeleton's SoA arrays — one
-  /// linear pass at the end of a recording, so the hot emission path
-  /// pays a single capacity check per state instead of three per edge.
-  static void Finalize(EnumerationSkeleton* sk,
-                       const std::vector<EdgeRec>& edges) {
-    sk->edge_lo_.resize(edges.size());
-    sk->edge_hi_.resize(edges.size());
-    sk->edge_child_.resize(edges.size());
-    for (size_t i = 0; i < edges.size(); ++i) {
-      sk->edge_lo_[i] = edges[i].lo;
-      sk->edge_hi_[i] = edges[i].hi;
-      sk->edge_child_[i] = edges[i].child;
-    }
+    out->edges.insert(out->edges.end(), edges, edges + count);
+    out->state_end.push_back(static_cast<uint32_t>(out->edges.size()));
+    return static_cast<uint32_t>(out->state_end.size());
   }
 
   uint32_t RecordState(int level, size_t first) {
@@ -250,15 +343,9 @@ struct EnumerationSkeleton::Recorder {
       // Last motif edge: the one maximal slice to the window end. Its
       // phi test happens at replay; the edge leads to the unit state.
       // Emitted directly — no scratch round-trip for a single edge.
-      if (out_edges->size() + 1 > max_edges) {
-        over_budget = true;
-        return kInvalidState;
-      }
-      out_edges->push_back(EdgeRec{static_cast<uint32_t>(level_base + first),
-                                   static_cast<uint32_t>(level_base + level_limit),
-                                   0});
-      out->state_begin_.push_back(static_cast<uint32_t>(out_edges->size()));
-      state = static_cast<uint32_t>(out->state_begin_.size() - 2);
+      const EdgeRec edge{static_cast<uint32_t>(level_base + first),
+                         static_cast<uint32_t>(level_base + level_limit), 0};
+      state = EmitState(&edge, 1);
     } else {
       const EdgeSeries& next = *series[static_cast<size_t>(level) + 1];
       const size_t next_size = next.size();
@@ -290,7 +377,7 @@ struct EnumerationSkeleton::Recorder {
                                 static_cast<uint32_t>(level_base + j + 1),
                                 child});
       }
-      state = edges.empty() ? kInvalidState : EmitState(level);
+      if (!edges.empty()) state = EmitState(edges.data(), edges.size());
     }
     if (over_budget) return kInvalidState;
     gen_slot = window_gen;
@@ -298,11 +385,11 @@ struct EnumerationSkeleton::Recorder {
     return state;
   }
 
-  /// Records one match's window sweep into `out`/`out_edges`; returns
-  /// whether any window produced a root (the match's phi = 0 viability
-  /// at this delta). The caller has bound `series`/`base` and sized the
-  /// memo (BeginMatch); on over_budget the return value is partial and
-  /// the sink must be discarded.
+  /// Records one match's window sweep into `out`; returns whether any
+  /// window produced a root (the match's phi = 0 viability at this
+  /// delta). The caller has bound `series`/`base` and sized the memo
+  /// (BeginMatch); on over_budget the return value is partial and the
+  /// fragment must be discarded.
   bool RecordMatchWindows(WindowCursorSet* cursors,
                           const std::vector<const EdgeSeries*>& bound,
                           const std::vector<Window>& windows) {
@@ -329,13 +416,184 @@ struct EnumerationSkeleton::Recorder {
       const uint32_t root = RecordState(0, lo[0]);
       if (over_budget) return any_root;
       if (root != kInvalidState) {
-        out->roots_.push_back(root);
+        out->roots.push_back(root);
         any_root = true;
       }
     }
     return any_root;
   }
+
+  static bool RecordRange(Sweep* sweep, IndexRange range,
+                          std::vector<Fragment>* fragments);
+  static void Append(const Fragment& fragment, EnumerationSkeleton* sk);
 };
+
+/// Records matches [range.begin, range.end) into one fragment per
+/// delta on the calling thread. Returns false when a stop cut the range
+/// short.
+bool EnumerationSkeleton::Recorder::RecordRange(
+    Sweep* sweep, IndexRange range, std::vector<Fragment>* fragments) {
+  const TimeSeriesGraph& graph = *sweep->graph;
+  const Motif& motif = *sweep->motif;
+  const std::vector<Timestamp>& deltas = *sweep->deltas;
+  const MatchList& matches = *sweep->matches;
+  QueryControl* const control = sweep->control;
+  const SeriesPairIndexer series_pair_index(graph);
+  const size_t n = deltas.size();
+  const int m = motif.num_edges();
+
+  std::vector<const EdgeSeries*> series(static_cast<size_t>(m));
+  std::vector<size_t> base(static_cast<size_t>(m));
+  WindowCursorSet cursors;
+  Recorder rec;
+  rec.series = series.data();
+  rec.base = base.data();
+  rec.num_edges = m;
+  rec.max_edges = sweep->max_edges;
+  rec.memo_state.resize(static_cast<size_t>(m));
+  rec.memo_gen.resize(static_cast<size_t>(m));
+  rec.scratch.resize(static_cast<size_t>(m));
+
+  // Only the boundary series gate a match (the window lists depend on
+  // nothing else), so interior series resolve lazily — most structural
+  // matches die at the empty-window check and never pay those binary
+  // searches.
+  const auto [first_src, first_dst] = motif.edge(0);
+  const auto [last_src, last_dst] = motif.edge(m - 1);
+  const auto bound_series = [&graph, &motif](MatchRef binding, int src,
+                                             int dst) {
+    const EdgeSeries* s = graph.FindSeries(binding[static_cast<size_t>(src)],
+                                           binding[static_cast<size_t>(dst)]);
+    FLOWMOTIF_CHECK(s != nullptr)
+        << "binding is not a structural match of " << motif.name();
+    return s;
+  };
+
+  // Per-match window lists, one per delta, out of a single scan of the
+  // match's boundary series. They depend only on the (first, last)
+  // identity pair, and consecutive matches of an interior-node motif
+  // may share it, so a match that repeats its predecessor's pair reuses
+  // the lists. The charge follows the list order, not the range: a
+  // list is charged when its pair differs from the previous match's,
+  // so a range whose first match repeats the last one of the range
+  // before computes its lists uncharged, and the ranges' charges sum to
+  // the one-range total.
+  std::vector<std::vector<Window>> windows;  // empty until computed
+  StorageIdentity prev_first;
+  StorageIdentity prev_last;
+  if (range.begin > 0) {
+    const MatchRef previous = matches[range.begin - 1];
+    prev_first =
+        bound_series(previous, first_src, first_dst)->timestamp_identity();
+    prev_last =
+        bound_series(previous, last_src, last_dst)->timestamp_identity();
+  }
+
+  for (int64_t match_index = range.begin; match_index < range.end;
+       ++match_index) {
+    if (control != nullptr && control->CheckAt(failpoint::kSweepRecord)) {
+      return false;
+    }
+    const MatchRef binding = matches[match_index];
+    const EdgeSeries* first_series =
+        bound_series(binding, first_src, first_dst);
+    const EdgeSeries* last_series = bound_series(binding, last_src, last_dst);
+    const bool repeats = first_series->timestamp_identity() == prev_first &&
+                         last_series->timestamp_identity() == prev_last;
+    if (!repeats || windows.empty()) {
+      ComputeProcessedWindowsMulti(*first_series, *last_series, deltas,
+                                   &windows);
+      if (!repeats) {
+        size_t computed = 0;
+        for (const std::vector<Window>& per_delta : windows) {
+          computed += per_delta.size();
+        }
+        ChargeComputedWindows(control, computed, 0);
+      }
+      prev_first = first_series->timestamp_identity();
+      prev_last = last_series->timestamp_identity();
+    }
+    // No windows at the largest delta means none at any delta (a window
+    // needs an R(em) element within [anchor, anchor + delta], and that
+    // interval only shrinks) — most structural matches die right here,
+    // before any per-level set-up.
+    if (windows.front().empty()) continue;
+    series.front() = first_series;
+    series.back() = last_series;
+    for (int i = 1; i < m - 1; ++i) {
+      const auto [src, dst] = motif.edge(i);
+      series[static_cast<size_t>(i)] = bound_series(binding, src, dst);
+    }
+    for (int k = 0; k < m; ++k) {
+      base[static_cast<size_t>(k)] =
+          sweep->offsets[series_pair_index(series[static_cast<size_t>(k)])];
+    }
+    rec.BeginMatch(series);
+
+    // Largest delta first; `alive` carries the cascade — no roots at a
+    // (successfully recorded) delta proves there is no phi = 0
+    // completion, and shrinking delta only removes completions, so
+    // every remaining delta can skip this match without changing any
+    // count. A skipped match would emit nothing, which is why the
+    // moment another range abandons a delta changes no other delta's
+    // trace.
+    bool alive = true;
+    for (size_t d = 0; d < n && alive; ++d) {
+      if (sweep->dead[d]) continue;
+      Fragment& fragment = (*fragments)[d];
+      const size_t before = fragment.edges.size();
+      rec.out = &fragment;
+      rec.over_budget = false;
+      const bool any_root =
+          rec.RecordMatchWindows(&cursors, series, windows[d]);
+      const size_t emitted = fragment.edges.size() - before;
+      // Either test proves the delta's whole trace exceeds the budget:
+      // this fragment alone, or the completed matches of every range.
+      if (rec.over_budget ||
+          (emitted > 0 &&
+           sweep->committed[d].fetch_add(emitted) + emitted >
+               sweep->max_edges)) {
+        sweep->dead[d] = true;  // abandoned; excluded from the cascade too
+        continue;
+      }
+      if (any_root) {
+        (*sweep->skeletons)[d].match_viable_[static_cast<size_t>(
+            match_index)] = 1;
+      }
+      alive = any_root;
+    }
+  }
+  return true;
+}
+
+/// Appends one range's fragment to its delta's skeleton, straight into
+/// the SoA arrays. The fragment's states follow the states already
+/// there, so its non-unit state ids shift by their count and its CSR
+/// offsets by their edges; lo/hi are absolute arena indices and stay.
+void EnumerationSkeleton::Recorder::Append(const Fragment& fragment,
+                                           EnumerationSkeleton* sk) {
+  const size_t edges_before = sk->edge_lo_.size();
+  const auto states_before = static_cast<uint32_t>(sk->num_states() - 1);
+  const auto rebase = [states_before](uint32_t state) {
+    return state == 0 ? 0 : state + states_before;  // unit state stays
+  };
+  const size_t count = fragment.edges.size();
+  sk->edge_lo_.resize(edges_before + count);
+  sk->edge_hi_.resize(edges_before + count);
+  sk->edge_child_.resize(edges_before + count);
+  for (size_t e = 0; e < count; ++e) {
+    const EdgeRec& edge = fragment.edges[e];
+    sk->edge_lo_[edges_before + e] = edge.lo;
+    sk->edge_hi_[edges_before + e] = edge.hi;
+    sk->edge_child_[edges_before + e] = rebase(edge.child);
+  }
+  for (const uint32_t end : fragment.state_end) {
+    sk->state_begin_.push_back(end + static_cast<uint32_t>(edges_before));
+  }
+  for (const uint32_t root : fragment.roots) {
+    sk->roots_.push_back(rebase(root));
+  }
+}
 
 void EnumerationSkeleton::Clear() {
   edge_lo_.clear();
@@ -352,10 +610,10 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
                                  const Motif& motif, Timestamp delta,
                                  const MatchList& matches,
                                  QueryControl* control,
-                                 const Options& options) {
+                                 const Options& options, ThreadPool* pool) {
   std::vector<EnumerationSkeleton> one;
   RecordSweepDescending(graph, motif, {delta}, matches, options, &one,
-                        control);
+                        control, pool);
   *this = std::move(one.front());
   return recorded_;
 }
@@ -367,14 +625,15 @@ bool EnumerationSkeleton::Record(const TimeSeriesGraph& graph,
                                  const Options& options) {
   return Record(graph, motif, delta,
                 MatchList::FromBindings(matches, motif.num_nodes()), control,
-                options);
+                options, /*pool=*/nullptr);
 }
 
 void EnumerationSkeleton::RecordSweepDescending(
     const TimeSeriesGraph& graph, const Motif& motif,
     const std::vector<Timestamp>& deltas,
     const MatchList& matches, const Options& options,
-    std::vector<EnumerationSkeleton>* skeletons, QueryControl* control) {
+    std::vector<EnumerationSkeleton>* skeletons, QueryControl* control,
+    ThreadPool* pool) {
   const size_t n = deltas.size();
   skeletons->clear();
   skeletons->resize(n);
@@ -389,134 +648,60 @@ void EnumerationSkeleton::RecordSweepDescending(
     sk.match_viable_.assign(static_cast<size_t>(matches.size()), 0);
   }
 
-  std::vector<size_t> offsets;
-  const size_t total_prefix = BuildPrefixOffsets(graph, &offsets);
+  Recorder::Sweep sweep;
+  sweep.graph = &graph;
+  sweep.motif = &motif;
+  sweep.deltas = &deltas;
+  sweep.matches = &matches;
+  sweep.max_edges = options.max_edges;
+  sweep.control = control;
+  sweep.skeletons = skeletons;
+  sweep.committed = std::make_unique<std::atomic<size_t>[]>(n);
+  sweep.dead = std::make_unique<std::atomic<bool>[]>(n);
+  const size_t total_prefix = BuildPrefixOffsets(graph, &sweep.offsets);
   if (total_prefix > std::numeric_limits<uint32_t>::max()) return;
-  const SeriesPairIndexer series_pair_index(graph);
 
-  const int m = motif.num_edges();
-  std::vector<const EdgeSeries*> series(static_cast<size_t>(m));
-  std::vector<size_t> base(static_cast<size_t>(m));
-  WindowCursorSet cursors;
+  // One range at one thread or without a pool: then the recording is
+  // the serial loop, with no second code path.
+  const std::vector<IndexRange> ranges = PartitionIndexSpace(
+      matches.size(), pool != nullptr ? pool->num_threads() : 1);
+  // The calling thread appends each range's fragments as soon as the
+  // ranges before it ended, so only the ranges ahead of the oldest
+  // running one hold fragments at a time.
+  std::vector<std::vector<Recorder::Fragment>> fragments(
+      ranges.size(), std::vector<Recorder::Fragment>(n));
+  const bool complete = RunInOrder(
+      pool, ranges.size(),
+      [&](size_t r) {
+        return Recorder::RecordRange(&sweep, ranges[r], &fragments[r]);
+      },
+      [&](size_t r) {
+        for (size_t d = 0; d < n; ++d) {
+          // An abandoned delta's trace is cleared once every range ended.
+          if (!sweep.dead[d]) {
+            Recorder::Append(fragments[r][d], &(*skeletons)[d]);
+          }
+          fragments[r][d] = Recorder::Fragment();
+        }
+      });
+  if (ranges.size() > 1) ReleaseFreedWorkerMemory();
 
-  std::vector<std::vector<Recorder::EdgeRec>> edges(n);
-  Recorder rec;
-  rec.series = series.data();
-  rec.base = base.data();
-  rec.num_edges = m;
-  rec.max_edges = options.max_edges;
-  rec.memo_state.resize(static_cast<size_t>(m));
-  rec.memo_gen.resize(static_cast<size_t>(m));
-  rec.scratch.resize(static_cast<size_t>(m));
-
-  // Per-delta abandonment (budget overrun): the skeleton stops
-  // receiving matches and is cleared at the end; the other deltas
-  // proceed unaffected.
-  std::vector<bool> dead(n, false);
-
-  // Per-match window lists, one per delta, out of a single scan of the
-  // match's boundary series. A one-entry MRU keyed on the (first, last)
-  // identity pair: the lists depend only on those identities, and
-  // consecutive matches of an interior-node motif may share them.
-  std::vector<std::vector<Window>> windows;
-  StorageIdentity mru_first;
-  StorageIdentity mru_last;
-
-  // Only the boundary series gate a match (the window lists depend on
-  // nothing else), so interior series resolve lazily — most structural
-  // matches die at the empty-window check and never pay those binary
-  // searches.
-  const auto [first_src, first_dst] = motif.edge(0);
-  const auto [last_src, last_dst] = motif.edge(m - 1);
-
-  bool stopped = false;
-  for (size_t match_index = 0;
-       match_index < static_cast<size_t>(matches.size()); ++match_index) {
-    if (control != nullptr && control->CheckAt(failpoint::kSweepRecord)) {
-      stopped = true;
-      break;
-    }
-    const MatchRef binding = matches[static_cast<int64_t>(match_index)];
-    const EdgeSeries* first_series =
-        graph.FindSeries(binding[static_cast<size_t>(first_src)],
-                         binding[static_cast<size_t>(first_dst)]);
-    const EdgeSeries* last_series =
-        graph.FindSeries(binding[static_cast<size_t>(last_src)],
-                         binding[static_cast<size_t>(last_dst)]);
-    FLOWMOTIF_CHECK(first_series != nullptr && last_series != nullptr)
-        << "binding is not a structural match of " << motif.name();
-    if (first_series->timestamp_identity() != mru_first ||
-        last_series->timestamp_identity() != mru_last) {
-      ComputeProcessedWindowsMulti(*first_series, *last_series, deltas,
-                                   &windows);
-      size_t computed = 0;
-      for (const std::vector<Window>& per_delta : windows) {
-        computed += per_delta.size();
-      }
-      ChargeComputedWindows(control, computed, 0);
-      mru_first = first_series->timestamp_identity();
-      mru_last = last_series->timestamp_identity();
-    }
-    // No windows at the largest delta means none at any delta (a window
-    // needs an R(em) element within [anchor, anchor + delta], and that
-    // interval only shrinks) — most structural matches die right here,
-    // before any per-level set-up.
-    if (windows.front().empty()) continue;
-    series.front() = first_series;
-    series.back() = last_series;
-    for (int i = 1; i < m - 1; ++i) {
-      const auto [src, dst] = motif.edge(i);
-      const EdgeSeries* s =
-          graph.FindSeries(binding[static_cast<size_t>(src)],
-                           binding[static_cast<size_t>(dst)]);
-      FLOWMOTIF_CHECK(s != nullptr)
-          << "binding is not a structural match of " << motif.name();
-      series[static_cast<size_t>(i)] = s;
-    }
-    for (int k = 0; k < m; ++k) {
-      base[static_cast<size_t>(k)] =
-          offsets[series_pair_index(series[static_cast<size_t>(k)])];
-    }
-    rec.BeginMatch(series);
-
-    // Largest delta first; `alive` carries the cascade — no roots at a
-    // (successfully recorded) delta proves there is no phi = 0
-    // completion, and shrinking delta only removes completions, so
-    // every remaining delta can skip this match without changing any
-    // count.
-    bool alive = true;
-    for (size_t d = 0; d < n && alive; ++d) {
-      if (dead[d]) continue;
-      EnumerationSkeleton& sk = (*skeletons)[d];
-      rec.out = &sk;
-      rec.out_edges = &edges[d];
-      rec.over_budget = false;
-      const bool any_root =
-          rec.RecordMatchWindows(&cursors, series, windows[d]);
-      if (rec.over_budget) {
-        dead[d] = true;  // abandoned; excluded from the cascade too
-        continue;
-      }
-      if (any_root) sk.match_viable_[match_index] = 1;
-      alive = any_root;
-    }
-  }
-
-  if (stopped) {
-    // A trace over a match prefix would replay wrong counts: abandon
-    // every delta so callers take their per-cell fallback (which
-    // observes the same stop and terminates promptly).
+  // A trace over part of the list would replay wrong counts: abandon
+  // every delta so callers take their per-cell fallback (which observes
+  // the same stop and terminates promptly). The control is read again
+  // because a range may end before another range's window charge
+  // crosses a budget, where the one-range pass would see that stop at
+  // its next match.
+  if (!complete || (control != nullptr && control->ShouldStop())) {
     for (EnumerationSkeleton& sk : *skeletons) sk.Clear();
     return;
   }
-
   for (size_t d = 0; d < n; ++d) {
     EnumerationSkeleton& sk = (*skeletons)[d];
-    if (dead[d]) {
+    if (sweep.dead[d]) {
       sk.Clear();
       continue;
     }
-    Recorder::Finalize(&sk, edges[d]);
     sk.topology_identity_ = graph.topology_identity();
     sk.recorded_ = true;
   }

@@ -14,6 +14,8 @@
 
 namespace flowmotif {
 
+class ThreadPool;
+
 /// Record-once / replay-many enumeration skeletons.
 ///
 /// The flow-permuted graphs of the significance ensemble (Sec. 6.3)
@@ -137,17 +139,20 @@ class EnumerationSkeleton {
 
   /// Records the skeleton of enumerating `motif` at `delta` over
   /// `matches` on `graph` — the one-delta call of RecordSweepDescending,
-  /// so it reads the same window lists, charges `control` the same way
-  /// and checks "sweep.record" per match. Returns false — leaving the
-  /// skeleton unrecorded — when the trace would exceed
+  /// so it reads the same window lists, charges `control` the same way,
+  /// checks "sweep.record" per match and records the match ranges on
+  /// `pool` (null: one range on the calling thread). Returns false —
+  /// leaving the skeleton unrecorded — when the trace would exceed
   /// options.max_edges, the prefix arena would overflow 32-bit indices,
   /// or `control` stopped the recording; callers then fall back to
   /// ordinary per-graph enumeration. Recording consults no flow values,
   /// so a false return happens before any flow-dependent work.
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const MatchList& matches,
-              QueryControl* control, const Options& options);
-  /// The same over owned bindings, flattened once.
+              QueryControl* control, const Options& options,
+              ThreadPool* pool);
+  /// The same over owned bindings, flattened once, on the calling
+  /// thread.
   bool Record(const TimeSeriesGraph& graph, const Motif& motif,
               Timestamp delta, const std::vector<MatchBinding>& matches,
               QueryControl* control, const Options& options);
@@ -186,12 +191,21 @@ class EnumerationSkeleton {
   /// aborts the whole recording: every skeleton reports recorded() ==
   /// false — a half-recorded trace would replay wrong counts, so there
   /// is no partial recording, only a clean fallback.
+  ///
+  /// `pool` (optional) records the match list as PartitionIndexSpace
+  /// ranges, one pool task each; without a pool, or at one thread, the
+  /// list is one range on the calling thread. Each range records into
+  /// its own per-delta fragments, and the calling thread appends them
+  /// in range order as the ranges end, which yields exactly the
+  /// one-range recording: the same trace bytes, viability, budget
+  /// abandonment, window charges and stops at every pool size
+  /// (DESIGN.md Sec. 7, "One recorder").
   static void RecordSweepDescending(
       const TimeSeriesGraph& graph, const Motif& motif,
       const std::vector<Timestamp>& deltas, const MatchList& matches,
       const Options& options,
       std::vector<EnumerationSkeleton>* skeletons,
-      QueryControl* control = nullptr);
+      QueryControl* control = nullptr, ThreadPool* pool = nullptr);
 
   bool recorded() const { return recorded_; }
   size_t num_edges() const { return edge_lo_.size(); }

@@ -45,8 +45,9 @@ Status ValidateQueryOptions(const QueryOptions& options) {
   if (options.delta < 0) {
     return Status::InvalidArgument("delta must be non-negative");
   }
-  if (options.phi < 0.0) {
-    return Status::InvalidArgument("phi must be non-negative");
+  // Written so NaN, which fails every comparison, is rejected too.
+  if (!(options.phi >= 0.0)) {
+    return Status::InvalidArgument("phi must be a non-negative number");
   }
   if (options.mode == QueryMode::kTopK && options.k < 1) {
     return Status::InvalidArgument("kTopK requires k >= 1");
@@ -79,8 +80,9 @@ Status ValidateSweep(const SweepQuery& sweep, const QueryOptions& options) {
     }
   }
   for (const Flow phi : sweep.phis) {
-    if (phi < 0.0) {
-      return Status::InvalidArgument("sweep phis must be non-negative");
+    if (!(phi >= 0.0)) {  // NaN too
+      return Status::InvalidArgument(
+          "sweep phis must be non-negative numbers");
     }
   }
   return Status::OK();
@@ -507,13 +509,14 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
   }
 
   // Deltas are recorded largest-first regardless of the caller's grid
-  // order: RecordSweepDescending makes one pass over the match list,
-  // recording every delta's skeleton while each match's series are hot
-  // and cascading per-match viability (no phi = 0 completion at a
-  // larger delta proves the match dead for all smaller ones — windows
-  // shrink monotonically with delta and raising phi only removes
-  // instances). On the Fig. 9 presets the bulk of structural matches
-  // are dead, so the grid's tail costs O(|viable|), not O(|matches|).
+  // order: RecordSweepDescending makes one pass over the match list (its
+  // ranges on the run's pool), recording every delta's skeleton while
+  // each match's series are hot and cascading per-match viability (no
+  // phi = 0 completion at a larger delta proves the match dead for all
+  // smaller ones — windows shrink monotonically with delta and raising
+  // phi only removes instances). On the Fig. 9 presets the bulk of
+  // structural matches are dead, so the grid's tail costs O(|viable|),
+  // not O(|matches|).
   std::vector<size_t> order(sweep.deltas.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&sweep](size_t a, size_t b) {
@@ -531,7 +534,7 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
     // the same stop and terminates promptly.
     EnumerationSkeleton::RecordSweepDescending(
         graph_, motif, descending, matches, EnumerationSkeleton::Options(),
-        &skeletons, control);
+        &skeletons, control, pool);
   }
 
   int64_t valid_cells = 0;

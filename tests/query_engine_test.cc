@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -334,6 +335,37 @@ TEST(QueryEngineTest, CountersOnlyEnumerateMatchesCollectingCounters) {
   EXPECT_EQ(counted.stats.num_windows_processed,
             collected.stats.num_windows_processed);
   EXPECT_TRUE(counted.instances.empty());
+}
+
+TEST(QueryEngineTest, NanPhiIsInvalidInEveryMode) {
+  // NaN fails every comparison, so a `phi < 0` test let it through to
+  // the evaluators' own CHECKs, which abort; it is invalid input and
+  // must end as a kError termination instead.
+  const TimeSeriesGraph g = testing_util::PaperFig2Graph();
+  const QueryEngine engine(g);
+  const Flow nan = std::numeric_limits<Flow>::quiet_NaN();
+  const auto expect_invalid = [](const Termination& termination,
+                                 const std::string& label) {
+    EXPECT_EQ(termination.code, TerminationCode::kError) << label;
+    EXPECT_EQ(termination.status.code(), StatusCode::kInvalidArgument)
+        << label;
+  };
+  for (const QueryMode mode :
+       {QueryMode::kEnumerate, QueryMode::kCount, QueryMode::kTopK,
+        QueryMode::kTop1, QueryMode::kSignificance}) {
+    QueryOptions options = BaseOptions(mode, 10, nan);
+    options.num_random_graphs = 3;
+    const std::string label = "mode=" + std::to_string(static_cast<int>(mode));
+    expect_invalid(engine.Run(M33(), options).termination, label);
+    if (mode != QueryMode::kSignificance) {
+      expect_invalid(engine.RunOnMatches(M33(), {}, options).termination,
+                     label + " RunOnMatches");
+    }
+  }
+  const SweepResult sweep =
+      engine.RunSweep(M33(), SweepQuery{{10}, {1.0, nan}}, QueryOptions());
+  expect_invalid(sweep.termination, "RunSweep");
+  EXPECT_TRUE(sweep.counts.empty());
 }
 
 }  // namespace

@@ -183,11 +183,11 @@ struct StreamCase {
 
 std::vector<StreamCase> StreamCases() {
   // Path motifs take the incremental affected-origin rescan; the
-  // general fan-out forces the full-P1 topology refresh. phi > 0 cases
-  // exercise flow pruning inside the settled/hot enumeration split;
-  // horizon > 0 cases exercise the expiry ring buffer. Only a one-edge
-  // instance can end at a schedule's first time, the Timestamp minimum
-  // once shifted.
+  // general shapes of general_motif_test (fan-out, fan-in, diamond)
+  // force the full-P1 topology refresh. phi > 0 cases exercise flow
+  // pruning inside the settled/hot enumeration split; horizon > 0 cases
+  // exercise the expiry ring buffer. Only a one-edge instance can end
+  // at a schedule's first time, the Timestamp minimum once shifted.
   return {
       {*Motif::Parse("0-1", "M(2,1)"), 8, 0.0, 0},
       {*Motif::Parse("0-1", "M(2,1)"), 8, 0.0, 10},
@@ -195,6 +195,9 @@ std::vector<StreamCase> StreamCases() {
       {*MotifCatalog::ByName("M(3,3)"), 14, 0.0, 0},
       {*MotifCatalog::ByName("M(3,2)"), 10, 6.0, 9},
       {*Motif::Parse("0>1,0>2", "fanout"), 12, 0.0, 15},
+      {*Motif::FromEdgeList({{0, 2}, {1, 2}}, "FanIn2"), 12, 0.0, 15},
+      {*Motif::FromEdgeList({{0, 1}, {0, 2}, {1, 3}, {2, 3}}, "Diamond"), 20,
+       0.0, 0},
   };
 }
 
