@@ -295,7 +295,6 @@ void SharedWindowCache::Renew(Reader* reader) {
 const std::vector<Window>& SharedWindowCache::Lookup(Reader* reader,
                                                      const EdgeSeries& first,
                                                      const EdgeSeries& last) {
-  lookups_.fetch_add(1, std::memory_order_relaxed);
   if (reader->cur_ == nullptr) Renew(reader);
   // The key is the timestamp-storage identity, not the series address:
   // a flow-permuted view hits the entry its source series published.

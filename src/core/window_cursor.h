@@ -41,11 +41,11 @@ class SharedWindowCache;
 /// Resolves the cache a per-window evaluation path should read through
 /// — the one policy shared by the enumerator, counter, DP searcher and
 /// skeleton recorder: the injected cache when given (its delta must
-/// equal `delta`; the caller decided it pays, as the engine, the
-/// serving tier and the significance ensemble do); else a privately
-/// owned cache, allocated into `*owned`, iff the motif has an interior
-/// node; else null (windows are computed per match). `owned` must
-/// outlive the returned pointer.
+/// equal `delta`; the caller decided it pays, as the engine and the
+/// significance ensemble do); else a privately owned cache, allocated
+/// into `*owned`, iff the motif has an interior node; else null
+/// (windows are computed per match). `owned` must outlive the returned
+/// pointer.
 SharedWindowCache* ResolveWindowCache(
     SharedWindowCache* injected, const Motif& motif, Timestamp delta,
     std::unique_ptr<SharedWindowCache>* owned);
@@ -168,8 +168,8 @@ class TimelineOffsets {
 /// current takes inserts — and a hit in the previous generation is
 /// promoted (copied) into the current one, so an entry survives rotation
 /// iff it was touched during the current generation's lifetime. A cache
-/// never stops admitting pairs, whether it lives for one query or for a
-/// whole service. Inside a generation, lookups and inserts are
+/// never stops admitting pairs, however many distinct pairs its run
+/// presents. Inside a generation, lookups and inserts are
 /// lock-free: entries are immutable once published, inserted at bucket
 /// heads with a CAS, and freed only with their generation.
 ///
@@ -251,11 +251,8 @@ class SharedWindowCache {
   /// never above 2 * max_entries().
   size_t size() const;
 
-  /// Lookup / hit counters (relaxed; exact once concurrent readers
-  /// drained).
-  int64_t num_lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
+  /// Lookups answered from a generation (relaxed; exact once
+  /// concurrent readers drained).
   int64_t num_hits() const { return hits_.load(std::memory_order_relaxed); }
 
  private:
@@ -291,7 +288,6 @@ class SharedWindowCache {
   std::shared_ptr<Generation> prev_;
   std::atomic<int64_t> rotations_{0};
 
-  std::atomic<int64_t> lookups_{0};
   std::atomic<int64_t> hits_{0};
 };
 

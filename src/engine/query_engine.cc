@@ -57,11 +57,6 @@ Status ValidateQueryOptions(const QueryOptions& options) {
     return Status::InvalidArgument(
         "kSignificance requires num_random_graphs > 0");
   }
-  if (options.shared_cache_tier != nullptr &&
-      options.shared_cache_tier->delta() != options.delta) {
-    return Status::InvalidArgument(
-        "shared_cache_tier is bound to a different delta");
-  }
   return Status::OK();
 }
 
@@ -600,16 +595,13 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
 void QueryEngine::RunMode(const Motif& motif, const MatchList* list,
                           const QueryOptions& options, ThreadPool* pool,
                           QueryControl* control, QueryResult* result) const {
-  // The one window cache every batch's reader reads: the caller's
-  // cross-query tier when QueryOptions carries one (serve/QueryService),
-  // else a per-query cache when the motif's (first, last) pairs can
-  // repeat within the graph, else none (each reader computes its own
-  // lists). Readers charge `control` for the lists they materialize.
+  // The one window cache every batch's reader reads: a per-query cache
+  // when the motif's (first, last) pairs can repeat within the graph,
+  // else none (each reader computes its own lists). Readers charge
+  // `control` for the lists they materialize.
   std::optional<SharedWindowCache> per_query;
-  SharedWindowCache* cache = options.shared_cache_tier;
-  if (cache == nullptr && MotifHasInteriorNode(motif)) {
-    cache = &per_query.emplace(options.delta);
-  }
+  SharedWindowCache* cache = nullptr;
+  if (MotifHasInteriorNode(motif)) cache = &per_query.emplace(options.delta);
   const MatchSource source =
       SourceMatches(graph_, motif, list, options, pool, control);
   const ModeRun run{graph_, motif,   options, source,

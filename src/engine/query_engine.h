@@ -131,11 +131,10 @@ struct SweepResult {
 /// on the stack, bound to the epoch snapshot captured at admission, so
 /// queries keep running against their snapshot while SealEpoch
 /// publishes new ones. Window lists come through one
-/// SharedWindowCache::Reader per P2 batch, reading the cross-query tier
-/// named by QueryOptions::shared_cache_tier when given, else one
-/// per-query cache made only for interior-node motifs. A reader's lease
-/// keeps the list it returned valid until its next lookup, whatever
-/// rotations or post-seal sweeps happen under it.
+/// SharedWindowCache::Reader per P2 batch, reading one per-query cache
+/// made only for interior-node motifs (served and solo runs alike). A
+/// reader's lease keeps the list it returned valid until its next
+/// lookup, whatever rotations happen under it.
 class QueryEngine {
  public:
   explicit QueryEngine(const TimeSeriesGraph& graph) : graph_(graph) {}

@@ -10,7 +10,6 @@
 namespace flowmotif {
 
 class MatchListCache;
-class SharedWindowCache;
 
 /// The query modes unified behind QueryEngine — the paper's threshold
 /// enumeration (Sec. 4), top-k and top-1 search (Sec. 5), significance
@@ -65,17 +64,6 @@ struct QueryOptions {
   /// paths fall back on their own when recording is bypassed (trace
   /// budget exceeded).
   bool skeleton_replay = true;
-
-  /// Cross-query window-cache tier (non-owning, may be null): a
-  /// long-lived SharedWindowCache — bound to the SAME delta as this
-  /// query — that the engine's readers read directly instead of a
-  /// per-query cache (core/window_cursor.h), for every motif shape.
-  /// Processed-window lists computed by one query are then reused by
-  /// every later query at that delta over the same edge storage.
-  /// Results stay byte-identical: the tier only changes where a list is
-  /// found, never its contents. Owned by the caller (typically
-  /// serve/QueryService), which must keep it alive for the call.
-  SharedWindowCache* shared_cache_tier = nullptr;
 
   /// Cross-query match-list cache (non-owning, may be null;
   /// engine/match_list_cache.h): phase P1 depends only on the motif and

@@ -78,10 +78,11 @@ class EpochLog {
 
   /// Buffers one edge in the mutable tail. Vertices grow on demand.
   /// Ingest is an untrusted boundary, so bad edges are rejected with
-  /// InvalidArgument — negative vertex ids, non-positive flow, or a
-  /// timestamp that precedes one already in the log (the stream
-  /// contract is monotone time) — and the tail is left unchanged: the
-  /// log stays valid and later well-formed appends still succeed.
+  /// InvalidArgument — negative vertex ids, a flow that is not positive
+  /// and finite, or a timestamp that precedes one already in the log
+  /// (the stream contract is monotone time) — and the tail is left
+  /// unchanged: the log stays valid and later well-formed appends still
+  /// succeed.
   Status Append(VertexId src, VertexId dst, Timestamp t, Flow f);
   Status Append(const InteractionGraph::Edge& edge) {
     return Append(edge.src, edge.dst, edge.t, edge.f);

@@ -1,9 +1,11 @@
 #include "graph/graph_io.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -29,6 +31,24 @@ std::vector<std::string> SplitWhitespace(const std::string& line) {
   return tokens;
 }
 
+/// Parses all of `token` as a base-10 integer of type T into `*out`.
+/// Returns null on success, else why not: a value T cannot hold is
+/// rejected, never wrapped or clamped into a different id or time.
+template <typename T>
+const char* ParseInteger(const std::string& token, T* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(token.c_str(), &end, 10);
+  if (*end != '\0') return "not an integer";
+  if (errno == ERANGE ||
+      value < static_cast<long long>(std::numeric_limits<T>::min()) ||
+      value > static_cast<long long>(std::numeric_limits<T>::max())) {
+    return "out of range";
+  }
+  *out = static_cast<T>(value);
+  return nullptr;
+}
+
 }  // namespace
 
 StatusOr<InteractionGraph> LoadInteractionGraph(const std::string& path) {
@@ -50,30 +70,30 @@ StatusOr<InteractionGraph> LoadInteractionGraph(const std::string& path) {
           ": expected 'src dst time flow', got " +
           std::to_string(tokens.size()) + " fields");
     }
+    const auto bad = [&](const char* field, const std::string& token,
+                         const char* why) {
+      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
+                                     ": bad " + field + " '" + token +
+                                     "': " + why);
+    };
+    VertexId src = 0;
+    VertexId dst = 0;
+    Timestamp t = 0;
+    if (const char* why = ParseInteger(tokens[0], &src)) {
+      return bad("src", tokens[0], why);
+    }
+    if (const char* why = ParseInteger(tokens[1], &dst)) {
+      return bad("dst", tokens[1], why);
+    }
+    if (const char* why = ParseInteger(tokens[2], &t)) {
+      return bad("time", tokens[2], why);
+    }
     char* end = nullptr;
-    long long src = std::strtoll(tokens[0].c_str(), &end, 10);
-    if (*end != '\0') {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": bad src '" + tokens[0] + "'");
-    }
-    long long dst = std::strtoll(tokens[1].c_str(), &end, 10);
-    if (*end != '\0') {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": bad dst '" + tokens[1] + "'");
-    }
-    long long t = std::strtoll(tokens[2].c_str(), &end, 10);
-    if (*end != '\0') {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": bad time '" + tokens[2] + "'");
-    }
-    double f = std::strtod(tokens[3].c_str(), &end);
-    if (*end != '\0') {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": bad flow '" + tokens[3] + "'");
-    }
-    Status s = graph.AddEdge(static_cast<VertexId>(src),
-                             static_cast<VertexId>(dst),
-                             static_cast<Timestamp>(t), f);
+    const double f = std::strtod(tokens[3].c_str(), &end);
+    if (*end != '\0') return bad("flow", tokens[3], "not a number");
+    // AddEdge rejects a flow that is not positive and finite, which
+    // covers "inf", "nan" and an overflowing literal such as 1e400.
+    Status s = graph.AddEdge(src, dst, t, f);
     if (!s.ok()) {
       return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
                                      ": " + s.message());

@@ -1,5 +1,6 @@
 #include "graph/interaction_graph.h"
 
+#include <cmath>
 #include <string>
 
 namespace flowmotif {
@@ -9,8 +10,8 @@ Status InteractionGraph::AddEdge(VertexId src, VertexId dst, Timestamp t,
   if (src < 0 || dst < 0) {
     return Status::InvalidArgument("vertex ids must be non-negative");
   }
-  if (!(f > 0.0)) {
-    return Status::InvalidArgument("flow must be positive, got " +
+  if (!std::isfinite(f) || f <= 0.0) {
+    return Status::InvalidArgument("flow must be positive and finite, got " +
                                    std::to_string(f));
   }
   edges_.push_back(Edge{src, dst, t, f});

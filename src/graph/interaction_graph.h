@@ -25,10 +25,10 @@ class InteractionGraph {
 
   InteractionGraph() = default;
 
-  /// Adds an interaction. Flow must be positive; vertex ids must be
-  /// non-negative. Self-loops are accepted (they can occur in real data,
-  /// e.g. taxi trips within one zone) but never participate in motif
-  /// instances since motif vertices map injectively.
+  /// Adds an interaction. Flow must be positive and finite; vertex ids
+  /// must be non-negative. Self-loops are accepted (they can occur in
+  /// real data, e.g. taxi trips within one zone) but never participate
+  /// in motif instances since motif vertices map injectively.
   Status AddEdge(VertexId src, VertexId dst, Timestamp t, Flow f);
 
   /// Ensures the graph has at least `n` vertices (ids 0..n-1) even if some

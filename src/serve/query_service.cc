@@ -1,6 +1,5 @@
 #include "serve/query_service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -55,9 +54,6 @@ struct QueryService::Pending {
   /// Non-empty iff this request's completed result should be published
   /// to the result cache (same key as dedup, epoch-qualified).
   std::string result_key;
-  /// The delta's tier, handed over at start: keeps a tier retired while
-  /// this request runs alive until the run ends.
-  std::shared_ptr<SharedWindowCache> tier;
 };
 
 struct QueryService::Inflight {
@@ -84,7 +80,7 @@ QueryService::QueryService(TimeSeriesGraph graph, ServiceConfig config)
 
 QueryService::~QueryService() {
   // Drain: every admitted request (running or queued) completes before
-  // the members it uses (log, tiers, snapshots) go away. New Submits
+  // the members it uses (log, caches, snapshots) go away. New Submits
   // during destruction are a caller contract violation, as usual.
   std::unique_lock<std::mutex> lock(mu_);
   drained_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
@@ -104,16 +100,10 @@ EpochLog::SealInfo QueryService::SealEpoch() {
   EpochLog::SealInfo info = log_.SealEpoch();
   if (info.num_appended == 0) {
     // No-op seal: nothing changed, so nothing is invalidated — the
-    // result cache and tier entries stay exactly as warm as they were.
+    // result cache and match lists stay exactly as warm as they were.
     return info;
   }
 
-  // The tiers are left alone. Series untouched by the seal kept their
-  // storage (and epoch stamp), so their entries stay warm; a resealed
-  // series got fresh storage under a strictly larger epoch, so no lookup
-  // can reach its old entries again, and each tier's two-generation
-  // clock rotates them out as it fills.
-  //
   // What the seal drops is released after mu_ is unlocked: freeing
   // the old snapshot, results and match lists while holding it would
   // stall every Submit.
@@ -145,36 +135,6 @@ EpochId QueryService::epoch() const {
   return live_epoch_;
 }
 
-std::shared_ptr<SharedWindowCache> QueryService::TierForDeltaLocked(
-    Timestamp delta, int64_t sequence) {
-  auto it = tiers_.find(delta);
-  if (it == tiers_.end()) {
-    if (tiers_.size() >= kMaxTiers) {
-      // Retire the least recently started tier. Requests running on it
-      // keep it alive; its counts move into the service totals now.
-      const auto oldest = std::min_element(
-          tiers_.begin(), tiers_.end(), [](const auto& a, const auto& b) {
-            return a.second.last_started < b.second.last_started;
-          });
-      const SharedWindowCache& retired = *oldest->second.cache;
-      stats_.tier_lookups += retired.num_lookups();
-      stats_.tier_hits += retired.num_hits();
-      stats_.tier_rotations += retired.num_rotations();
-      tiers_.erase(oldest);
-    }
-    // The tier charges nobody itself: each query's readers carry its
-    // control, since one tier serves many concurrent queries.
-    it = tiers_
-             .emplace(delta,
-                      Tier{std::make_shared<SharedWindowCache>(
-                               delta, config_.tier_max_entries),
-                           sequence})
-             .first;
-  }
-  it->second.last_started = sequence;
-  return it->second.cache;
-}
-
 std::string QueryService::DedupKey(const Motif& motif,
                                    const QueryOptions& options,
                                    EpochId epoch) {
@@ -196,14 +156,7 @@ int64_t QueryService::StartLocked(Pending* pending) {
   if (running_ > stats_.peak_running) stats_.peak_running = running_;
   ++tenant_running_[pending->request.tenant];
   const int64_t sequence = next_sequence_++;
-  // The tier is handed over here, not at Submit: a request answered by
-  // the result cache, coalesced or rejected never needs one.
   QueryOptions& opts = pending->request.options;
-  if (config_.enable_cache_tier && opts.delta > 0 &&
-      opts.shared_cache_tier == nullptr) {
-    pending->tier = TierForDeltaLocked(opts.delta, sequence);
-    opts.shared_cache_tier = pending->tier.get();
-  }
   if (opts.match_list_cache == nullptr) opts.match_list_cache = &match_lists_;
   return sequence;
 }
@@ -525,13 +478,6 @@ void QueryService::RunOne(std::shared_ptr<Pending> pending, int64_t sequence) {
 ServiceStats QueryService::Stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats out = stats_;
-  for (const auto& tier : tiers_) {
-    out.tier_lookups += tier.second.cache->num_lookups();
-    out.tier_hits += tier.second.cache->num_hits();
-    out.tier_rotations += tier.second.cache->num_rotations();
-    out.tier_generations += tier.second.cache->num_live_generations();
-  }
-  out.tiers = static_cast<int64_t>(tiers_.size());
   // Hits first: both only grow, so the pair read never shows more hits
   // than lookups.
   out.match_list_hits = match_lists_.hits();

@@ -6,7 +6,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "core/motif.h"
-#include "core/window_cursor.h"
 #include "engine/match_list_cache.h"
 #include "engine/query_engine.h"
 #include "engine/query_options.h"
@@ -36,14 +34,6 @@ namespace flowmotif {
 ///    the served snapshot; every query runs against the snapshot that
 ///    was live when it was submitted and keeps it alive via shared_ptr,
 ///    so a seal never invalidates an in-flight (or queued) run;
-///  * a cross-query window-cache tier — one long-lived SharedWindowCache
-///    per delta, for at most kMaxTiers deltas, that every running
-///    query's readers read directly. Its StorageIdentity{storage, epoch}
-///    keys make entries for series untouched by a seal stay warm across
-///    epochs. A resealed series gets fresh storage under a larger epoch,
-///    so its old entries can never be looked up again (stale lists are
-///    never served); they age out through the tier's two-generation
-///    clock, which bounds its memory without any work at seal time;
 ///  * admission control and tenant-fair scheduling — a bounded queue in
 ///    front of a concurrency cap, rejecting overload with a kRejected
 ///    Termination instead of blocking, skipping over-cap tenants, and
@@ -63,12 +53,13 @@ namespace flowmotif {
 ///    evicting its least recently used result when full) makes repeats
 ///    *after* completion free as well.
 ///
-/// Results are byte-identical to solo QueryEngine runs on the same
-/// snapshot: the tier and the match-list cache only change where a
-/// window list or a match list is *found*, never its contents, and the
-/// engine's canonical-order folds already make every mode deterministic
-/// at any thread count (tests/serving_test.cc and
-/// tests/serving_epoch_test.cc lock this in under TSan).
+/// A served run handles window lists exactly as a solo QueryEngine::Run
+/// does (one per-query cache for interior-node motifs, none otherwise),
+/// so results are byte-identical to solo runs on the same snapshot: the
+/// match-list cache only changes where a match list is *found*, never
+/// its contents, and the engine's canonical-order folds already make
+/// every mode deterministic at any thread count (tests/serving_test.cc
+/// and tests/serving_epoch_test.cc lock this in under TSan).
 
 /// Service-wide configuration. Every 0 selects the documented default.
 struct ServiceConfig {
@@ -106,16 +97,8 @@ struct ServiceConfig {
   double default_deadline_seconds = 0.0;
   WorkBudget default_budget;
 
-  /// Cross-query window-cache tier: one SharedWindowCache per delta,
-  /// created when the first request at that delta starts running, for
-  /// at most QueryService::kMaxTiers deltas (the least recently started
-  /// one is retired to make room). Its two-generation clock rotates
-  /// full generations instead of freezing on its first pairs — the
-  /// right discipline for a long-lived service whose working set
-  /// drifts across seals. tier_max_entries is per generation (so up to
-  /// 2x resident between rotations).
-  bool enable_cache_tier = true;
-  size_t tier_max_entries = 8 * SharedWindowCache::kDefaultMaxEntries;
+  /// Always 0: see ServiceStats::tier_lookups.
+  static constexpr size_t tier_max_entries = 0;
 
   /// In-flight dedup of identical submissions. Only requests whose
   /// *callers* supplied no cancel token, deadline, or budget are
@@ -197,21 +180,13 @@ struct ServiceStats {
   int64_t seals = 0;
   int64_t peak_running = 0;
   int64_t peak_queue_depth = 0;
-  /// Cross-query tier totals over all deltas, retired tiers included
-  /// (folded in at retirement; lookups a still-running query makes on
-  /// a tier after its retirement are not counted). One window list a
-  /// served query's reader asks for is one lookup.
-  int64_t tier_lookups = 0;
-  int64_t tier_hits = 0;
-  /// Generation rotations across all per-delta tiers.
-  int64_t tier_rotations = 0;
-  /// Gauge: per-delta tiers held now (at most QueryService::kMaxTiers).
-  int64_t tiers = 0;
-  /// Gauge: window-list generations the held tiers keep allocated now,
-  /// summed over tiers — each tier's own pair plus any older generation
-  /// a running reader still leases. With no query running it is at
-  /// most 2 * tiers: the clock, not the seals, bounds tier memory.
-  int64_t tier_generations = 0;
+  /// Always 0, neither stored nor settable: the service keeps no
+  /// cross-query window cache, but perfbench still reports these three
+  /// (with ServiceConfig::tier_max_entries); the benchmark change of
+  /// ROADMAP item 5(b) deletes them with its serve.tier_* layers.
+  static constexpr int64_t tier_lookups = 0;
+  static constexpr int64_t tier_hits = 0;
+  static constexpr int64_t tier_rotations = 0;
   /// Match-list cache: engine runs that asked it for their motif's list
   /// on their snapshot's topology, and how many found one (and so ran
   /// no phase P1).
@@ -229,12 +204,6 @@ struct ServiceStats {
 /// has completed.
 class QueryService {
  public:
-  /// Most per-delta tiers held at once. The paper's delta sweeps and
-  /// typical serving mixes use a handful of deltas; a request stream
-  /// with more distinct deltas retires the least recently started tier
-  /// instead of growing service memory with every new delta.
-  static constexpr size_t kMaxTiers = 16;
-
   /// Byte bound of the match-list cache. The ten catalog motifs' lists
   /// on the bitcoin-like benchmark graph take about 4.9 MB flat; the
   /// bound leaves room for about three times that before the least
@@ -272,10 +241,10 @@ class QueryService {
   /// real seal clears the completed-result cache and drops the match
   /// lists of a topology it replaced (a seal that adds no pair keeps
   /// the topology, and so the lists); an empty-tail seal is a no-op
-  /// that invalidates nothing. The tiers are not touched: entries of
-  /// resealed series are unreachable by key and age out through each
-  /// tier's clock. The seal's cost under the service lock is a pointer
-  /// swap plus those two cache updates, not a pass over the graph.
+  /// that invalidates nothing. The seal's cost under the service lock
+  /// is a pointer swap plus those two cache updates, not a pass over
+  /// the graph; the replaced snapshot, results and lists are freed
+  /// after the lock, once no queued or running request holds them.
   EpochLog::SealInfo SealEpoch();
 
   /// The currently served snapshot; safe to hold across later seals.
@@ -301,19 +270,6 @@ class QueryService {
   /// A queued request found dead at admission, plus the followers that
   /// coalesced onto it; resolved outside the lock.
   struct ExpiredEntry;
-
-  /// One per-delta tier and the sequence of the last request it was
-  /// handed to (retirement picks the smallest).
-  struct Tier {
-    std::shared_ptr<SharedWindowCache> cache;
-    int64_t last_started = 0;
-  };
-
-  /// The cross-query tier for `delta`, created on first use (retiring
-  /// the least recently started tier when kMaxTiers are held) and
-  /// stamped as started by request `sequence`. Requires mu_ held.
-  std::shared_ptr<SharedWindowCache> TierForDeltaLocked(Timestamp delta,
-                                                        int64_t sequence);
 
   /// Dedup/result-cache key for an eligible request: the epoch it will
   /// run against, the motif's structural encoding, and every
@@ -342,9 +298,8 @@ class QueryService {
   /// kDeadlineExceeded at "serve.admit". Call without mu_ held.
   static void FulfillExpired(ExpiredEntry* entry);
 
-  /// Bumps running/tenant counters for `pending`, hands it its delta's
-  /// tier and the match-list cache, and assigns its sequence. Requires
-  /// mu_ held.
+  /// Bumps running/tenant counters for `pending`, hands it the
+  /// match-list cache, and assigns its sequence. Requires mu_ held.
   int64_t StartLocked(Pending* pending);
 
   const ServiceConfig config_;
@@ -368,11 +323,6 @@ class QueryService {
   std::unordered_map<std::string, int64_t> tenant_running_;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
   LruMap<std::string, CachedResult> result_cache_;
-  /// One tier per delta, at most kMaxTiers. A running request shares
-  /// ownership of its tier (Pending::tier), so retiring one here never
-  /// frees it under an engine run; generational replacement alone
-  /// bounds each tier's memory (ServiceStats::tier_generations).
-  std::map<Timestamp, Tier> tiers_;
   /// Thread-safe on its own; every served run reads it directly. Its
   /// live topology moves with live_graph_ at each real seal.
   MatchListCache match_lists_;

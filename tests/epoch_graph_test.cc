@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -132,15 +133,17 @@ TEST(EpochGraphTest, SealedEpochsMatchBatchPrefixBuilds) {
   ASSERT_EQ(log.Snapshot().get(), before.get());
 
   // Ingest is an untrusted boundary: a non-monotone timestamp, a
-  // negative vertex id, or a non-positive flow is rejected with
-  // InvalidArgument, the tail stays unchanged, and later well-formed
-  // appends (and seals) still succeed.
+  // negative vertex id, or a flow that is not positive and finite is
+  // rejected with InvalidArgument, the tail and the watermark stay
+  // unchanged, and later well-formed appends (and seals) still succeed.
   const Timestamp watermark_before = log.watermark();
   EXPECT_EQ(log.Append(0, 1, 0, 1.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(log.Append(-1, 1, 20, 1.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(log.Append(0, -2, 20, 1.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(log.Append(0, 1, 20, 0.0).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(log.Append(0, 1, 20, -1.0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.Append(0, 1, 20, std::numeric_limits<Flow>::infinity()).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(log.tail_size(), 0u);
   EXPECT_EQ(log.watermark(), watermark_before);
   ASSERT_TRUE(log.Append(0, 1, 20, 1.0).ok());

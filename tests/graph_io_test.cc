@@ -94,6 +94,25 @@ TEST_F(GraphIoTest, LoadRejectsMalformedRows) {
     out << "a 1 10 1\n";  // bad vertex
   }
   EXPECT_FALSE(LoadInteractionGraph(path_).ok());
+
+  // Values the parsed types cannot hold are rejected, not wrapped or
+  // clamped into a different edge: an id past the 32-bit VertexId (it
+  // would wrap to 0), a time past int64, and a flow that overflows a
+  // double to infinity.
+  for (const char* row : {"4294967296 1 1 2.0\n",
+                          "0 1 99999999999999999999 1.0\n",
+                          "0 1 10 1e400\n"}) {
+    {
+      std::ofstream out(path_);
+      out << row;
+    }
+    const StatusOr<InteractionGraph> loaded = LoadInteractionGraph(path_);
+    ASSERT_FALSE(loaded.ok()) << row;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << row;
+    EXPECT_NE(loaded.status().message().find(path_ + ":1: "),
+              std::string::npos)
+        << loaded.status();
+  }
 }
 
 TEST_F(GraphIoTest, ErrorMessagesIncludeLineNumbers) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace flowmotif {
 namespace {
 
@@ -42,6 +44,9 @@ TEST(InteractionGraphTest, RejectsNonPositiveFlow) {
   InteractionGraph g;
   EXPECT_FALSE(g.AddEdge(0, 1, 0, 0.0).ok());
   EXPECT_FALSE(g.AddEdge(0, 1, 0, -1.0).ok());
+  EXPECT_FALSE(
+      g.AddEdge(0, 1, 0, std::numeric_limits<Flow>::infinity()).ok());
+  EXPECT_EQ(g.num_interactions(), 0);
 }
 
 TEST(InteractionGraphTest, AcceptsSelfLoops) {

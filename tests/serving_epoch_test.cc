@@ -4,15 +4,14 @@
 // the served graph underneath concurrent submissions. Seeded random
 // append schedules (the stream_equivalence_test idiom: non-decreasing
 // timestamps with duplicates, growing vertex universes, varying epoch
-// sizes) are replayed into a service with the generational cross-query
-// tier enabled, interleaving submit / seal / submit. Also pinned down:
-// in-flight and queued requests keep their submit-time snapshot across
-// a seal, the completed-result cache invalidates exactly at real seals
-// (no-op seals keep it warm), tier entries for series untouched by a
-// seal stay warm across epochs, a tiny generational tier rotates
-// instead of freezing, and across hundreds of seals the clock alone
-// keeps tier memory bounded. The schedule suite is a TSan target (see
-// .github/workflows/ci.yml).
+// sizes) are replayed into a service, interleaving submit / seal /
+// submit. Also pinned down: in-flight and queued requests keep their
+// submit-time snapshot across a seal, the completed-result cache
+// invalidates exactly at real seals (no-op seals keep it warm), cached
+// match lists survive exactly the seals that add no pair, and across
+// hundreds of seals the match-list cache stays within its byte bound
+// and every replaced snapshot is freed. The schedule suite is a TSan
+// target (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
 #include <condition_variable>
@@ -165,9 +164,8 @@ QueryResult SoloRun(const TimeSeriesGraph& graph, const Case& c) {
 
 TEST(ServingEpochTest, SealedServingMatchesFreshEngineAcrossSchedules) {
   // The headline equivalence lock: 50 seeded append schedules, and at
-  // every seal the concurrently served results (2 workers, generational
-  // tier warm across epochs) are byte-identical to solo engine runs on
-  // that sealed snapshot.
+  // every seal the concurrently served results (2 workers) are
+  // byte-identical to solo engine runs on that sealed snapshot.
   constexpr Timestamp kDelta = 20;
   constexpr uint64_t kNumSchedules = 50;
   const std::vector<Case> cases = MixedCases(kDelta);
@@ -313,51 +311,6 @@ TEST(ServingEpochTest, ResultCacheInvalidatesExactlyAtRealSeals) {
   EXPECT_EQ(stats.completed, 2);
 }
 
-TEST(ServingEpochTest, TierStaysWarmAcrossSealsForUntouchedSeries) {
-  // StorageIdentity keys survive a seal for series the seal did not
-  // touch: appending only to one hot pair and resealing must leave the
-  // other pairs' tier entries warm — the repeated query hits the tier
-  // again instead of recomputing every window list from scratch.
-  InteractionGraph multigraph;
-  // A deterministic seed with several M(3,2) paths over vertices 0..4.
-  const InteractionGraph::Edge seed_edges[] = {
-      {0, 1, 10, 2.0}, {1, 2, 12, 3.0}, {2, 3, 14, 1.0}, {3, 4, 16, 2.0},
-      {1, 3, 18, 4.0}, {0, 2, 20, 1.0}, {2, 4, 22, 5.0}, {4, 0, 24, 2.0},
-  };
-  for (const InteractionGraph::Edge& e : seed_edges) {
-    ASSERT_TRUE(multigraph.AddEdge(e.src, e.dst, e.t, e.f).ok());
-  }
-
-  ServiceConfig config;
-  config.num_workers = 1;
-  config.enable_dedup = false;
-  config.enable_result_cache = false;  // the repeat must reach the tier
-  QueryService service(TimeSeriesGraph::Build(multigraph), config);
-
-  Case count_case = MixedCases(30)[0];
-  const auto submit = [&service, &count_case] {
-    ServeRequest request{*MotifCatalog::ByName(count_case.motif_name),
-                         count_case.options};
-    return service.Submit(std::move(request)).get();
-  };
-
-  ASSERT_TRUE(submit().result->termination.complete());  // warms the tier
-  const ServiceStats cold = service.Stats();
-
-  // Touch exactly one pair; every other series keeps its storage.
-  ASSERT_TRUE(service.Append(0, 1, 30, 1.0).ok());
-  const EpochLog::SealInfo info = service.SealEpoch();
-  ASSERT_EQ(info.dirty_pairs.size(), 1u);
-
-  const ServedResult warm = submit();
-  ASSERT_TRUE(warm.result->termination.complete());
-  ExpectSameResult(*warm.result, SoloRun(*info.graph, count_case),
-                   "post-seal repeat");
-  const ServiceStats after = service.Stats();
-  // The post-seal repeat hit the tier for the untouched series' pairs.
-  EXPECT_GT(after.tier_hits, cold.tier_hits);
-}
-
 TEST(ServingEpochTest, MatchListsSurviveSealsThatAddNoPair) {
   // A cached match list depends only on the topology. A seal whose
   // edges all land on existing pairs keeps the topology identity, so
@@ -421,44 +374,15 @@ TEST(ServingEpochTest, MatchListsSurviveSealsThatAddNoPair) {
   EXPECT_EQ(service.Stats().match_list_hits, 3);
 }
 
-TEST(ServingEpochTest, TinyGenerationalTierRotatesInsteadOfFreezing) {
-  // With a tier cap far below the working set, the generational tier
-  // must rotate (counted) and keep serving byte-identical results.
-  constexpr Timestamp kDelta = 20;
-  const Schedule schedule = MakeSchedule(3);
-  const std::vector<Case> cases = MixedCases(kDelta);
-
-  ServiceConfig config;
-  config.num_workers = 1;
-  config.enable_dedup = false;
-  config.enable_result_cache = false;
-  config.tier_max_entries = 2;  // far below the pair working set
-  QueryService service(BuildSeedGraph(schedule), config);
-  for (const InteractionGraph::Edge& edge : schedule.epochs[0]) {
-    ASSERT_TRUE(service.Append(edge).ok());
-  }
-  const EpochLog::SealInfo info = service.SealEpoch();
-
-  for (int round = 0; round < 3; ++round) {
-    for (const Case& c : cases) {
-      ServeRequest request{*MotifCatalog::ByName(c.motif_name), c.options};
-      const ServedResult served = service.Submit(std::move(request)).get();
-      ASSERT_TRUE(served.result->termination.complete());
-      ExpectSameResult(*served.result, SoloRun(*info.graph, c),
-                       "generational round " + std::to_string(round));
-    }
-  }
-  EXPECT_GT(service.Stats().tier_rotations, 0);
-}
-
-TEST(ServingEpochTest, TiersStayBoundedAcrossManySealsWithoutASweep) {
-  // A seal never touches the tiers: entries keyed on a resealed series'
-  // old storage can no longer be looked up, and only each tier's
-  // two-generation clock bounds its memory. Soak a tiny tier through
-  // 500 seals, alternately adding a pair and appending to existing
-  // pairs only, with kCount and kTopK reads at two deltas after each.
-  // While idle, no tier may keep more than its own generation pair, and
-  // every 100th epoch the reads equal fresh engines on that snapshot.
+TEST(ServingEpochTest, ServiceStateStaysBoundedAcrossManySeals) {
+  // Soak the state a service keeps across seals: 500 seals,
+  // alternately adding a pair and appending to existing pairs only,
+  // with kCount and kTopK reads at two deltas after each. After every
+  // epoch the match lists fit their byte bound, and the snapshot each
+  // seal replaced is freed once the loop drops its own reference: no
+  // cache, queue entry or finished run may pin it. One worker runs
+  // every read inline, so no run is in flight at that check. Every
+  // 100th epoch the reads equal fresh engines on that snapshot.
   constexpr int kNumSeals = 500;
   constexpr VertexId kVertices = 64;  // sparse: reads stay cheap
   std::mt19937_64 rng(17);
@@ -477,8 +401,6 @@ TEST(ServingEpochTest, TiersStayBoundedAcrossManySealsWithoutASweep) {
   ServiceConfig config;
   config.num_workers = 1;
   config.enable_dedup = false;
-  config.enable_result_cache = false;  // every read reaches the tier
-  config.tier_max_entries = 4;
   QueryService service(TimeSeriesGraph::Build(multigraph), config);
 
   std::vector<Case> cases;
@@ -488,8 +410,11 @@ TEST(ServingEpochTest, TiersStayBoundedAcrossManySealsWithoutASweep) {
     cases.push_back(mixed[1]);  // kTopK
   }
 
+  std::weak_ptr<const TimeSeriesGraph> replaced;
   for (int e = 1; e <= kNumSeals; ++e) {
+    ASSERT_TRUE(replaced.expired()) << "snapshot replaced by seal " << e - 1;
     const std::shared_ptr<const TimeSeriesGraph> before = service.Snapshot();
+    replaced = before;
     const bool add_pair = e % 2 == 1;
     for (int i = 0; i < 2; ++i) {
       VertexId src = 0;
@@ -523,14 +448,14 @@ TEST(ServingEpochTest, TiersStayBoundedAcrossManySealsWithoutASweep) {
                              std::to_string(i));
       }
     }
-    const ServiceStats stats = service.Stats();
-    ASSERT_LE(stats.tiers, static_cast<int64_t>(QueryService::kMaxTiers));
-    ASSERT_LE(stats.tier_generations, 2 * stats.tiers) << "epoch " << e;
+    ASSERT_LE(service.Stats().match_list_bytes,
+              static_cast<int64_t>(QueryService::kMatchListCacheBytes))
+        << "epoch " << e;
   }
+  EXPECT_TRUE(replaced.expired()) << "snapshot replaced by the last seal";
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.seals, kNumSeals);
-  EXPECT_EQ(stats.tiers, 2);
-  EXPECT_GT(stats.tier_rotations, kNumSeals);
+  EXPECT_GT(stats.match_list_bytes, 0);
 }
 
 }  // namespace

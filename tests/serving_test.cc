@@ -1,7 +1,7 @@
 // The serving layer's contract (DESIGN.md Sec. 11): a QueryService
 // fans many concurrent queries over one immutable graph and must stay
-// byte-identical to solo QueryEngine runs — the cross-query cache tier
-// and the scheduler may change where window lists are found and when
+// byte-identical to solo QueryEngine runs — the match-list cache and
+// the scheduler may change where match lists are found and when
 // queries run, never what they return. Admission control, tenant
 // fairness, in-flight dedup, and config-default deadlines are pinned
 // down with gated (never sleep-racy) schedules. The concurrent
@@ -95,9 +95,9 @@ void ExpectSameResult(const QueryResult& served, const QueryResult& solo,
 
 TEST(ServingTest, ConcurrentMixedQueriesAreByteIdenticalToSoloRuns) {
   // The stress path: 4 workers, two motifs (interior and not), two
-  // deltas (two tier instances), every query mode, each submitted three
-  // times so later rounds hit the cross-query tier — every result must
-  // equal a solo 1-thread engine run without any serving machinery.
+  // deltas, every query mode, each submitted three times so later
+  // rounds reuse the cached match lists — every result must equal a
+  // solo 1-thread engine run without any serving machinery.
   struct Case {
     const char* motif_name;
     QueryOptions options;
@@ -136,7 +136,7 @@ TEST(ServingTest, ConcurrentMixedQueriesAreByteIdenticalToSoloRuns) {
   significance.seed = 7;
   cases.push_back({"M(3,2)", significance});
 
-  // Solo references: fresh engine, no tier, serial.
+  // Solo references: fresh engine, serial.
   const QueryEngine solo_engine(SharedGraph());
   std::vector<QueryResult> solo;
   solo.reserve(cases.size());
@@ -174,56 +174,18 @@ TEST(ServingTest, ConcurrentMixedQueriesAreByteIdenticalToSoloRuns) {
   EXPECT_EQ(stats.submitted, static_cast<int64_t>(futures.size()));
   EXPECT_EQ(stats.completed, static_cast<int64_t>(futures.size()));
   EXPECT_EQ(stats.rejected, 0);
-  // The repeated rounds re-present every window-list pair to the tier.
-  EXPECT_GT(stats.tier_lookups, 0);
-  EXPECT_GT(stats.tier_hits, 0);
 }
 
-TEST(ServingTest, CacheTierServesRepeatedQueriesOfNonInteriorMotifs) {
-  // M(3,2) has no interior node: within one query no (first, last) pair
-  // repeats, so a per-query cache alone never pays. Across queries the
-  // pairs DO repeat — served queries read the tier for every motif
-  // shape, and the second identical query's window lists come out of
-  // the tier.
-  ServiceConfig config;
-  config.num_workers = 1;  // serial, deterministic hit accounting
-  config.enable_dedup = false;
-  config.enable_result_cache = false;  // the repeat must re-run (via tier)
-  QueryService service(SharedGraph(), config);
-
-  ServeRequest request{*MotifCatalog::ByName("M(3,2)"), QueryOptions()};
-  request.options.mode = QueryMode::kCount;
-  request.options.delta = SharedDelta();
-
-  const ServedResult first = service.Submit(ServeRequest(request)).get();
-  ASSERT_TRUE(first.result->termination.complete());
-  const ServiceStats after_first = service.Stats();
-  EXPECT_GT(after_first.tier_lookups, 0);
-  EXPECT_EQ(after_first.tier_hits, 0);  // cold tier: all misses
-
-  const ServedResult second = service.Submit(ServeRequest(request)).get();
-  ASSERT_TRUE(second.result->termination.complete());
-  EXPECT_EQ(second.result->stats.num_instances,
-            first.result->stats.num_instances);
-  const ServiceStats after_second = service.Stats();
-  // Warm tier: the second query's lookups all hit.
-  EXPECT_EQ(after_second.tier_hits,
-            after_second.tier_lookups - after_first.tier_lookups);
-  EXPECT_GT(after_second.tier_hits, 0);
-}
-
-TEST(ServingTest, DistinctDeltasKeepABoundedNumberOfTiers) {
-  // 200 distinct deltas through a 1-worker service on a tiny graph:
-  // every delta needs its own tier, but the service holds at most
-  // kMaxTiers, retiring the least recently started one. Every result
-  // equals a solo run, the tier totals never decrease across
-  // retirements, and a retired delta served again is still exact.
+TEST(ServingTest, ManyDistinctDeltasMatchSoloRuns) {
+  // 200 distinct deltas through a 1-worker service on a tiny graph,
+  // then the first delta again: every result equals a solo run, and
+  // every submission runs the engine.
   const TimeSeriesGraph graph = testing_util::PaperFig2Graph();
   const Motif motif = *MotifCatalog::ByName("M(3,3)");
   ServiceConfig config;
   config.num_workers = 1;
   config.enable_dedup = false;
-  config.enable_result_cache = false;  // a repeat must re-run on a tier
+  config.enable_result_cache = false;  // the repeat must re-run
   QueryService service(graph, config);
   const QueryEngine solo_engine(graph);
 
@@ -245,25 +207,12 @@ TEST(ServingTest, DistinctDeltasKeepABoundedNumberOfTiers) {
                      "delta " + std::to_string(delta));
   };
 
-  int64_t last_lookups = 0;
   for (Timestamp delta = 1; delta <= 200; ++delta) {
     serve_and_check(delta);
-    const ServiceStats stats = service.Stats();
-    EXPECT_LE(stats.tiers, static_cast<int64_t>(QueryService::kMaxTiers));
-    EXPECT_GE(stats.tier_lookups, last_lookups) << "delta " << delta;
-    last_lookups = stats.tier_lookups;
     if (testing::Test::HasFailure()) return;
   }
-  EXPECT_EQ(service.Stats().tiers,
-            static_cast<int64_t>(QueryService::kMaxTiers));
-
-  // Delta 1's tier was retired long ago; serving it again makes a fresh
-  // tier (retiring another) and stays exact.
   serve_and_check(1);
-  const ServiceStats after = service.Stats();
-  EXPECT_EQ(after.tiers, static_cast<int64_t>(QueryService::kMaxTiers));
-  EXPECT_GE(after.tier_lookups, last_lookups);
-  EXPECT_EQ(after.completed, 201);
+  EXPECT_EQ(service.Stats().completed, 201);
 }
 
 TEST(ServingTest, IdenticalInflightSubmissionsCoalesce) {
