@@ -3,9 +3,14 @@
 //  * BM_ServeRepeatedCount vs BM_DirectEngineCount — the same kCount
 //    query submitted repeatedly through a 1-worker (inline,
 //    deterministic) service, and run repeatedly on a bare
-//    QueryEngine::Run. The served row adds the service round trip
-//    (admission, future, stats) and skips phase P1 on its match-list
-//    cache hits; the bare row scans P1 every time.
+//    QueryEngine::Run at one thread. The served row adds the service
+//    round trip (admission, future, stats) and skips phase P1 on its
+//    match-list cache hits; the bare row scans P1 every time. The
+//    served run also borrows the service's helpers (one per hardware
+//    thread beyond the 1-query cap), so on a multi-core machine its P2
+//    batches run on several threads while the bare row's run on one:
+//    the pair compares a served query with a solo serial one, not the
+//    service's overhead alone.
 //  * BM_ServeMixedConcurrent — a batch of distinct queries per
 //    iteration through a 4-worker service: the QPS row. Latency
 //    percentiles ride along as counters (p50_ms / p99_ms) computed

@@ -20,6 +20,8 @@
 //   top1         the single best instance via the DP module
 //   significance z-score / p-value vs flow-permuted graphs
 #include <iostream>
+#include <limits>
+#include <string>
 
 #include "core/motif_catalog.h"
 #include "engine/query_engine.h"
@@ -142,8 +144,6 @@ int main(int argc, char** argv) {
   options.k = flags.GetInt64("k");
   options.strict_maximality = flags.GetBool("strict");
   options.collect_limit = flags.GetInt64("limit");
-  options.num_random_graphs =
-      static_cast<int>(flags.GetInt64("random-graphs"));
   options.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
 
   // Validate the numeric flags here so a typo gets one clear line
@@ -168,9 +168,13 @@ int main(int argc, char** argv) {
   const Status threads_status = ValidateThreadsFlag(threads_flag);
   if (!threads_status.ok()) return reject(threads_status.message());
   options.num_threads = static_cast<int>(threads_flag);
-  if (options.num_random_graphs < 1) {
-    return reject("--random-graphs must be >= 1");
+  // Validated before the narrowing cast too: 4294967297 would wrap to 1.
+  const int64_t random_graphs = flags.GetInt64("random-graphs");
+  if (random_graphs < 1 || random_graphs > std::numeric_limits<int>::max()) {
+    return reject("--random-graphs must be between 1 and " +
+                  std::to_string(std::numeric_limits<int>::max()));
   }
+  options.num_random_graphs = static_cast<int>(random_graphs);
   const int64_t deadline_ms = flags.GetInt64("deadline_ms");
   if (deadline_ms < 0) return reject("--deadline_ms must be non-negative");
   if (deadline_ms > 0) {

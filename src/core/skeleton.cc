@@ -1,11 +1,9 @@
 #include "core/skeleton.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #if defined(__GLIBC__)
@@ -71,8 +69,9 @@ class SeriesPairIndexer {
 /// thread without one) and hands each task that returned true to
 /// consume(i) on the calling thread, in index order, while later tasks
 /// still run. Stops handing over at the first task that returned false
-/// or threw, and returns whether every task was handed over; it returns
-/// only after every task has ended.
+/// or threw, and returns whether every task was handed over. On a pool
+/// it is one ParallelFor call: it waits for its own tasks only, and
+/// returns only after each of them has ended.
 template <typename Task, typename Consume>
 bool RunInOrder(ThreadPool* pool, size_t count, const Task& task,
                 const Consume& consume) {
@@ -83,44 +82,21 @@ bool RunInOrder(ThreadPool* pool, size_t count, const Task& task,
     }
     return true;
   }
-  enum : uint8_t { kRunning, kSucceeded, kFailed };
-  std::mutex mu;
-  std::condition_variable ended;
-  std::vector<uint8_t> outcome(count, kRunning);  // guarded by mu
-  // Every exit, exceptional ones included, waits for the tasks that
-  // reference the locals above.
-  struct WaitForTasks {
-    ThreadPool* pool;
-    ~WaitForTasks() { pool->Wait(); }
-  } wait_for_tasks{pool};
-  const auto end_task = [&](size_t i, bool ok) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      outcome[i] = ok ? kSucceeded : kFailed;
-    }
-    ended.notify_all();
-  };
-  for (size_t i = 0; i < count; ++i) {
-    pool->Submit([&, i] {
-      bool ok = false;
-      try {
-        ok = task(i);
-      } catch (...) {
-        end_task(i, false);  // else the loop below would wait forever
-        throw;               // the pool records it at the task boundary
-      }
-      end_task(i, ok);
-    });
-  }
-  for (size_t i = 0; i < count; ++i) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      ended.wait(lock, [&] { return outcome[i] != kRunning; });
-      if (outcome[i] == kFailed) return false;
-    }
-    consume(i);
-  }
-  return true;
+  // Written by task i's thread before it ends; read by the caller once
+  // ParallelFor hands index i over.
+  std::vector<uint8_t> succeeded(count, 0);
+  size_t handed = 0;
+  pool->ParallelFor(
+      static_cast<int64_t>(count),
+      [&](int64_t i) {
+        succeeded[static_cast<size_t>(i)] = task(static_cast<size_t>(i));
+      },
+      [&](int64_t i) {
+        if (handed == static_cast<size_t>(i) && succeeded[handed]) {
+          consume(handed++);
+        }
+      });
+  return handed == count;
 }
 
 /// Returns the memory the pool's workers freed to the system. glibc

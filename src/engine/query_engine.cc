@@ -28,7 +28,7 @@ int ResolveThreads(const QueryOptions& options) {
 
 /// The execution knobs every entry point validates.
 Status ValidateExecution(const QueryOptions& options) {
-  if (options.num_threads < 0) {
+  if (options.pool == nullptr && options.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0");
   }
   if (options.batch_size < 0) {
@@ -94,11 +94,13 @@ Termination InvalidOptionsTermination(Status status) {
   return termination;
 }
 
-/// Surfaces the pool's first task exception (satellite of the lifecycle
-/// work: a throwing task is recorded at the task boundary, the pool
-/// stays serviceable, and the submitting query reports it here). A
-/// thrown batch silently dropped its contribution, so on kError the
-/// partial results are best-effort, not a canonical prefix.
+/// Surfaces the first task exception of the run's pool calls (a
+/// throwing task is recorded at the task boundary, the pool stays
+/// serviceable, and the query reports it here). The pool keeps errors
+/// per calling thread, and a run makes every call from its own thread,
+/// so on a borrowed pool shared with other runs this is the run's own
+/// error only. A thrown batch silently dropped its contribution, so on
+/// kError the partial results are best-effort, not a canonical prefix.
 void OverlayPoolError(ThreadPool* pool, Termination* termination) {
   Status error = pool->TakeFirstError();
   if (error.ok()) return;
@@ -117,8 +119,9 @@ void OverlayPoolError(ThreadPool* pool, Termination* termination) {
 class EntryScope {
  public:
   /// Validates, makes the query's control (null on the zero-overhead
-  /// path) and pool, and checks "engine.start". Returns false when the
-  /// run ends here; `result` then carries its termination.
+  /// path), takes the borrowed pool or makes the run's own, and checks
+  /// "engine.start". Returns false when the run ends here; `result` then
+  /// carries its termination.
   template <typename Result>
   bool Begin(const Status& valid, const QueryOptions& options,
              Result* result) {
@@ -127,7 +130,9 @@ class EntryScope {
     } else {
       control_ = MakeQueryControl(options.cancel_token, options.deadline,
                                   options.budget);
-      pool_.emplace(ResolveThreads(options));
+      pool_ = options.pool != nullptr
+                  ? options.pool
+                  : &own_pool_.emplace(ResolveThreads(options));
       result->threads_used = pool_->num_threads();
       if (control_ == nullptr ||
           !control_->CheckAt(failpoint::kEngineStart)) {
@@ -142,17 +147,18 @@ class EntryScope {
   /// Surfaces a pool task error and stamps the end-to-end time.
   template <typename Result>
   void End(Result* result) {
-    if (pool_.has_value()) OverlayPoolError(&*pool_, &result->termination);
+    if (pool_ != nullptr) OverlayPoolError(pool_, &result->termination);
     result->wall_seconds = wall_.ElapsedSeconds();
   }
 
-  ThreadPool* pool() { return &*pool_; }
+  ThreadPool* pool() const { return pool_; }
   QueryControl* control() const { return control_.get(); }
 
  private:
   WallTimer wall_;
   std::unique_ptr<QueryControl> control_;
-  std::optional<ThreadPool> pool_;
+  std::optional<ThreadPool> own_pool_;
+  ThreadPool* pool_ = nullptr;  // own_pool_ or QueryOptions::pool
 };
 
 /// kTopK stat normalization, applied after the final collector drain:

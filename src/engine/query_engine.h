@@ -60,7 +60,8 @@ struct QueryResult {
   /// kSignificance: the per-motif report.
   SignificanceAnalyzer::MotifReport significance;
 
-  /// Execution footprint.
+  /// Execution footprint; threads_used is the num_threads() of the
+  /// run's pool, its own or the borrowed QueryOptions::pool.
   int threads_used = 1;
   int64_t num_batches = 0;
   double wall_seconds = 0.0;
@@ -156,7 +157,7 @@ class QueryEngine {
   /// curves): phase P1 once, one skeleton recording per delta, one
   /// replay per phi — instead of one full two-phase query per cell.
   /// Cells equal per-point kCount runs byte-for-byte. QueryOptions
-  /// supplies execution knobs (num_threads, skeleton_replay,
+  /// supplies execution knobs (num_threads or pool, skeleton_replay,
   /// batch_size); its mode/delta/phi fields are ignored.
   SweepResult RunSweep(const Motif& motif, const SweepQuery& sweep,
                        const QueryOptions& options) const;

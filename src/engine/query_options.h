@@ -10,6 +10,7 @@
 namespace flowmotif {
 
 class MatchListCache;
+class ThreadPool;
 
 /// The query modes unified behind QueryEngine — the paper's threshold
 /// enumeration (Sec. 4), top-k and top-1 search (Sec. 5), significance
@@ -51,7 +52,19 @@ struct QueryOptions {
 
   /// Worker threads for both phases. 1 = serial reference path; 0 = one
   /// per hardware thread. Results are byte-identical for every value.
+  /// Ignored when `pool` is set.
   int num_threads = 1;
+
+  /// A pool the run borrows instead of making its own (non-owning, may
+  /// be null; util/thread_pool.h). Null: the run makes a pool of
+  /// num_threads threads and drops it at its end. Set: every parallel
+  /// phase of the run calls ParallelFor on this pool, which may serve
+  /// other runs at the same time (QueryService hands each served run
+  /// its one helper pool, whose callers compute beside the helpers);
+  /// QueryResult::threads_used reports its num_threads(). Results stay
+  /// byte-identical either way. Owned by the caller, which must keep it
+  /// alive for the call.
+  ThreadPool* pool = nullptr;
 
   /// Structural matches per P2 batch; 0 derives the size: one batch at
   /// one thread, about eight per thread otherwise (PartitionIndexSpace).

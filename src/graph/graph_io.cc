@@ -6,40 +6,34 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
-#include <vector>
+#include <string>
 
 namespace flowmotif {
 
 namespace {
 
-/// Splits on runs of spaces/tabs (the edge-list format allows either).
-std::vector<std::string> SplitWhitespace(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : line) {
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!current.empty()) {
-        tokens.push_back(current);
-        current.clear();
-      }
-    } else {
-      current.push_back(c);
-    }
-  }
-  if (!current.empty()) tokens.push_back(current);
-  return tokens;
-}
+/// The edge-list field delimiters: runs of spaces, tabs and '\r'.
+bool IsDelimiter(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
-/// Parses all of `token` as a base-10 integer of type T into `*out`.
+/// One field of a row: [begin, end) of the line it was read from.
+struct Field {
+  const char* begin = nullptr;
+  const char* end = nullptr;
+
+  std::string text() const { return std::string(begin, end); }
+};
+
+/// Parses all of `field` as a base-10 integer of type T into `*out`.
 /// Returns null on success, else why not: a value T cannot hold is
 /// rejected, never wrapped or clamped into a different id or time.
+/// strtoll reads in place; the line ends in a NUL, and a parse that
+/// stops short of the field's end, or runs past it, is not an integer.
 template <typename T>
-const char* ParseInteger(const std::string& token, T* out) {
+const char* ParseInteger(const Field& field, T* out) {
   char* end = nullptr;
   errno = 0;
-  const long long value = std::strtoll(token.c_str(), &end, 10);
-  if (*end != '\0') return "not an integer";
+  const long long value = std::strtoll(field.begin, &end, 10);
+  if (end != field.end) return "not an integer";
   if (errno == ERANGE ||
       value < static_cast<long long>(std::numeric_limits<T>::min()) ||
       value > static_cast<long long>(std::numeric_limits<T>::max())) {
@@ -62,42 +56,55 @@ StatusOr<InteractionGraph> LoadInteractionGraph(const std::string& path) {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    std::vector<std::string> tokens = SplitWhitespace(line);
-    if (tokens.empty()) continue;
-    if (tokens.size() != 4) {
-      return Status::InvalidArgument(
-          path + ":" + std::to_string(line_no) +
-          ": expected 'src dst time flow', got " +
-          std::to_string(tokens.size()) + " fields");
+    // Split in place: the first four fields, and how many there are.
+    Field fields[4];
+    size_t num_fields = 0;
+    const char* const line_end = line.data() + line.size();
+    for (const char* c = line.data(); c != line_end;) {
+      if (IsDelimiter(*c)) {
+        ++c;
+        continue;
+      }
+      const char* const begin = c;
+      while (c != line_end && !IsDelimiter(*c)) ++c;
+      if (num_fields < 4) fields[num_fields] = Field{begin, c};
+      ++num_fields;
     }
-    const auto bad = [&](const char* field, const std::string& token,
+    if (num_fields == 0) continue;
+    const auto at = [&] { return path + ":" + std::to_string(line_no) + ": "; };
+    // A NUL would end the string the number parsers read early.
+    if (line.find('\0') != std::string::npos) {
+      return Status::InvalidArgument(at() + "row contains a NUL byte");
+    }
+    if (num_fields != 4) {
+      return Status::InvalidArgument(
+          at() + "expected 'src dst time flow', got " +
+          std::to_string(num_fields) + " fields");
+    }
+    const auto bad = [&](const char* name, const Field& field,
                          const char* why) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": bad " + field + " '" + token +
-                                     "': " + why);
+      return Status::InvalidArgument(at() + "bad " + name + " '" +
+                                     field.text() + "': " + why);
     };
     VertexId src = 0;
     VertexId dst = 0;
     Timestamp t = 0;
-    if (const char* why = ParseInteger(tokens[0], &src)) {
-      return bad("src", tokens[0], why);
+    if (const char* why = ParseInteger(fields[0], &src)) {
+      return bad("src", fields[0], why);
     }
-    if (const char* why = ParseInteger(tokens[1], &dst)) {
-      return bad("dst", tokens[1], why);
+    if (const char* why = ParseInteger(fields[1], &dst)) {
+      return bad("dst", fields[1], why);
     }
-    if (const char* why = ParseInteger(tokens[2], &t)) {
-      return bad("time", tokens[2], why);
+    if (const char* why = ParseInteger(fields[2], &t)) {
+      return bad("time", fields[2], why);
     }
     char* end = nullptr;
-    const double f = std::strtod(tokens[3].c_str(), &end);
-    if (*end != '\0') return bad("flow", tokens[3], "not a number");
+    const double f = std::strtod(fields[3].begin, &end);
+    if (end != fields[3].end) return bad("flow", fields[3], "not a number");
     // AddEdge rejects a flow that is not positive and finite, which
     // covers "inf", "nan" and an overflowing literal such as 1e400.
     Status s = graph.AddEdge(src, dst, t, f);
-    if (!s.ok()) {
-      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": " + s.message());
-    }
+    if (!s.ok()) return Status::InvalidArgument(at() + s.message());
   }
   return graph;
 }

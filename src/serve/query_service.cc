@@ -1,5 +1,6 @@
 #include "serve/query_service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -15,6 +16,12 @@ using SteadyClock = std::chrono::steady_clock;
 
 int ResolveWorkers(int num_workers) {
   return num_workers > 0 ? num_workers : ThreadPool::DefaultParallelism();
+}
+
+/// The helper pool's num_threads(): one call's caller plus one helper
+/// per hardware thread the running cap leaves idle.
+int HelperPoolThreads(int max_concurrent) {
+  return 1 + std::max(0, ThreadPool::DefaultParallelism() - max_concurrent);
 }
 
 double SecondsBetween(SteadyClock::time_point from, SteadyClock::time_point to) {
@@ -76,6 +83,8 @@ QueryService::QueryService(TimeSeriesGraph graph, ServiceConfig config)
       live_graph_(log_.Snapshot()),
       live_epoch_(log_.epoch()),
       match_lists_(live_graph_->topology_identity(), kMatchListCacheBytes),
+      helpers_(HelperPoolThreads(max_concurrent_),
+               ThreadPool::Caller::kComputes),
       pool_(ResolveWorkers(config_.num_workers)) {}
 
 QueryService::~QueryService() {
@@ -158,6 +167,7 @@ int64_t QueryService::StartLocked(Pending* pending) {
   const int64_t sequence = next_sequence_++;
   QueryOptions& opts = pending->request.options;
   if (opts.match_list_cache == nullptr) opts.match_list_cache = &match_lists_;
+  if (opts.pool == nullptr) opts.pool = &helpers_;
   return sequence;
 }
 
@@ -261,10 +271,6 @@ std::future<ServedResult> QueryService::Submit(ServeRequest request) {
   if (!options.budget.active() && config_.default_budget.active()) {
     options.budget = config_.default_budget;
   }
-  // The service parallelizes across queries, not within them: worker
-  // count bounds total parallelism, and results are byte-identical at
-  // any thread count by engine contract.
-  options.num_threads = 1;
 
   auto pending = std::make_shared<Pending>(std::move(request), submit_time);
   std::future<ServedResult> future = pending->promise.get_future();

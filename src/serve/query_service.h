@@ -53,6 +53,12 @@ namespace flowmotif {
 ///    evicting its least recently used result when full) makes repeats
 ///    *after* completion free as well.
 ///
+///  * elastic parallelism — every served run borrows the service's one
+///    helper pool (QueryOptions::pool): its parallel phases run on its
+///    request worker plus whichever helpers no other run holds, so an
+///    expensive read spreads over the hardware threads the running
+///    queries leave idle.
+///
 /// A served run handles window lists exactly as a solo QueryEngine::Run
 /// does (one per-query cache for interior-node motifs, none otherwise),
 /// so results are byte-identical to solo runs on the same snapshot: the
@@ -63,15 +69,18 @@ namespace flowmotif {
 
 /// Service-wide configuration. Every 0 selects the documented default.
 struct ServiceConfig {
-  /// Worker threads executing queries. 0 = one per hardware thread.
-  /// With 1 worker the pool degenerates to inline execution: Submit
-  /// runs the query synchronously on the calling thread (still
-  /// correct, used by deterministic tests).
+  /// Request workers: each runs one admitted query at a time. 0 = one
+  /// per hardware thread. With 1 worker the pool degenerates to inline
+  /// execution: Submit runs the query synchronously on the calling
+  /// thread (still correct, used by deterministic tests).
   int num_workers = 0;
 
-  /// Queries running at once. 0 = num_workers. Each served query runs
-  /// with num_threads = 1 — the service parallelizes across queries,
-  /// not within them, so worker count bounds total parallelism.
+  /// Queries running at once. 0 = num_workers. The service also starts
+  /// ThreadPool::DefaultParallelism() - max_concurrent helper threads
+  /// (none when the cap covers every hardware thread), which every
+  /// running query's parallel phases share beside its own worker; the
+  /// QueryOptions::num_threads of a served query is ignored. Running
+  /// queries plus busy helpers never exceed the hardware threads.
   int max_concurrent = 0;
 
   /// Bounded admission queue depth behind the concurrency cap. A
@@ -273,7 +282,7 @@ class QueryService {
 
   /// Dedup/result-cache key for an eligible request: the epoch it will
   /// run against, the motif's structural encoding, and every
-  /// result-affecting option. Execution knobs (num_threads,
+  /// result-affecting option. Execution knobs (num_threads, pool,
   /// batch_size, skeleton_replay) are excluded — results are
   /// byte-identical across them by engine contract. Qualifying by
   /// epoch means a post-seal submission can never coalesce onto (or be
@@ -299,7 +308,8 @@ class QueryService {
   static void FulfillExpired(ExpiredEntry* entry);
 
   /// Bumps running/tenant counters for `pending`, hands it the
-  /// match-list cache, and assigns its sequence. Requires mu_ held.
+  /// match-list cache and the helper pool, and assigns its sequence.
+  /// Requires mu_ held.
   int64_t StartLocked(Pending* pending);
 
   const ServiceConfig config_;
@@ -328,8 +338,15 @@ class QueryService {
   MatchListCache match_lists_;
   ServiceStats stats_;
 
-  /// Last member: destroyed first, but the destructor drains the queue
-  /// explicitly before ~ThreadPool joins the workers.
+  /// The helpers every served run borrows (QueryOptions::pool): each
+  /// ParallelFor of a run computes on its request worker plus the
+  /// helpers no other run holds. Destroyed after pool_, so no run
+  /// outlives it.
+  ThreadPool helpers_;
+
+  /// The request workers. Last member: destroyed first, but the
+  /// destructor drains the queue explicitly before ~ThreadPool joins
+  /// the workers.
   ThreadPool pool_;
 };
 

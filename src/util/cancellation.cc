@@ -67,11 +67,25 @@ std::string CancellationToken::reason() const {
 }
 
 QueryDeadline QueryDeadline::AfterSeconds(double seconds) {
+  using Clock = std::chrono::steady_clock;
   QueryDeadline deadline;
   deadline.active_ = true;
-  deadline.at_ = std::chrono::steady_clock::now() +
-                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(seconds));
+  const Clock::time_point now = Clock::now();
+  // Compared in ticks, as the conversion below computes them: a count
+  // the clock cannot hold past `now` (NaN included) would overflow it,
+  // so such a deadline never expires; one at or before now already has.
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double>(seconds))
+                           .count();
+  const double headroom =
+      static_cast<double>((Clock::time_point::max() - now).count());
+  if (!(ticks < headroom)) {
+    deadline.at_ = Clock::time_point::max();
+  } else if (ticks <= 0.0) {
+    deadline.at_ = now;
+  } else {
+    deadline.at_ = now + Clock::duration(static_cast<Clock::rep>(ticks));
+  }
   return deadline;
 }
 

@@ -97,6 +97,9 @@ class QueryDeadline {
  public:
   QueryDeadline() = default;
 
+  /// A deadline `seconds` from now. One past the clock's last tick
+  /// (about 292 years of steady_clock nanoseconds) never expires; one
+  /// at or before now already has.
   static QueryDeadline AfterSeconds(double seconds);
   static QueryDeadline AfterMillis(int64_t millis) {
     return AfterSeconds(static_cast<double>(millis) * 1e-3);

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -57,11 +58,18 @@ Status FlagParser::SetFromString(Flag* flag, const std::string& text,
   switch (flag->type) {
     case Type::kInt64: {
       char* end = nullptr;
+      errno = 0;
       long long v = std::strtoll(text.c_str(), &end, 10);
       if (end == text.c_str() || *end != '\0') {
         return Status::InvalidArgument("flag --" + name +
                                        " expects an integer, got '" + text +
                                        "'");
+      }
+      // strtoll clamps an out-of-range value: reject it instead of
+      // running a different query.
+      if (errno == ERANGE) {
+        return Status::InvalidArgument("flag --" + name +
+                                       " is out of range: '" + text + "'");
       }
       flag->int_value = static_cast<int64_t>(v);
       return Status::OK();

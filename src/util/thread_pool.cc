@@ -1,19 +1,93 @@
 #include "util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace flowmotif {
 
-ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
+namespace {
+
+/// Runs `work`; returns the Internal Status of whatever it threw.
+template <typename Work>
+Status RunCaught(const Work& work) {
+  try {
+    work();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("task threw: ") + e.what());
+  } catch (...) {
+    return Status::Internal("task threw: unknown exception");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+/// One ParallelFor call, shared by its caller and the tasks it queued, so
+/// a task that a worker dequeues after the call returned still finds the
+/// cursor (spent) and touches nothing else. `body` is read only while an
+/// index is claimed, and the caller does not return before every claimed
+/// index ended.
+struct ThreadPool::Call {
+  Call(int64_t n, const std::function<void(int64_t)>& body, bool in_order)
+      : n(n), body(body), returned(in_order ? static_cast<size_t>(n) : 0) {}
+
+  /// Claims and runs indices until the cursor is spent.
+  void Drain() {
+    for (int64_t i = cursor.fetch_add(1); i < n; i = cursor.fetch_add(1)) {
+      Finish(i, RunCaught([&] { body(i); }));
+    }
+  }
+
+  /// Ends index i (none for i < 0) with `status`; a failure also ends
+  /// every index nobody claimed yet, so later claims find the cursor
+  /// spent.
+  void Finish(int64_t i, Status status) {
+    int64_t count = i >= 0 ? 1 : 0;
+    if (!status.ok()) {
+      const int64_t next = cursor.exchange(n);
+      if (next < n) count += n - next;
+    }
+    bool wake = false;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!status.ok()) {
+        if (error.ok()) error = std::move(status);
+      } else if (i >= 0 && !returned.empty()) {
+        returned[static_cast<size_t>(i)] = 1;
+      }
+      ended += count;
+      // The caller waits for the last index, or in order for the next.
+      wake = ended == n || !returned.empty();
+    }
+    if (wake) changed.notify_one();
+  }
+
+  const int64_t n;
+  const std::function<void(int64_t)>& body;
+  std::atomic<int64_t> cursor{0};
+  std::mutex mu;
+  std::condition_variable changed;  // the caller waits on it
+  int64_t ended = 0;                // indices run or skipped; guarded by mu
+  std::vector<uint8_t> returned;    // in-order calls only; guarded by mu
+  Status error;                     // the call's first; guarded by mu
+};
+
+ThreadPool::ThreadPool(int num_threads, Caller caller)
+    : num_threads_(num_threads), caller_(caller) {
   FLOWMOTIF_CHECK_GE(num_threads, 1);
-  if (num_threads == 1) return;  // inline mode, no workers
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
+  // A computing caller is one of the call's threads; a waiting one at
+  // num_threads == 1 runs inline, with no worker.
+  const int workers = caller == Caller::kComputes ? num_threads - 1
+                      : num_threads == 1         ? 0
+                                                 : num_threads;
+  workers_.reserve(static_cast<size_t>(workers));
+  for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -29,52 +103,39 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(lock,
-                           [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    RunTask(task);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
+      Task task;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        work_available_.wait(lock,
+                             [this] { return shutdown_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // shutdown with a drained queue
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      Status status = RunCaught(task.run);
+      if (!status.ok()) RecordError(task.submitter, std::move(status));
+    }  // the task and its captures are gone before it counts as done
+    std::unique_lock<std::mutex> lock(mu_);
+    if (--in_flight_ == 0) all_done_.notify_all();
   }
 }
 
-void ThreadPool::RunTask(const std::function<void()>& task) {
-  try {
-    task();
-  } catch (const std::exception& e) {
-    RecordError(e.what());
-  } catch (...) {
-    RecordError("unknown exception");
-  }
-}
-
-void ThreadPool::RecordError(const std::string& message) {
+void ThreadPool::RecordError(std::thread::id thread, Status error) {
   std::lock_guard<std::mutex> lock(error_mu_);
-  if (first_error_.ok()) {
-    first_error_ = Status::Internal("task threw: " + message);
-  }
+  errors_.emplace(thread, std::move(error));  // keeps an earlier one
 }
 
 Status ThreadPool::TakeFirstError() {
   std::lock_guard<std::mutex> lock(error_mu_);
-  Status status = std::move(first_error_);
-  first_error_ = Status::OK();
-  return status;
+  const auto it = errors_.find(std::this_thread::get_id());
+  if (it == errors_.end()) return Status::OK();
+  Status error = std::move(it->second);
+  errors_.erase(it);
+  return error;
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  if (num_threads_ == 1) {
-    RunTask(task);
-    return;
-  }
+void ThreadPool::Enqueue(Task task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
@@ -83,53 +144,84 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.notify_one();
 }
 
+void ThreadPool::Submit(std::function<void()> task) {
+  if (workers_.empty()) {
+    Status status = RunCaught(task);
+    if (!status.ok()) {
+      RecordError(std::this_thread::get_id(), std::move(status));
+    }
+    return;
+  }
+  Enqueue(Task{std::move(task), std::this_thread::get_id()});
+}
+
 void ThreadPool::Wait() {
-  if (num_threads_ == 1) return;
+  if (workers_.empty()) return;
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::ParallelFor(int64_t n,
-                             const std::function<void(int64_t)>& body) {
+                             const std::function<void(int64_t)>& body,
+                             const std::function<void(int64_t)>& in_order) {
   if (n <= 0) return;
-  if (num_threads_ == 1 || n == 1) {
+  const std::thread::id caller = std::this_thread::get_id();
+  if (workers_.empty() || n == 1) {
     for (int64_t i = 0; i < n; ++i) {
-      try {
+      Status status = RunCaught([&] {
         body(i);
-      } catch (const std::exception& e) {
-        RecordError(e.what());
-        return;
-      } catch (...) {
-        RecordError("unknown exception");
+        if (in_order) in_order(i);
+      });
+      if (!status.ok()) {
+        RecordError(caller, std::move(status));
         return;
       }
     }
     return;
   }
-  // One task per worker pulling indices from a shared cursor: cheap
-  // dynamic load balancing without one queue entry per index.
-  auto cursor = std::make_shared<std::atomic<int64_t>>(0);
-  const int64_t num_tasks =
-      std::min<int64_t>(n, static_cast<int64_t>(num_threads_));
+  // One task per helper the call can use, each draining the call's own
+  // cursor: dynamic load balancing without one queue entry per index.
+  const auto call = std::make_shared<Call>(n, body, in_order != nullptr);
+  const bool computes = caller_ == Caller::kComputes;
+  const int64_t num_tasks = std::min<int64_t>(
+      computes ? n - 1 : n, static_cast<int64_t>(workers_.size()));
   for (int64_t t = 0; t < num_tasks; ++t) {
-    Submit([this, cursor, n, &body] {
-      for (int64_t i = cursor->fetch_add(1); i < n;
-           i = cursor->fetch_add(1)) {
-        try {
-          body(i);
-        } catch (const std::exception& e) {
-          RecordError(e.what());
-          cursor->store(n);  // drain: skip the remaining indices
-          return;
-        } catch (...) {
-          RecordError("unknown exception");
-          cursor->store(n);
-          return;
-        }
-      }
-    });
+    Enqueue(Task{[call] { call->Drain(); }, caller});
   }
-  Wait();
+  bool claiming = computes;
+  bool handing = in_order != nullptr;
+  int64_t handed = 0;  // indices passed to in_order
+  std::unique_lock<std::mutex> lock(call->mu);
+  for (;;) {
+    if (handing && handed < n && call->returned[static_cast<size_t>(handed)]) {
+      lock.unlock();
+      Status status = RunCaught([&] { in_order(handed); });
+      if (status.ok()) {
+        ++handed;
+      } else {
+        handing = false;
+        call->Finish(-1, std::move(status));
+      }
+      lock.lock();
+      continue;
+    }
+    if (call->ended == n) break;
+    if (claiming) {
+      lock.unlock();
+      const int64_t i = call->cursor.fetch_add(1);
+      if (i < n) {
+        call->Finish(i, RunCaught([&] { body(i); }));
+      } else {
+        claiming = false;
+      }
+      lock.lock();
+      continue;
+    }
+    call->changed.wait(lock);
+  }
+  Status error = std::move(call->error);
+  lock.unlock();
+  if (!error.ok()) RecordError(caller, std::move(error));
 }
 
 int ThreadPool::DefaultParallelism() {

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/motif_catalog.h"
@@ -528,22 +530,36 @@ TEST_F(FaultInjectionTest, ExpiredDeadlineStopsBeforeWork) {
 }
 
 TEST_F(FaultInjectionTest, GenerousDeadlineLeavesResultByteIdentical) {
-  // An active control that never trips must not change any output.
+  // An active control that never trips must not change any output. The
+  // last three deadlines lie past the steady clock's range (about 292
+  // years): they must never expire, not wrap into the past.
   const Workload& w = SharedWorkload();
   const QueryEngine engine(w.graph);
-  for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,
-                         QueryMode::kTopK, QueryMode::kTop1}) {
-    QueryOptions options;
-    options.mode = mode;
-    options.delta = w.delta;
-    options.collect_limit = -1;
-    options.k = 5;
-    const QueryResult baseline = engine.Run(w.motif, options);
-    options.deadline = QueryDeadline::AfterSeconds(3600.0);
-    const QueryResult guarded = engine.Run(w.motif, options);
-    ASSERT_TRUE(guarded.termination.complete());
-    ExpectSamePayload(guarded, baseline,
-                      "mode=" + std::to_string(static_cast<int>(mode)));
+  const std::vector<std::pair<std::string, QueryDeadline>> deadlines = {
+      {"1 hour", QueryDeadline::AfterSeconds(3600.0)},
+      {"1e13 ms", QueryDeadline::AfterMillis(10'000'000'000'000)},
+      {"INT64_MAX ms",
+       QueryDeadline::AfterMillis(std::numeric_limits<int64_t>::max())},
+      {"+inf s",
+       QueryDeadline::AfterSeconds(std::numeric_limits<double>::infinity())}};
+  for (const auto& [name, deadline] : deadlines) {
+    EXPECT_FALSE(deadline.Expired()) << name;
+    for (QueryMode mode : {QueryMode::kEnumerate, QueryMode::kCount,
+                           QueryMode::kTopK, QueryMode::kTop1}) {
+      QueryOptions options;
+      options.mode = mode;
+      options.delta = w.delta;
+      options.collect_limit = -1;
+      options.k = 5;
+      const QueryResult baseline = engine.Run(w.motif, options);
+      options.deadline = deadline;
+      const QueryResult guarded = engine.Run(w.motif, options);
+      ASSERT_TRUE(guarded.termination.complete())
+          << name << ": " << guarded.termination.ToString();
+      ExpectSamePayload(guarded, baseline,
+                        name + " mode=" +
+                            std::to_string(static_cast<int>(mode)));
+    }
   }
 }
 

@@ -87,10 +87,16 @@ TEST(FlagsTest, UnknownFlagIsError) {
 }
 
 TEST(FlagsTest, BadIntegerIsError) {
-  FlagParser flags;
-  flags.AddInt64("n", 0, "");
-  auto argv = Argv({"--n=abc"});
-  EXPECT_FALSE(flags.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  // Past int64 in either direction is rejected, not clamped.
+  for (const char* arg :
+       {"--n=abc", "--n=99999999999999999999", "--n=-99999999999999999999"}) {
+    FlagParser flags;
+    flags.AddInt64("n", 0, "");
+    auto argv = Argv({arg});
+    const Status status =
+        flags.Parse(static_cast<int>(argv.size()), argv.data());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << arg;
+  }
 }
 
 TEST(FlagsTest, BadBoolIsError) {

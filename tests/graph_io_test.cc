@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "test_util.h"
 
@@ -113,6 +119,211 @@ TEST_F(GraphIoTest, LoadRejectsMalformedRows) {
               std::string::npos)
         << loaded.status();
   }
+}
+
+/// The loader as it parsed rows before it split them in place: each
+/// line copied into a vector of field strings, each field parsed on its
+/// own copy. The seeded test below holds the loader to it.
+namespace reference {
+
+std::vector<std::string> SplitWhitespace(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::string current;
+  for (char c : line) {
+    if (c == ' ' || c == '\t' || c == '\r') {
+      if (!current.empty()) {
+        tokens.push_back(current);
+        current.clear();
+      }
+    } else {
+      current.push_back(c);
+    }
+  }
+  if (!current.empty()) tokens.push_back(current);
+  return tokens;
+}
+
+template <typename T>
+const char* ParseInteger(const std::string& token, T* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(token.c_str(), &end, 10);
+  if (*end != '\0') return "not an integer";
+  if (errno == ERANGE ||
+      value < static_cast<long long>(std::numeric_limits<T>::min()) ||
+      value > static_cast<long long>(std::numeric_limits<T>::max())) {
+    return "out of range";
+  }
+  *out = static_cast<T>(value);
+  return nullptr;
+}
+
+StatusOr<InteractionGraph> Load(const std::string& path,
+                                const std::vector<std::string>& lines) {
+  InteractionGraph graph;
+  int64_t line_no = 0;
+  for (const std::string& line : lines) {
+    ++line_no;
+    if (line.empty() || line[0] == '#') continue;
+    std::vector<std::string> tokens = SplitWhitespace(line);
+    if (tokens.empty()) continue;
+    if (tokens.size() != 4) {
+      return Status::InvalidArgument(
+          path + ":" + std::to_string(line_no) +
+          ": expected 'src dst time flow', got " +
+          std::to_string(tokens.size()) + " fields");
+    }
+    const auto bad = [&](const char* field, const std::string& token,
+                         const char* why) {
+      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
+                                     ": bad " + field + " '" + token +
+                                     "': " + why);
+    };
+    VertexId src = 0;
+    VertexId dst = 0;
+    Timestamp t = 0;
+    if (const char* why = ParseInteger(tokens[0], &src)) {
+      return bad("src", tokens[0], why);
+    }
+    if (const char* why = ParseInteger(tokens[1], &dst)) {
+      return bad("dst", tokens[1], why);
+    }
+    if (const char* why = ParseInteger(tokens[2], &t)) {
+      return bad("time", tokens[2], why);
+    }
+    char* end = nullptr;
+    const double f = std::strtod(tokens[3].c_str(), &end);
+    if (*end != '\0') return bad("flow", tokens[3], "not a number");
+    Status s = graph.AddEdge(src, dst, t, f);
+    if (!s.ok()) {
+      return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
+                                     ": " + s.message());
+    }
+  }
+  return graph;
+}
+
+}  // namespace reference
+
+/// One seeded row: a valid edge row, then up to three mutations drawn
+/// from what an untrusted edge file may hold.
+std::string MutatedRow(std::mt19937_64& rng) {
+  const auto pick = [&rng](const std::vector<std::string>& from) {
+    return from[rng() % from.size()];
+  };
+  std::vector<std::string> fields = {
+      std::to_string(rng() % 50), std::to_string(rng() % 50),
+      std::to_string(rng() % 1000000),
+      std::to_string(1 + rng() % 1000) + "." + std::to_string(rng() % 100)};
+  std::vector<std::string> gaps(fields.size() + 1, " ");
+  gaps.front() = "";
+  gaps.back() = "";
+  const std::vector<std::string> values = {
+      "+5", "-3", "0", "-0", "0x10", "1e3", "inf", "-inf", "nan", "1e400",
+      "1e-400", "0x1p3", "0x1.8p1", "2147483647", "2147483648",
+      "-2147483649", "4294967296", "9223372036854775807",
+      "9223372036854775808", "-9223372036854775809",
+      "99999999999999999999", "abc", "1.5", "12abc", "\v7", "7\v", "+",
+      "-", ".", "1e", "\f", "#", "3 4"};
+  const std::vector<std::string> delimiters = {"\t", "  ", "\r", " \r ",
+                                               "\v", "\f", "\t\t", " \v "};
+  const int mutations = static_cast<int>(rng() % 4);
+  for (int m = 0; m < mutations; ++m) {
+    switch (rng() % 6) {
+      case 0:  // a field missing
+        if (fields.size() > 1) {
+          const size_t i = rng() % fields.size();
+          fields.erase(fields.begin() + static_cast<std::ptrdiff_t>(i));
+          gaps.erase(gaps.begin() + static_cast<std::ptrdiff_t>(i + 1));
+        }
+        break;
+      case 1:  // an extra field
+        fields.push_back(pick(values));
+        gaps.insert(gaps.end() - 1, " ");
+        break;
+      case 2:  // a field replaced
+        fields[rng() % fields.size()] = pick(values);
+        break;
+      case 3:  // another delimiter, leading and trailing ones included
+        gaps[rng() % gaps.size()] = pick(delimiters);
+        break;
+      case 4:  // a comment marker
+        gaps.front() = rng() % 2 == 0 ? "#" : " #";
+        break;
+      case 5:  // a leading '+'
+        fields[rng() % fields.size()].insert(0, "+");
+        break;
+    }
+  }
+  std::string row = gaps[0];
+  for (size_t i = 0; i < fields.size(); ++i) row += fields[i] + gaps[i + 1];
+  // Byte-level damage: a NUL, or junk of any byte but the newline.
+  const uint64_t damage = rng() % 8;
+  if (damage <= 1) {
+    row.insert(rng() % (row.size() + 1), 1, '\0');
+  } else if (damage == 2) {
+    char junk = static_cast<char>(rng() % 256);
+    if (junk == '\n') junk = '!';
+    row.insert(rng() % (row.size() + 1), 1, junk);
+  }
+  return row;
+}
+
+TEST_F(GraphIoTest, SeededMalformedRowsLoadAsTheReferenceParsesThem) {
+  // Each file holds a valid row, then a seeded mutation of one. Rows
+  // without a NUL load to the reference's edges or fail with its code
+  // and message; a row with a NUL byte is rejected (a NUL used to end
+  // the number parsers' string, so "1\0x 2 3 4.0" loaded as 1->2).
+  std::mt19937_64 rng(20240611);
+  constexpr int kRows = 3000;
+  int accepted = 0;
+  int rejected = 0;
+  int with_nul = 0;
+  for (int r = 0; r < kRows; ++r) {
+    const std::string row = MutatedRow(rng);
+    const std::vector<std::string> lines = {"7 8 100 2.5", row};
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      for (const std::string& line : lines) out << line << '\n';
+    }
+    const StatusOr<InteractionGraph> loaded = LoadInteractionGraph(path_);
+    const std::string context = "row " + std::to_string(r) + ": '" + row + "'";
+    if (row.find('\0') != std::string::npos && row[0] != '#') {
+      ++with_nul;
+      ASSERT_FALSE(loaded.ok()) << context;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(loaded.status().message().find(path_ + ":2: "),
+                std::string::npos)
+          << loaded.status();
+      continue;
+    }
+    const StatusOr<InteractionGraph> expected = reference::Load(path_, lines);
+    ASSERT_EQ(loaded.ok(), expected.ok())
+        << context << " loaded: " << loaded.status()
+        << " reference: " << expected.status();
+    if (!expected.ok()) {
+      ++rejected;
+      EXPECT_EQ(loaded.status().code(), expected.status().code()) << context;
+      EXPECT_EQ(loaded.status().message(), expected.status().message())
+          << context;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(loaded->num_interactions(), expected->num_interactions())
+        << context;
+    for (size_t i = 0; i < loaded->edges().size(); ++i) {
+      const InteractionGraph::Edge& a = loaded->edges()[i];
+      const InteractionGraph::Edge& b = expected->edges()[i];
+      EXPECT_EQ(a.src, b.src) << context;
+      EXPECT_EQ(a.dst, b.dst) << context;
+      EXPECT_EQ(a.t, b.t) << context;
+      EXPECT_EQ(std::memcmp(&a.f, &b.f, sizeof(a.f)), 0) << context;
+    }
+  }
+  // The mutations reach every outcome.
+  EXPECT_GT(accepted, kRows / 10);
+  EXPECT_GT(rejected, kRows / 10);
+  EXPECT_GT(with_nul, kRows / 20);
 }
 
 TEST_F(GraphIoTest, ErrorMessagesIncludeLineNumbers) {

@@ -14,6 +14,7 @@
 // target (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <future>
@@ -21,6 +22,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/motif_catalog.h"
@@ -374,15 +376,17 @@ TEST(ServingEpochTest, MatchListsSurviveSealsThatAddNoPair) {
   EXPECT_EQ(service.Stats().match_list_hits, 3);
 }
 
-TEST(ServingEpochTest, ServiceStateStaysBoundedAcrossManySeals) {
-  // Soak the state a service keeps across seals: 500 seals,
-  // alternately adding a pair and appending to existing pairs only,
-  // with kCount and kTopK reads at two deltas after each. After every
-  // epoch the match lists fit their byte bound, and the snapshot each
-  // seal replaced is freed once the loop drops its own reference: no
-  // cache, queue entry or finished run may pin it. One worker runs
-  // every read inline, so no run is in flight at that check. Every
-  // 100th epoch the reads equal fresh engines on that snapshot.
+/// Soaks the state a service keeps across seals: 500 seals, alternately
+/// adding a pair and appending to existing pairs only, with kCount and
+/// kTopK reads at two deltas after each, all submitted at once. After
+/// every epoch the match lists fit their byte bound, and the snapshot
+/// each seal replaced is freed once the loop drops its own reference
+/// and every run has returned: no cache, queue entry or finished run may
+/// pin it. With one worker every read runs inline, so it is freed at
+/// once; with more, a worker may still be returning from a read whose
+/// future already resolved. Every 100th epoch the reads equal fresh
+/// engines on that snapshot.
+void SoakSeals(int num_workers) {
   constexpr int kNumSeals = 500;
   constexpr VertexId kVertices = 64;  // sparse: reads stay cheap
   std::mt19937_64 rng(17);
@@ -399,7 +403,7 @@ TEST(ServingEpochTest, ServiceStateStaysBoundedAcrossManySeals) {
     ASSERT_TRUE(multigraph.AddEdge(src, dst, next_time(), next_flow()).ok());
   }
   ServiceConfig config;
-  config.num_workers = 1;
+  config.num_workers = num_workers;
   config.enable_dedup = false;
   QueryService service(TimeSeriesGraph::Build(multigraph), config);
 
@@ -411,8 +415,16 @@ TEST(ServingEpochTest, ServiceStateStaysBoundedAcrossManySeals) {
   }
 
   std::weak_ptr<const TimeSeriesGraph> replaced;
+  const auto freed = [&replaced, num_workers] {
+    for (int waited_ms = 0; num_workers > 1 && !replaced.expired() &&
+                            waited_ms < 10000;
+         ++waited_ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return replaced.expired();
+  };
   for (int e = 1; e <= kNumSeals; ++e) {
-    ASSERT_TRUE(replaced.expired()) << "snapshot replaced by seal " << e - 1;
+    ASSERT_TRUE(freed()) << "snapshot replaced by seal " << e - 1;
     const std::shared_ptr<const TimeSeriesGraph> before = service.Snapshot();
     replaced = before;
     const bool add_pair = e % 2 == 1;
@@ -437,10 +449,13 @@ TEST(ServingEpochTest, ServiceStateStaysBoundedAcrossManySeals) {
     ASSERT_EQ(info.epoch, static_cast<EpochId>(e));
     ASSERT_EQ(info.new_pairs.size(), add_pair ? 1u : 0u);
 
+    std::vector<std::future<ServedResult>> futures;
+    for (const Case& c : cases) {
+      futures.push_back(
+          service.Submit({*MotifCatalog::ByName(c.motif_name), c.options}));
+    }
     for (size_t i = 0; i < cases.size(); ++i) {
-      ServeRequest request{*MotifCatalog::ByName(cases[i].motif_name),
-                           cases[i].options};
-      const ServedResult served = service.Submit(std::move(request)).get();
+      const ServedResult served = futures[i].get();
       ASSERT_TRUE(served.result->termination.complete());
       if (e % 100 == 0) {
         ExpectSameResult(*served.result, SoloRun(*info.graph, cases[i]),
@@ -452,10 +467,18 @@ TEST(ServingEpochTest, ServiceStateStaysBoundedAcrossManySeals) {
               static_cast<int64_t>(QueryService::kMatchListCacheBytes))
         << "epoch " << e;
   }
-  EXPECT_TRUE(replaced.expired()) << "snapshot replaced by the last seal";
+  EXPECT_TRUE(freed()) << "snapshot replaced by the last seal";
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.seals, kNumSeals);
   EXPECT_GT(stats.match_list_bytes, 0);
+}
+
+TEST(ServingEpochTest, ServiceStateStaysBoundedAcrossManySeals) {
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    SoakSeals(workers);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace

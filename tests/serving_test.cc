@@ -8,6 +8,7 @@
 // stress test is a TSan target (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -94,10 +95,13 @@ void ExpectSameResult(const QueryResult& served, const QueryResult& solo,
 }
 
 TEST(ServingTest, ConcurrentMixedQueriesAreByteIdenticalToSoloRuns) {
-  // The stress path: 4 workers, two motifs (interior and not), two
-  // deltas, every query mode, each submitted three times so later
-  // rounds reuse the cached match lists — every result must equal a
-  // solo 1-thread engine run without any serving machinery.
+  // The stress path: two motifs (interior and not), two deltas, every
+  // query mode, each submitted three times so later rounds reuse the
+  // cached match lists — every result must equal a solo 1-thread engine
+  // run without any serving machinery. At 2 workers the runs share the
+  // service's helper pool (where the hardware has threads beyond the
+  // two), kSignificance's pooled skeleton recording included; at 4 the
+  // cap may cover every hardware thread and leave no helper.
   struct Case {
     const char* motif_name;
     QueryOptions options;
@@ -146,34 +150,60 @@ TEST(ServingTest, ConcurrentMixedQueriesAreByteIdenticalToSoloRuns) {
     ASSERT_TRUE(solo.back().termination.complete());
   }
 
-  ServiceConfig config;
-  config.num_workers = 4;
-  config.max_concurrent = 4;
-  config.enable_dedup = false;        // every submission must really run
-  config.enable_result_cache = false;  // repeats across rounds included
-  QueryService service(SharedGraph(), config);
+  for (const int workers : {4, 2}) {
+    ServiceConfig config;
+    config.num_workers = workers;
+    config.max_concurrent = workers;
+    config.enable_dedup = false;        // every submission must really run
+    config.enable_result_cache = false;  // repeats across rounds included
+    QueryService service(SharedGraph(), config);
 
-  constexpr int kRounds = 3;
-  std::vector<std::future<ServedResult>> futures;
-  for (int round = 0; round < kRounds; ++round) {
-    for (const Case& c : cases) {
-      ServeRequest request{*MotifCatalog::ByName(c.motif_name), c.options};
-      futures.push_back(service.Submit(std::move(request)));
+    constexpr int kRounds = 3;
+    std::vector<std::future<ServedResult>> futures;
+    for (int round = 0; round < kRounds; ++round) {
+      for (const Case& c : cases) {
+        ServeRequest request{*MotifCatalog::ByName(c.motif_name), c.options};
+        futures.push_back(service.Submit(std::move(request)));
+      }
     }
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    const ServedResult served = futures[i].get();
-    ASSERT_FALSE(served.rejected);
-    ASSERT_TRUE(served.result->termination.complete())
-        << served.result->termination.ToString();
-    ExpectSameResult(*served.result, solo[i % cases.size()],
-                     "submission " + std::to_string(i));
-  }
+    for (size_t i = 0; i < futures.size(); ++i) {
+      const ServedResult served = futures[i].get();
+      ASSERT_FALSE(served.rejected);
+      ASSERT_TRUE(served.result->termination.complete())
+          << served.result->termination.ToString();
+      ExpectSameResult(*served.result, solo[i % cases.size()],
+                       std::to_string(workers) + " workers, submission " +
+                           std::to_string(i));
+    }
 
-  const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.submitted, static_cast<int64_t>(futures.size()));
-  EXPECT_EQ(stats.completed, static_cast<int64_t>(futures.size()));
-  EXPECT_EQ(stats.rejected, 0);
+    const ServiceStats stats = service.Stats();
+    EXPECT_EQ(stats.submitted, static_cast<int64_t>(futures.size()));
+    EXPECT_EQ(stats.completed, static_cast<int64_t>(futures.size()));
+    EXPECT_EQ(stats.rejected, 0);
+  }
+}
+
+TEST(ServingTest, ServedRunsBorrowTheHelperPool) {
+  // A 2-worker service starts one helper per hardware thread beyond its
+  // running cap, and a served run computes on its worker plus those
+  // helpers, whatever num_threads the request carries.
+  ServiceConfig config;
+  config.num_workers = 2;
+  config.max_concurrent = 2;
+  QueryService service(SharedGraph(), config);
+  QueryOptions options;
+  options.mode = QueryMode::kCount;
+  options.delta = SharedDelta();
+  options.num_threads = -1;  // ignored on a borrowed pool, not rejected
+  const ServedResult served =
+      service.Submit({*MotifCatalog::ByName("M(3,2)"), options}).get();
+  ASSERT_TRUE(served.result->termination.complete())
+      << served.result->termination.ToString();
+  const int expected = 1 + std::max(0, ThreadPool::DefaultParallelism() - 2);
+  EXPECT_EQ(served.result->threads_used, expected);
+  if (ThreadPool::DefaultParallelism() > 2) {
+    EXPECT_GT(served.result->threads_used, 1);
+  }
 }
 
 TEST(ServingTest, ManyDistinctDeltasMatchSoloRuns) {
