@@ -8,15 +8,14 @@
 //
 // Presets:
 //  * hub_fanin — K sparse 3-edge chains a_i > b_i > c_i > D feeding one
-//    ultra-dense hub edge D > E; motif M(5,4) (node 2 interior, so the
-//    window cache is live). Every match's (first, last) pair is distinct
-//    and its window list costs O(|R(D,E)|) to compute, so the per-
-//    permutation window work is the dominant ensemble cost — the shape
+//    ultra-dense hub edge D > E; motif M(5,4) (node 2 interior). Every
+//    match's (first, last) pair is distinct and its window list costs
+//    O(|R(D,E)|) to compute, so the window work is the dominant
+//    ensemble cost — the shape
 //    (many sparse paths ending in one high-traffic edge) mirrors
 //    exchange hubs in the bitcoin network. This is the preset the
 //    ISSUE-5 >=1.5x target and the CI regression threshold track.
-//  * hub_chain — same graph, M(4,3): no interior node, the shape that
-//    historically had no window cache at all.
+//  * hub_chain — same graph, M(4,3): no interior node.
 //  * ring_chain — dense directed ring, M(4,3): recursion-dominated
 //    counter-preset where window lists are a small fraction; guards
 //    against the ensemble machinery taxing sweep-bound workloads.
@@ -63,8 +62,8 @@ void FillEdge(InteractionGraph* g, VertexId src, VertexId dst, int per_edge,
 
 /// K sparse chains a_i > b_i > c_i > D converging on one dense hub edge
 /// D > E. M(5,4) matches once per chain, each match with its own
-/// (first, last) = (R(a_i,b_i), R(D,E)) cache key whose window list
-/// scans the whole dense hub series.
+/// (first, last) = (R(a_i,b_i), R(D,E)) pair whose window list scans
+/// the whole dense hub series.
 TimeSeriesGraph MakeHubFanIn(int num_chains, int per_chain_edge,
                              int per_hub_edge, uint64_t seed) {
   InteractionGraph g;

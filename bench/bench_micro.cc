@@ -177,12 +177,13 @@ BENCHMARK(BM_DpMatchLoop_Control);
 // The kCount hot path: the engine's per-batch loop checks site
 // "p2.batch" once per structural match around CountMatch.
 void RunCountMatchLoop(benchmark::State& state, QueryControl* control) {
+  constexpr Timestamp kDelta = 900;
   const Motif motif = *MotifCatalog::ByName("M(3,2)");
-  const InstanceCounter counter(MicroGraph(), motif, 900, 2.0);
+  const InstanceCounter counter(MicroGraph(), motif, kDelta, 2.0);
   const MatchList& matches = MicroMatches();
   for (auto _ : state) {
     InstanceCounter::Result result;
-    SharedWindowCache::Reader windows = counter.NewReader();
+    WindowReader windows(kDelta);
     for (int64_t i = 0; i < matches.size(); ++i) {
       if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
       counter.CountMatch(matches[i], &result, &windows);

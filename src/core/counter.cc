@@ -82,26 +82,20 @@ struct WindowCounter {
 
 InstanceCounter::InstanceCounter(const TimeSeriesGraph& graph,
                                  const Motif& motif, Timestamp delta,
-                                 Flow phi, SharedWindowCache* window_cache)
+                                 Flow phi)
     : graph_(graph), motif_(motif), delta_(delta), phi_(phi) {
   FLOWMOTIF_CHECK_GE(delta, 0);
   FLOWMOTIF_CHECK_GE(phi, 0.0);
-  cache_ = ResolveWindowCache(window_cache, motif, delta, &owned_cache_);
-}
-
-SharedWindowCache::Reader InstanceCounter::NewReader(
-    QueryControl* charge) const {
-  return SharedWindowCache::Reader(cache_, delta_, charge);
 }
 
 int64_t InstanceCounter::CountMatch(MatchRef binding, Result* result,
-                                    SharedWindowCache::Reader* windows) const {
+                                    WindowReader* windows) const {
   const int m = motif_.num_edges();
   std::vector<const EdgeSeries*> series;
   ResolveMatchSeries(graph_, motif_, binding, &series);
 
-  std::optional<SharedWindowCache::Reader> one_match;
-  if (windows == nullptr) windows = &one_match.emplace(NewReader());
+  std::optional<WindowReader> one_match;
+  if (windows == nullptr) windows = &one_match.emplace(delta_);
   const std::vector<Window>& match_windows =
       windows->Get(*series.front(), *series.back());
   if (result != nullptr) {
@@ -132,7 +126,7 @@ int64_t InstanceCounter::CountMatch(MatchRef binding, Result* result,
 InstanceCounter::Result InstanceCounter::RunOnMatches(
     const std::vector<MatchBinding>& matches) const {
   Result result;
-  SharedWindowCache::Reader windows = NewReader();
+  WindowReader windows(delta_);
   for (const MatchBinding& binding : matches) {
     ++result.num_structural_matches;
     result.num_instances += CountMatch(binding, &result, &windows);

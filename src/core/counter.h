@@ -2,7 +2,6 @@
 #define FLOWMOTIF_CORE_COUNTER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/match_list.h"
@@ -32,12 +31,10 @@ namespace flowmotif {
 /// multiplicative tree into a linear pass per window.
 ///
 /// The per-window machinery rides the shared core/window_cursor layer:
-/// window lists come through a SharedWindowCache::Reader (of the cache
-/// injected by the engine, or of a privately owned one when the motif's
-/// (first, last) series pairs can repeat), the per-level window bounds
-/// slide on a WindowCursorSet instead of one UpperBound per recursion
-/// call, and the recursion's per-element next-edge searches are
-/// monotone galloping advances.
+/// each match's window list comes out of a WindowReader, the per-level
+/// window bounds slide on a WindowCursorSet instead of one UpperBound
+/// per recursion call, and the recursion's per-element next-edge
+/// searches are monotone galloping advances.
 class InstanceCounter {
  public:
   struct Result {
@@ -47,16 +44,11 @@ class InstanceCounter {
     int64_t memo_hits = 0;  // branches answered from the memo
   };
 
-  /// `window_cache` (optional) is the shared window cache; it must
-  /// outlive the counter and be bound to the same delta. When null, the
-  /// counter owns one iff the motif has an interior node — the only
-  /// shape where a (first, last) pair can repeat.
   InstanceCounter(const TimeSeriesGraph& graph, const Motif& motif,
-                  Timestamp delta, Flow phi,
-                  SharedWindowCache* window_cache = nullptr);
+                  Timestamp delta, Flow phi);
   // The counter keeps a reference to the graph: temporaries would dangle.
-  InstanceCounter(TimeSeriesGraph&&, const Motif&, Timestamp, Flow,
-                  SharedWindowCache* = nullptr) = delete;
+  InstanceCounter(TimeSeriesGraph&&, const Motif&, Timestamp,
+                  Flow) = delete;
 
   /// Counts over the whole graph (phase P1 + counting per match).
   Result Run() const;
@@ -65,26 +57,18 @@ class InstanceCounter {
   Result RunOnMatches(const std::vector<MatchBinding>& matches) const;
 
   /// Counts within a single structural match. The match's window list
-  /// is read through `windows` — a reader a caller looping over matches
-  /// keeps across them (NewReader), which also carries the query
-  /// control charged for the lists it materializes — or, when null,
-  /// through an uncharged reader made for this one match.
+  /// is computed by `windows` — a reader at this counter's delta that a
+  /// caller looping over matches keeps across them, and which carries
+  /// the query control charged for every list — or, when null, by an
+  /// uncharged reader made for this one match.
   int64_t CountMatch(MatchRef binding, Result* result,
-                     SharedWindowCache::Reader* windows = nullptr) const;
-
-  /// A reader of this counter's window cache, billing `charge` (may be
-  /// null) at site "cache.windows". One per thread.
-  SharedWindowCache::Reader NewReader(QueryControl* charge = nullptr) const;
+                     WindowReader* windows = nullptr) const;
 
  private:
   const TimeSeriesGraph& graph_;
   const Motif motif_;
   Timestamp delta_;
   Flow phi_;
-  // Privately owned cache when none is injected and the motif has an
-  // interior node (the only shape where a pair repeats).
-  std::unique_ptr<SharedWindowCache> owned_cache_;
-  SharedWindowCache* cache_;  // null = compute windows per match
 };
 
 }  // namespace flowmotif

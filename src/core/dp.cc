@@ -11,11 +11,9 @@
 namespace flowmotif {
 
 MaxFlowDpSearcher::MaxFlowDpSearcher(const TimeSeriesGraph& graph,
-                                     const Motif& motif, Timestamp delta,
-                                     SharedWindowCache* window_cache)
+                                     const Motif& motif, Timestamp delta)
     : graph_(graph), motif_(motif), delta_(delta) {
   FLOWMOTIF_CHECK_GE(delta, 0);
-  cache_ = ResolveWindowCache(window_cache, motif, delta, &owned_cache_);
 }
 
 void MaxFlowDpSearcher::CheckScratch(Scratch* scratch,
@@ -23,7 +21,7 @@ void MaxFlowDpSearcher::CheckScratch(Scratch* scratch,
   if (scratch->bound_graph == nullptr) {
     scratch->bound_graph = &graph_;
     scratch->bound_delta = delta_;
-    scratch->windows.emplace(cache_, delta_, control);
+    scratch->windows.emplace(delta_, control);
     return;
   }
   // Cursor state and buffers are per-run, but guarding the binding

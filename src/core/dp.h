@@ -1,7 +1,6 @@
 #ifndef FLOWMOTIF_CORE_DP_H_
 #define FLOWMOTIF_CORE_DP_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -38,10 +37,8 @@ class QueryControl;
 /// timestamps, so per-match WindowCursorSet cursors slide forward
 /// instead of re-running binary searches, the union timeline is rebuilt
 /// by a k-way merge (UnionTimeline), and flat offset rows
-/// (TimelineOffsets) make every Eq. 2 lookup O(1). Window lists are
-/// read through a SharedWindowCache::Reader of the searcher's cache —
-/// injected by the engine, or privately owned when the motif's
-/// (first, last) series pairs can repeat.
+/// (TimelineOffsets) make every Eq. 2 lookup O(1). Each match's window
+/// list comes out of the Scratch's WindowReader.
 class MaxFlowDpSearcher {
  public:
   struct Result {
@@ -75,10 +72,8 @@ class MaxFlowDpSearcher {
   /// the buffers survive range boundaries. One Scratch per thread.
   ///
   /// A Scratch is bound to one (graph, delta, control) configuration on
-  /// first use and checked on every run; its window reader then leases
-  /// the searcher's cache, so it must not outlive that cache. Scratch
-  /// reuse never changes results: all per-window state is fully
-  /// overwritten.
+  /// first use and checked on every run. Scratch reuse never changes
+  /// results: all per-window state is fully overwritten.
   struct Scratch {
     // Per-match series resolution (ResolveSeries target, one motif edge
     // per entry).
@@ -97,9 +92,9 @@ class MaxFlowDpSearcher {
     std::vector<Flow> flow_table;
     std::vector<size_t> choice;
 
-    // This thread's reader of the searcher's window cache, charging the
+    // This thread's window reader at the searcher's delta, charging the
     // control of the first run — made at first use.
-    std::optional<SharedWindowCache::Reader> windows;
+    std::optional<WindowReader> windows;
 
     // First-use binding (graph + delta) guarding against accidental
     // reuse across incompatible searchers.
@@ -107,16 +102,10 @@ class MaxFlowDpSearcher {
     Timestamp bound_delta = 0;
   };
 
-  /// `window_cache` (optional) is the shared window cache; it must
-  /// outlive the searcher and be bound to the same delta. When null,
-  /// the searcher owns one iff the motif has an interior node (the only
-  /// shape where a pair can repeat); otherwise caching is off.
   MaxFlowDpSearcher(const TimeSeriesGraph& graph, const Motif& motif,
-                    Timestamp delta,
-                    SharedWindowCache* window_cache = nullptr);
+                    Timestamp delta);
   // The searcher keeps a reference to the graph: temporaries would dangle.
-  MaxFlowDpSearcher(TimeSeriesGraph&&, const Motif&, Timestamp,
-                    SharedWindowCache* = nullptr) = delete;
+  MaxFlowDpSearcher(TimeSeriesGraph&&, const Motif&, Timestamp) = delete;
 
   /// Global top-1 over the whole graph (phase P1 + DP per match).
   Result Run() const;
@@ -133,8 +122,8 @@ class MaxFlowDpSearcher {
   /// admissible window bound prunes within a batch exactly as over a
   /// whole list. `control` (may be null, the zero-overhead path) adds a
   /// cooperative cancellation point per match (site "dp.match" — this
-  /// outer loop is the kTop1 hot path) and is billed for every window
-  /// list the run materializes (site "cache.windows"); on stop the
+  /// outer loop is the kTop1 hot path) and is billed for every match's
+  /// window list (site "cache.windows"); on stop the
   /// returned Result covers the first matches_processed matches of the
   /// range exactly.
   Result RunOnMatches(const MatchList& matches, int64_t begin, int64_t end,
@@ -145,10 +134,6 @@ class MaxFlowDpSearcher {
 
   /// Top-1 per window position within a single structural match.
   std::vector<WindowBest> RunPerWindow(MatchRef binding) const;
-
-  /// The window cache this searcher reads through (injected or owned);
-  /// null when memoization is gated off. Exposed for tests.
-  const SharedWindowCache* window_cache() const { return cache_; }
 
  private:
   /// Runs the DP for one window of one match, using the cursors and
@@ -171,11 +156,6 @@ class MaxFlowDpSearcher {
   const TimeSeriesGraph& graph_;
   const Motif motif_;
   Timestamp delta_;
-  // Privately owned cache when none is injected and the motif has an
-  // interior node. Readers of a SharedWindowCache insert concurrently,
-  // so the const methods above may read through it.
-  std::unique_ptr<SharedWindowCache> owned_cache_;
-  SharedWindowCache* cache_;  // null = compute windows per match
 };
 
 }  // namespace flowmotif

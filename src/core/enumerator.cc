@@ -72,8 +72,6 @@ FlowMotifEnumerator::FlowMotifEnumerator(const TimeSeriesGraph& graph,
     : graph_(graph), motif_(motif), options_(options) {
   FLOWMOTIF_CHECK_GE(options.delta, 0) << "delta must be non-negative";
   FLOWMOTIF_CHECK_GE(options.phi, 0.0) << "phi must be non-negative";
-  cache_ = ResolveWindowCache(options.shared_window_cache, motif,
-                              options.delta, &owned_cache_);
 }
 
 bool FlowMotifEnumerator::PassesFlowBound(Flow flow) const {
@@ -175,18 +173,18 @@ void FlowMotifEnumerator::Recurse(Context* ctx, int level,
   }
 }
 
-SharedWindowCache::Reader FlowMotifEnumerator::NewReader() const {
-  return SharedWindowCache::Reader(cache_, options_.delta,
-                                   options_.query_control);
+WindowReader FlowMotifEnumerator::NewReader() const {
+  return WindowReader(options_.delta, options_.query_control);
 }
 
-bool FlowMotifEnumerator::EnumerateMatch(
-    MatchRef binding, const InstanceVisitor& visitor,
-    EnumerationResult* result, SharedWindowCache::Reader* windows) const {
+bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
+                                         const InstanceVisitor& visitor,
+                                         EnumerationResult* result,
+                                         WindowReader* windows) const {
   Context ctx(graph_, motif_, binding, visitor, result);
   // The match's processed-window list; the reader keeps it valid for
   // the whole sweep below (the visitor never reads through it).
-  std::optional<SharedWindowCache::Reader> one_match;
+  std::optional<WindowReader> one_match;
   if (windows == nullptr) windows = &one_match.emplace(NewReader());
   const std::vector<Window>& processed =
       windows->Get(*ctx.series.front(), *ctx.series.back());
@@ -237,7 +235,7 @@ EnumerationResult FlowMotifEnumerator::Run(
   WallTimer total_timer;
   double phase2_seconds = 0.0;
 
-  SharedWindowCache::Reader windows = NewReader();
+  WindowReader windows = NewReader();
   StructuralMatcher matcher(graph_, motif_);
   matcher.FindAll([&](const MatchBinding& binding) {
     ++result.num_structural_matches;
@@ -259,7 +257,7 @@ EnumerationResult FlowMotifEnumerator::RunOnMatches(
     const InstanceVisitor& visitor) const {
   EnumerationResult result;
   WallTimer timer;
-  SharedWindowCache::Reader windows = NewReader();
+  WindowReader windows = NewReader();
   for (const MatchBinding& binding : matches) {
     ++result.num_structural_matches;
     if (!EnumerateMatch(binding, visitor, &result, &windows)) break;

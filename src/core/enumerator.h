@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/instance.h"
@@ -53,18 +52,10 @@ struct EnumerationOptions {
   /// bench_ablation.
   bool ablation_no_window_skip = false;
 
-  /// Shared window cache (core/window_cursor.h), non-owning: per-match
-  /// processed-window lists are read through it instead of recomputed
-  /// per match. Must outlive the enumerator and be bound to the same
-  /// delta. When null, the enumerator owns a private cache iff the
-  /// motif has an interior node (the only shape where a (first, last)
-  /// series pair repeats).
-  SharedWindowCache* shared_window_cache = nullptr;
-
   /// Lifecycle control (non-owning, may be null) that NewReader's
-  /// readers bill for every window list they materialize — through the
-  /// cache or computed per match — at site "cache.windows", so
-  /// WorkBudget's window and memory caps hold for every motif shape.
+  /// readers bill for every window list a match reads, at site
+  /// "cache.windows", so WorkBudget's window and memory caps hold for
+  /// every motif shape.
   QueryControl* query_control = nullptr;
 };
 
@@ -172,16 +163,16 @@ class FlowMotifEnumerator {
 
   /// Phase P2 for a single structural match, accumulating into `result`.
   /// Returns false if the visitor requested a stop. The match's window
-  /// list is read through `windows` — a reader a caller looping over
-  /// matches keeps across them (NewReader) — or, when null, through a
-  /// reader made for this one match.
+  /// list is computed by `windows` — a reader a caller looping over
+  /// matches keeps across them (NewReader) — or, when null, by a reader
+  /// made for this one match.
   bool EnumerateMatch(MatchRef binding, const InstanceVisitor& visitor,
                       EnumerationResult* result,
-                      SharedWindowCache::Reader* windows = nullptr) const;
+                      WindowReader* windows = nullptr) const;
 
-  /// A reader of this enumerator's window cache, charging
+  /// A window reader at options().delta, charging
   /// options().query_control. One per thread.
-  SharedWindowCache::Reader NewReader() const;
+  WindowReader NewReader() const;
 
   /// Phase P2 for a single match over an explicit window span instead of
   /// the match's own processed-window list. The windows must be (a
@@ -217,11 +208,6 @@ class FlowMotifEnumerator {
   const TimeSeriesGraph& graph_;
   const Motif motif_;
   const EnumerationOptions options_;
-  // Privately owned cache when options_.shared_window_cache is null and
-  // the motif has an interior node. Readers of a SharedWindowCache
-  // insert concurrently, so const methods may read through it.
-  std::unique_ptr<SharedWindowCache> owned_cache_;
-  SharedWindowCache* cache_;  // null = compute windows per match
 };
 
 }  // namespace flowmotif

@@ -55,22 +55,13 @@ std::pair<const Quint*, const Quint*> QuintGroupAt(
 
 JoinMotifEnumerator::JoinMotifEnumerator(const TimeSeriesGraph& graph,
                                          const Motif& motif, Timestamp delta,
-                                         Flow phi,
-                                         SharedWindowCache* window_cache)
-    : graph_(graph),
-      motif_(motif),
-      delta_(delta),
-      phi_(phi),
-      cache_(window_cache) {
+                                         Flow phi)
+    : graph_(graph), motif_(motif), delta_(delta), phi_(phi) {
   FLOWMOTIF_CHECK_GE(delta, 0);
   FLOWMOTIF_CHECK_GE(phi, 0.0);
   FLOWMOTIF_CHECK(motif.is_path())
       << "the join baseline is defined for spanning-path motifs (as in the "
          "paper); use FlowMotifEnumerator for general motifs";
-  if (window_cache != nullptr) {
-    FLOWMOTIF_CHECK_EQ(window_cache->delta(), delta)
-        << "shared window cache bound to a different delta";
-  }
 }
 
 JoinMotifEnumerator::Result JoinMotifEnumerator::Run(
@@ -221,14 +212,9 @@ JoinMotifEnumerator::Result JoinMotifEnumerator::Run(
   }
 
   // ---- Anchor novelty: keep only instances whose anchor is a processed
-  // window position for their (e1, em) series pair. Window lists come
-  // from the shared per-query cache (or a run-local one), so surviving
-  // partials sharing a pair — the common case — pay one two-pointer
-  // scan total, and the two-phase engine sharing the query's cache
-  // reuses the very same lists. -----------------------------------------
-  SharedWindowCache local_cache(delta_);
-  SharedWindowCache::Reader reader(cache_ != nullptr ? cache_ : &local_cache,
-                                   delta_);
+  // window position for their (e1, em) series pair, the list every
+  // two-phase path computes for the same match. ---------------------------
+  WindowReader reader(delta_);
   for (const Partial& partial : frontier) {
     const EdgeSeries& first_series =
         graph_.pair(partial.slices.front().first).series;

@@ -33,13 +33,12 @@ namespace flowmotif {
 /// split, last edge extended to the window end, window anchor novelty)
 /// make the final instance set *identical* to FlowMotifEnumerator's
 /// paper-faithful output — which the property tests verify. The
-/// anchor-novelty window lists are served by a SharedWindowCache
-/// (injected per query, or a run-local one; keyed on timestamp-storage
-/// identity like every cache consumer), shared with the two-phase
-/// paths so Fig. 8 comparisons measure the join strategy, not redundant
-/// window recomputation. The cost profile is the paper's: a large
-/// number of intermediate sub-motif instances is produced and most
-/// never contribute to a final instance.
+/// anchor-novelty check computes each surviving instance's window list
+/// with the same WindowReader the two-phase paths use, so Fig. 8
+/// comparisons measure the join strategy, not a different window
+/// source. The cost profile is the paper's: a large number of
+/// intermediate sub-motif instances is produced and most never
+/// contribute to a final instance.
 class JoinMotifEnumerator {
  public:
   /// Visitor over materialized instances; return false to stop.
@@ -52,15 +51,12 @@ class JoinMotifEnumerator {
     double seconds = 0.0;
   };
 
-  /// `window_cache` (optional) serves the anchor-novelty window lists;
-  /// it must outlive the enumerator and be bound to the same delta.
   JoinMotifEnumerator(const TimeSeriesGraph& graph, const Motif& motif,
-                      Timestamp delta, Flow phi,
-                      SharedWindowCache* window_cache = nullptr);
+                      Timestamp delta, Flow phi);
   // The enumerator keeps a reference to the graph: temporaries would
   // dangle.
-  JoinMotifEnumerator(TimeSeriesGraph&&, const Motif&, Timestamp, Flow,
-                      SharedWindowCache* = nullptr) = delete;
+  JoinMotifEnumerator(TimeSeriesGraph&&, const Motif&, Timestamp,
+                      Flow) = delete;
 
   /// Runs the join pipeline. `visitor` may be null to count only.
   Result Run(const JoinVisitor& visitor = nullptr) const;
@@ -70,7 +66,6 @@ class JoinMotifEnumerator {
   const Motif motif_;
   Timestamp delta_;
   Flow phi_;
-  SharedWindowCache* cache_;  // null = one run-local cache per Run
 };
 
 }  // namespace flowmotif

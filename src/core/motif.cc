@@ -1,10 +1,48 @@
 #include "core/motif.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
 namespace flowmotif {
+
+namespace {
+
+/// Reads one motif node id: one or more decimal digits, at most
+/// INT_MAX. Signs, spaces and every other byte are refused, so an id
+/// can neither wrap nor hide.
+bool ParseNodeId(const std::string& text, MotifNode* id) {
+  if (text.empty()) return false;
+  int64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + (c - '0');
+    if (value > INT_MAX) return false;
+  }
+  *id = static_cast<MotifNode>(value);
+  return true;
+}
+
+/// Splits `text` at every `separator`, keeping empty tokens (a leading,
+/// doubled or trailing separator yields one).
+std::vector<std::string> SplitKeepingEmpty(const std::string& text,
+                                           char separator) {
+  std::vector<std::string> tokens;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = text.find(separator, begin);
+    if (end == std::string::npos) {
+      tokens.push_back(text.substr(begin));
+      return tokens;
+    }
+    tokens.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+}
+
+}  // namespace
 
 StatusOr<Motif> Motif::Build(
     std::vector<std::pair<MotifNode, MotifNode>> edges, std::string name,
@@ -21,6 +59,13 @@ StatusOr<Motif> Motif::Build(
       return Status::InvalidArgument("motif edges cannot be self-loops");
     }
     max_id = std::max(max_id, std::max(src, dst));
+  }
+  // m edges touch at most 2m nodes, so a larger id cannot be dense;
+  // refusing it here keeps a huge id from sizing the tables below.
+  if (static_cast<size_t>(max_id) >= 2 * edges.size()) {
+    return Status::InvalidArgument(
+        "motif node ids must be dense: " + std::to_string(max_id) +
+        " exceeds what " + std::to_string(edges.size()) + " edges can reach");
   }
 
   std::vector<bool> seen(static_cast<size_t>(max_id) + 1, false);
@@ -111,49 +156,32 @@ StatusOr<Motif> Motif::Parse(const std::string& text, std::string name) {
   if (text.find('>') != std::string::npos) {
     // Edge-list notation: "0>1,0>2".
     std::vector<std::pair<MotifNode, MotifNode>> edges;
-    std::istringstream in(text);
-    std::string token;
-    while (std::getline(in, token, ',')) {
+    for (const std::string& token : SplitKeepingEmpty(text, ',')) {
       const size_t arrow = token.find('>');
-      if (arrow == std::string::npos || arrow == 0 ||
-          arrow + 1 >= token.size()) {
+      if (arrow == std::string::npos) {
         return Status::InvalidArgument("bad motif edge syntax: '" + token +
                                        "' in '" + text + "'");
       }
-      // The substrings must outlive `end`, which strtol leaves pointing
-      // into their buffers — a temporary would die with `end` still
-      // dereferenced below.
-      const std::string src_text = token.substr(0, arrow);
-      const std::string dst_text = token.substr(arrow + 1);
-      char* end = nullptr;
-      long src = std::strtol(src_text.c_str(), &end, 10);
-      if (*end != '\0') {
-        return Status::InvalidArgument("bad motif node in '" + token + "'");
+      MotifNode src = 0;
+      MotifNode dst = 0;
+      if (!ParseNodeId(token.substr(0, arrow), &src) ||
+          !ParseNodeId(token.substr(arrow + 1), &dst)) {
+        return Status::InvalidArgument("bad motif node in '" + token +
+                                       "' of '" + text + "'");
       }
-      long dst = std::strtol(dst_text.c_str(), &end, 10);
-      if (*end != '\0') {
-        return Status::InvalidArgument("bad motif node in '" + token + "'");
-      }
-      edges.push_back({static_cast<MotifNode>(src),
-                       static_cast<MotifNode>(dst)});
+      edges.push_back({src, dst});
     }
     return FromEdgeList(std::move(edges), std::move(name));
   }
 
   std::vector<MotifNode> path;
-  std::string token;
-  std::istringstream in(text);
-  while (std::getline(in, token, '-')) {
-    if (token.empty()) {
-      return Status::InvalidArgument("bad motif path syntax: '" + text + "'");
-    }
-    char* end = nullptr;
-    long v = std::strtol(token.c_str(), &end, 10);
-    if (*end != '\0') {
+  for (const std::string& token : SplitKeepingEmpty(text, '-')) {
+    MotifNode v = 0;
+    if (!ParseNodeId(token, &v)) {
       return Status::InvalidArgument("bad motif node '" + token + "' in '" +
                                      text + "'");
     }
-    path.push_back(static_cast<MotifNode>(v));
+    path.push_back(v);
   }
   return FromSpanningPath(std::move(path), std::move(name));
 }

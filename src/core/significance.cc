@@ -48,18 +48,10 @@ int64_t SignificanceAnalyzer::CountEnsemble(
   for (size_t m = 0; m < motifs.size(); ++m) {
     (prepared[m].skeleton.recorded() ? replayed : enumerated).push_back(m);
   }
-  // The enumeration path's one window cache: every flow view shares the
-  // real graph's timestamp storage, which the cache keys on, so a window
-  // list computed for any task is a hit for every other, for every
-  // motif shape.
-  std::optional<SharedWindowCache> cache;
   EnumerationOptions enum_options;
-  if (!enumerated.empty()) {
-    enum_options.delta = options_.delta;
-    enum_options.phi = options_.phi;
-    enum_options.shared_window_cache = &cache.emplace(options_.delta);
-    enum_options.query_control = control;
-  }
+  enum_options.delta = options_.delta;
+  enum_options.phi = options_.phi;
+  enum_options.query_control = control;
 
   // Per-slot state persists across waves, so only the first wave
   // allocates: the slot's permutation, its prefix arena and one
@@ -99,7 +91,7 @@ int64_t SignificanceAnalyzer::CountEnsemble(
         task == 0 ? graph_ : view.emplace(graph_.WithFlows(slot->flows));
     for (const size_t m : enumerated) {
       const FlowMotifEnumerator enumerator(target, motifs[m], enum_options);
-      SharedWindowCache::Reader windows = enumerator.NewReader();
+      WindowReader windows = enumerator.NewReader();
       EnumerationResult result;
       const MatchList& matches = prepared[m].matches;
       for (int64_t i = 0; i < matches.size(); ++i) {

@@ -34,8 +34,8 @@ namespace flowmotif {
 /// every recorded skeleton against it as a dense kernel pass. Motifs
 /// whose recording was bypassed (or every motif, with replay off) are
 /// enumerated instead on a flow view built from the same draw
-/// (TimeSeriesGraph::WithFlows), through one ensemble window cache whose
-/// timestamp-identity keys every view shares. Tasks run in pool-width
+/// (TimeSeriesGraph::WithFlows), each match computing its window list as
+/// every other path does. Tasks run in pool-width
 /// waves, so at most one wave of permutations is resident; the ensemble
 /// itself is never materialized.
 class SignificanceAnalyzer {

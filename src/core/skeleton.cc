@@ -446,24 +446,8 @@ bool EnumerationSkeleton::Recorder::RecordRange(
   };
 
   // Per-match window lists, one per delta, out of a single scan of the
-  // match's boundary series. They depend only on the (first, last)
-  // identity pair, and consecutive matches of an interior-node motif
-  // may share it, so a match that repeats its predecessor's pair reuses
-  // the lists. The charge follows the list order, not the range: a
-  // list is charged when its pair differs from the previous match's,
-  // so a range whose first match repeats the last one of the range
-  // before computes its lists uncharged, and the ranges' charges sum to
-  // the one-range total.
-  std::vector<std::vector<Window>> windows;  // empty until computed
-  StorageIdentity prev_first;
-  StorageIdentity prev_last;
-  if (range.begin > 0) {
-    const MatchRef previous = matches[range.begin - 1];
-    prev_first =
-        bound_series(previous, first_src, first_dst)->timestamp_identity();
-    prev_last =
-        bound_series(previous, last_src, last_dst)->timestamp_identity();
-  }
+  // match's boundary series, charged like every list a match reads.
+  std::vector<std::vector<Window>> windows;
 
   for (int64_t match_index = range.begin; match_index < range.end;
        ++match_index) {
@@ -474,21 +458,13 @@ bool EnumerationSkeleton::Recorder::RecordRange(
     const EdgeSeries* first_series =
         bound_series(binding, first_src, first_dst);
     const EdgeSeries* last_series = bound_series(binding, last_src, last_dst);
-    const bool repeats = first_series->timestamp_identity() == prev_first &&
-                         last_series->timestamp_identity() == prev_last;
-    if (!repeats || windows.empty()) {
-      ComputeProcessedWindowsMulti(*first_series, *last_series, deltas,
-                                   &windows);
-      if (!repeats) {
-        size_t computed = 0;
-        for (const std::vector<Window>& per_delta : windows) {
-          computed += per_delta.size();
-        }
-        ChargeComputedWindows(control, computed, 0);
-      }
-      prev_first = first_series->timestamp_identity();
-      prev_last = last_series->timestamp_identity();
+    ComputeProcessedWindowsMulti(*first_series, *last_series, deltas,
+                                 &windows);
+    size_t computed = 0;
+    for (const std::vector<Window>& per_delta : windows) {
+      computed += per_delta.size();
     }
+    ChargeComputedWindows(control, computed);
     // No windows at the largest delta means none at any delta (a window
     // needs an R(em) element within [anchor, anchor + delta], and that
     // interval only shrinks) — most structural matches die right here,

@@ -187,7 +187,7 @@ class EnumerationSkeleton {
   /// deltas. `skeletons` is resized to deltas.size(), index-aligned.
   /// `control` (optional) adds a cooperative cancellation point per
   /// match scanned (site "sweep.record") and is charged at
-  /// "cache.windows" for every window list the scan computes. A stop
+  /// "cache.windows" for every match's window lists. A stop
   /// aborts the whole recording: every skeleton reports recorded() ==
   /// false — a half-recorded trace would replay wrong counts, so there
   /// is no partial recording, only a clean fallback.

@@ -1,11 +1,7 @@
 #ifndef FLOWMOTIF_CORE_WINDOW_CURSOR_H_
 #define FLOWMOTIF_CORE_WINDOW_CURSOR_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/match_list.h"
@@ -28,27 +24,7 @@ namespace flowmotif {
 /// full window sweep pays O(series length) total instead of one binary
 /// search per window — or, before PR 3/4, per recursion call.
 
-/// True iff some motif node is absent from the endpoints of the first
-/// and last motif edges. Only then can two distinct bindings share the
-/// same (first, last) series pair — otherwise the two series pointers
-/// pin every bound vertex and a window cache keyed on the pair could
-/// never hit within one graph.
-bool MotifHasInteriorNode(const Motif& motif);
-
 class QueryControl;
-class SharedWindowCache;
-
-/// Resolves the cache a per-window evaluation path should read through
-/// — the one policy shared by the enumerator, counter, DP searcher and
-/// skeleton recorder: the injected cache when given (its delta must
-/// equal `delta`; the caller decided it pays, as the engine and the
-/// significance ensemble do); else a privately owned cache, allocated
-/// into `*owned`, iff the motif has an interior node; else null
-/// (windows are computed per match). `owned` must outlive the returned
-/// pointer.
-SharedWindowCache* ResolveWindowCache(
-    SharedWindowCache* injected, const Motif& motif, Timestamp delta,
-    std::unique_ptr<SharedWindowCache>* owned);
 
 /// Resolves one structural match's per-level series: the motif's
 /// label-ordered edges mapped through `binding` via graph.FindSeries.
@@ -141,165 +117,41 @@ class TimelineOffsets {
   size_t tau_ = 0;
 };
 
-/// Shared cache of processed-window lists, keyed on the (first, last)
-/// *timestamp-storage identities* of the series pair
-/// (EdgeSeries::timestamp_identity()) — built once per pair and served
-/// to every evaluation path (DP, counter, enumerator, join, skeleton
-/// recorder) and every worker thread that reads it.
+/// One thread's window-list source: delta, the query control it bills
+/// at site "cache.windows", and one reusable buffer. Every match
+/// computes its processed-window list where it reads it and is charged
+/// for it, whether or not an earlier match had the same (first, last)
+/// pair: a list depends only on the two series and delta, lists average
+/// well under one window, and on the benchmark graphs a pair repeats
+/// too rarely for any cache to pay (DESIGN.md Sec. 6, "One window
+/// source").
 ///
-/// Window lists depend only on timestamps and delta, and the identity is
-/// shared by a series and all its flow-permuted views, so one cache is
-/// warm across a whole significance ensemble: lists computed on the real
-/// graph are hit by every randomized view.
-///
-/// Keying on storage identities means a cache must never outlive the
-/// timestamp storage it indexes, and sharing it across graphs built
-/// independently is pointless (their identities are distinct, so
-/// entries would just never hit). Identities carry an epoch stamp
-/// (graph/types.h), so under an appending EpochLog a cache held across
-/// seals keeps hitting for series untouched by the seal, misses (never
-/// aliases) for resealed dirty series, and stays immune to freed-storage
-/// address reuse.
-///
-/// One storage discipline, a two-generation clock: entries live in a
-/// current and a previous generation of at most max_entries() each. A
-/// miss that finds the current generation full *rotates* — previous is
-/// dropped from the publication path, current becomes previous, a fresh
-/// current takes inserts — and a hit in the previous generation is
-/// promoted (copied) into the current one, so an entry survives rotation
-/// iff it was touched during the current generation's lifetime. A cache
-/// never stops admitting pairs, however many distinct pairs its run
-/// presents. Inside a generation, lookups and inserts are
-/// lock-free: entries are immutable once published, inserted at bucket
-/// heads with a CAS, and freed only with their generation.
-///
-/// One read path, the Reader (below): generations are shared_ptr-owned
-/// and a reader reaches them only through its lease on the current
-/// pair, so a rotation only unpublishes a generation — its nodes are
-/// freed when the last reader leasing it moves on.
-class SharedWindowCache {
- private:
-  struct Node;
-  struct Generation;
-
+/// A returned list stays valid until this reader's next Get (or its
+/// destruction). Not thread-safe: one reader per thread, or per batch.
+class WindowReader {
  public:
-  static constexpr size_t kDefaultMaxEntries = 1024;
+  explicit WindowReader(Timestamp delta, QueryControl* charge = nullptr)
+      : delta_(delta), charge_(charge) {}
 
-  /// A cache of at most `max_entries` entries per generation (so up to
-  /// twice that between rotations).
-  explicit SharedWindowCache(Timestamp delta,
-                             size_t max_entries = kDefaultMaxEntries);
-  ~SharedWindowCache();
-  SharedWindowCache(const SharedWindowCache&) = delete;
-  SharedWindowCache& operator=(const SharedWindowCache&) = delete;
+  /// The processed-window list of (first, last) at delta
+  /// (ComputeProcessedWindows), computed into the buffer and charged.
+  const std::vector<Window>& Get(const EdgeSeries& first,
+                                 const EdgeSeries& last);
 
-  /// One thread's window-list source: a cache (or null), delta, the
-  /// query control charged at site "cache.windows" for every list this
-  /// reader materializes (hits are free — the list was charged when
-  /// first computed), and a lease on the cache's generation pair, taken
-  /// at the first lookup rather than at construction (a lease that aged
-  /// through phase P1 would start on generations the cache has since
-  /// rotated past). Without a cache — or with a zero-capacity one — the
-  /// reader computes every list into its own buffer.
-  ///
-  /// The contract: a returned list stays valid until this reader's next
-  /// Get (or its destruction). It always lives in the reader's current
-  /// lease pair (or its buffer), so between calls a reader pins at most
-  /// two generations, however many rotations happen under it. Not
-  /// thread-safe: one reader per thread, or per batch; it must not
-  /// outlive its cache.
-  class Reader {
-   public:
-    Reader(SharedWindowCache* cache, Timestamp delta,
-           QueryControl* charge = nullptr);
-
-    /// The processed-window list of (first, last) at delta — from the
-    /// lease when a generation holds it, else computed and published.
-    /// Two series with equal timestamp_identity() (a series and its
-    /// flow-permuted views) share one entry.
-    const std::vector<Window>& Get(const EdgeSeries& first,
-                                   const EdgeSeries& last);
-
-    QueryControl* charge() const { return charge_; }
-
-   private:
-    friend class SharedWindowCache;
-    SharedWindowCache* cache_;  // null: compute into own_
-    Timestamp delta_;
-    QueryControl* charge_;  // may be null
-    std::shared_ptr<Generation> cur_;  // the lease; null until leased
-    std::shared_ptr<Generation> prev_;
-    std::vector<Window> own_;
-  };
-
-  Timestamp delta() const { return delta_; }
-  size_t max_entries() const { return max_entries_; }
-
-  /// Number of generation rotations full generations have forced.
-  int64_t num_rotations() const {
-    return rotations_.load(std::memory_order_relaxed);
-  }
-
-  /// Generations allocated and not yet freed: the cache's own pair plus
-  /// any older one a reader's lease still pins.
-  int64_t num_live_generations() const {
-    return live_generations_.load(std::memory_order_relaxed);
-  }
-
-  /// Number of reserved entry slots across the published generation
-  /// pair (== published entries once all in-flight inserts finish);
-  /// never above 2 * max_entries().
-  size_t size() const;
-
-  /// Lookups answered from a generation (relaxed; exact once
-  /// concurrent readers drained).
-  int64_t num_hits() const { return hits_.load(std::memory_order_relaxed); }
+  QueryControl* charge() const { return charge_; }
 
  private:
-  /// Reader::Get with a cache: hit in the leased current generation,
-  /// else hit-and-promote from the leased previous one, else compute
-  /// and insert, rotating while the current generation is full.
-  const std::vector<Window>& Lookup(Reader* reader, const EdgeSeries& first,
-                                    const EdgeSeries& last);
-  /// Finds the published entry for the pair in `gen`, or null.
-  static Node* FindIn(const Generation& gen, const StorageIdentity& first_id,
-                      const StorageIdentity& last_id);
-  /// Reserves one entry slot in `gen`; false when full.
-  static bool TryReserve(Generation* gen);
-  /// Publishes an already-reserved `node` into `gen`, resolving racing
-  /// same-key inserts (loser is deleted, winner's list returned).
-  static const std::vector<Window>& InsertReserved(Generation* gen,
-                                                   Node* node);
-  /// Rotates if `reader` leases the newest generation (it found it
-  /// full), then moves the lease to the cache's current pair. With no
-  /// lease yet, only leases.
-  void Renew(Reader* reader);
-
-  const Timestamp delta_;
-  const size_t max_entries_;
-
-  /// Declared before the generations it counts, so it outlives them.
-  std::atomic<int64_t> live_generations_{0};
-
-  /// The rotation lock guards only the pair of generation pointers —
-  /// lookups and inserts inside a generation stay lock-free.
-  mutable std::mutex gen_mu_;
-  std::shared_ptr<Generation> cur_;
-  std::shared_ptr<Generation> prev_;
-  std::atomic<int64_t> rotations_{0};
-
-  std::atomic<int64_t> hits_{0};
+  Timestamp delta_;
+  QueryControl* charge_;  // may be null
+  std::vector<Window> windows_;
 };
 
-/// Bills one freshly materialized window list against `control`'s
-/// WorkBudget at site "cache.windows" — the single charging point every
-/// materialization path shares (a reader's publish or private compute,
-/// the sweep recorder's multi-delta scan), so max_window_elements /
-/// max_memory_bytes hold regardless of cache eligibility.
-/// `container_bytes` adds fixed per-list overhead (e.g. a cache node).
-/// Null control = no-op.
-void ChargeComputedWindows(QueryControl* control, size_t num_windows,
-                           size_t container_bytes);
+/// Bills `num_windows` computed windows against `control`'s WorkBudget
+/// at site "cache.windows" — the one charging point of WindowReader::Get
+/// and the sweep recorder's multi-delta scan, so max_window_elements /
+/// max_memory_bytes hold for every motif shape and every list a match
+/// reads. Null control = no-op.
+void ChargeComputedWindows(QueryControl* control, size_t num_windows);
 
 }  // namespace flowmotif
 

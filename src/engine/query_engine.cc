@@ -261,20 +261,13 @@ struct ModeRun {
   const MatchSource& source;
   ThreadPool* pool;
   QueryControl* control;
-  SharedWindowCache* cache;  // null: every reader computes its own lists
   QueryResult* result;
-
-  /// One batch's window-list reader (a batch runs on one thread).
-  SharedWindowCache::Reader NewReader() const {
-    return SharedWindowCache::Reader(cache, options.delta, control);
-  }
 
   EnumerationOptions Enumeration() const {
     EnumerationOptions eopts;
     eopts.delta = options.delta;
     eopts.phi = options.phi;
     eopts.strict_maximality = options.strict_maximality;
-    eopts.shared_window_cache = cache;
     eopts.query_control = control;
     return eopts;
   }
@@ -306,7 +299,7 @@ void EnumerateBatches(const ModeRun& run) {
   QueryResult* const result = run.result;
   run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     EnumerationResult stats;
-    SharedWindowCache::Reader windows = run.NewReader();
+    WindowReader windows = enumerator.NewReader();
     std::vector<MotifInstance> collected;
     InstanceVisitor visitor;  // stays null (counters only) when limit == 0
     if (limit != 0) {
@@ -339,11 +332,11 @@ void EnumerateBatches(const ModeRun& run) {
 /// kCount: a batch counts its matches; the fold sums the counters.
 void CountBatches(const ModeRun& run) {
   const InstanceCounter counter(run.graph, run.motif, run.options.delta,
-                                run.options.phi, run.cache);
+                                run.options.phi);
   QueryResult* const result = run.result;
   run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     InstanceCounter::Result counts;
-    SharedWindowCache::Reader windows = run.NewReader();
+    WindowReader windows(run.options.delta, run.control);
     const int64_t processed = ForEachMatch(
         matches, begin, end, run.control, [&](MatchRef match, int64_t) {
           counts.num_instances += counter.CountMatch(match, &counts, &windows);
@@ -382,7 +375,7 @@ void TopKBatches(const ModeRun& run) {
       return threshold->ExclusiveBound();
     };
     const FlowMotifEnumerator enumerator(run.graph, run.motif, eopts);
-    SharedWindowCache::Reader windows = run.NewReader();
+    WindowReader windows = enumerator.NewReader();
     TopKCollector local(k);
     EnumerationResult stats;
     const int64_t processed = ForEachMatch(
@@ -414,8 +407,7 @@ void TopKBatches(const ModeRun& run) {
 /// the incumbent with the strictly-greater rule the serial searcher
 /// applies per match, so the earliest match wins flow ties.
 void Top1Batches(const ModeRun& run) {
-  const MaxFlowDpSearcher searcher(run.graph, run.motif, run.options.delta,
-                                   run.cache);
+  const MaxFlowDpSearcher searcher(run.graph, run.motif, run.options.delta);
   MaxFlowDpSearcher::Result best;
   run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     MaxFlowDpSearcher::Scratch scratch;
@@ -601,17 +593,9 @@ SweepResult QueryEngine::RunSweep(const Motif& motif, const SweepQuery& sweep,
 void QueryEngine::RunMode(const Motif& motif, const MatchList* list,
                           const QueryOptions& options, ThreadPool* pool,
                           QueryControl* control, QueryResult* result) const {
-  // The one window cache every batch's reader reads: a per-query cache
-  // when the motif's (first, last) pairs can repeat within the graph,
-  // else none (each reader computes its own lists). Readers charge
-  // `control` for the lists they materialize.
-  std::optional<SharedWindowCache> per_query;
-  SharedWindowCache* cache = nullptr;
-  if (MotifHasInteriorNode(motif)) cache = &per_query.emplace(options.delta);
   const MatchSource source =
       SourceMatches(graph_, motif, list, options, pool, control);
-  const ModeRun run{graph_, motif,   options, source,
-                    pool,   control, cache,   result};
+  const ModeRun run{graph_, motif, options, source, pool, control, result};
   switch (options.mode) {
     case QueryMode::kEnumerate:
       EnumerateBatches(run);
@@ -663,11 +647,6 @@ void QueryEngine::RunSignificance(const Motif& motif,
   sopts.skeleton_replay = options.skeleton_replay;
   sopts.pool = pool;
   sopts.control = control;
-  // No window cache is chosen here: recording scans its own window
-  // lists, and only when the motif falls back to enumeration does the
-  // analyzer make its one ensemble cache, keyed on timestamp-storage
-  // identity, so its lists serve the real graph and every flow view of
-  // the N+1-graph ensemble.
   const SignificanceAnalyzer analyzer(graph_, sopts);
   result->significance = analyzer.Analyze(motif);
   result->stats.num_instances = result->significance.real_count;

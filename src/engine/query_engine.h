@@ -131,11 +131,9 @@ struct SweepResult {
 /// serving layer (DESIGN.md Sec. 11) builds one per admitted request
 /// on the stack, bound to the epoch snapshot captured at admission, so
 /// queries keep running against their snapshot while SealEpoch
-/// publishes new ones. Window lists come through one
-/// SharedWindowCache::Reader per P2 batch, reading one per-query cache
-/// made only for interior-node motifs (served and solo runs alike). A
-/// reader's lease keeps the list it returned valid until its next
-/// lookup, whatever rotations happen under it.
+/// publishes new ones. Each P2 batch keeps one WindowReader, which
+/// computes and charges every match's window list where the batch reads
+/// it (served and solo runs alike).
 class QueryEngine {
  public:
   explicit QueryEngine(const TimeSeriesGraph& graph) : graph_(graph) {}

@@ -10,8 +10,8 @@ namespace flowmotif {
 namespace {
 
 /// All default-constructed series share one empty timestamp array. The
-/// identity collision is benign: identical timestamps imply identical
-/// window lists, which is the only property the cache key relies on.
+/// identity collision is benign: an identity only promises identical
+/// timestamps, and every empty series has the same (none).
 const std::shared_ptr<const std::vector<Timestamp>>& EmptyTimes() {
   static const std::shared_ptr<const std::vector<Timestamp>>* const kEmpty =
       new std::shared_ptr<const std::vector<Timestamp>>(

@@ -68,11 +68,9 @@ class EdgeSeries {
 
   /// Stable identity of the (immutable, shared) timestamp storage: equal
   /// for this series and every WithFlows view derived from it, distinct
-  /// for series built from interactions. SharedWindowCache keys on this,
-  /// which is what lets one window cache serve a whole flow-permutation
-  /// ensemble. The epoch stamp keeps the identity unambiguous across an
-  /// appending stream even if freed storage addresses are reused (see
-  /// StorageIdentity in graph/types.h).
+  /// for series built from interactions. The epoch stamp keeps the
+  /// identity unambiguous across an appending stream even if freed
+  /// storage addresses are reused (see StorageIdentity in graph/types.h).
   StorageIdentity timestamp_identity() const {
     return StorageIdentity{times_.get(), storage_epoch_};
   }

@@ -23,11 +23,11 @@ namespace flowmotif {
 /// graph: snapshots are shared_ptr-owned and immutable, series untouched
 /// by a seal are carried into the new snapshot by pointer — they keep
 /// their timestamp and flow storage and their StorageIdentity across
-/// epochs (so window caches and skeleton traces recorded against them
-/// stay warm) — and dirty series get fresh storage stamped with the new
-/// epoch. A seal therefore allocates series storage only for the pairs
-/// it dirties, and an old snapshot pinned by a reader shares every
-/// untouched series with the live one.
+/// epochs (so skeleton traces recorded against them stay valid) — and
+/// dirty series get fresh storage stamped with the new epoch. A seal
+/// therefore allocates series storage only for the pairs it dirties,
+/// and an old snapshot pinned by a reader shares every untouched series
+/// with the live one.
 ///
 /// The byte-identity contract of the whole streaming subsystem rests on
 /// one property of the seal: the snapshot after sealing appends

@@ -27,8 +27,7 @@ namespace flowmotif {
 /// arrays. WithPermutedFlows, the Sec. 6.3 null-model randomization,
 /// shares the structure and timestamps by identity and allocates only
 /// fresh flow blocks, so a whole significance ensemble stores one copy
-/// of the timestamps plus N flow blocks, and timestamp-keyed caches
-/// (SharedWindowCache) stay warm across all N+1 graphs. ExtendWith
+/// of the timestamps plus N flow blocks. ExtendWith
 /// shares the timestamps and flows of every series a seal leaves
 /// untouched.
 ///
@@ -64,8 +63,8 @@ class TimeSeriesGraph {
   /// byte-identical series and CSR layout — while sharing as much of
   /// `base`'s immutable storage as possible. Series of pairs untouched
   /// by `new_edges` are copied by pointer: they keep their timestamp
-  /// and flow storage and their identity (so window-cache entries and
-  /// skeleton traces recorded against them stay valid); dirty pairs get
+  /// and flow storage and their identity (so skeleton traces recorded
+  /// against them stay valid); dirty pairs get
   /// fresh storage stamped with `epoch`.
   /// The CSR index is shared by identity unless `new_edges` introduces
   /// a new (src, dst) pair or `num_vertices` grows, in which case it is
@@ -118,9 +117,8 @@ class TimeSeriesGraph {
   /// randomly permuted across all interactions, the randomization used
   /// for the significance analysis (Sec. 6.3). The view allocates only
   /// its flow blocks (flows plus prefix sums); every series reports the
-  /// same timestamp_identity() as the original, so timestamp-keyed window
-  /// caches built on the real graph are warm for the view. The original
-  /// graph is never modified. The RNG stream consumed is identical to
+  /// same timestamp_identity() as the original. The original graph is
+  /// never modified. The RNG stream consumed is identical to
   /// the pre-view (deep-copying) implementation, so a seed reproduces
   /// the same flows.
   TimeSeriesGraph WithPermutedFlows(Rng* rng) const;
@@ -134,8 +132,7 @@ class TimeSeriesGraph {
   TimeSeriesGraph WithFlows(const std::vector<Flow>& flows) const;
 
   /// Deep copy with freshly allocated timestamp, flow and topology
-  /// storage: every series gets a new timestamp_identity(), so no
-  /// timestamp-keyed cache entry can alias the source graph. The
+  /// storage: every series gets a new timestamp_identity(). The
   /// pre-refactor copying semantics, retained for the significance
   /// equivalence reference and for callers that need storage-independent
   /// graphs.

@@ -78,8 +78,7 @@ inline std::ostream& operator<<(std::ostream& os, const Interaction& x) {
 
 namespace std {
 
-/// Hash of a StorageIdentity, for the window caches and the match-list
-/// cache keyed on one.
+/// Hash of a StorageIdentity, for the match-list cache keyed on one.
 template <>
 struct hash<flowmotif::StorageIdentity> {
   size_t operator()(const flowmotif::StorageIdentity& id) const noexcept {

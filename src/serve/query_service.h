@@ -60,8 +60,8 @@ namespace flowmotif {
 ///    queries leave idle.
 ///
 /// A served run handles window lists exactly as a solo QueryEngine::Run
-/// does (one per-query cache for interior-node motifs, none otherwise),
-/// so results are byte-identical to solo runs on the same snapshot: the
+/// does (every match computes its own), so results are byte-identical
+/// to solo runs on the same snapshot: the
 /// match-list cache only changes where a match list is *found*, never
 /// its contents, and the engine's canonical-order folds already make
 /// every mode deterministic at any thread count (tests/serving_test.cc

@@ -127,12 +127,10 @@ struct WorkBudget {
   /// `work_completed` matches (termination kBudgetExceeded).
   int64_t max_matches = -1;
 
-  /// Maximum window-list elements the query materializes. Charged
-  /// uniformly at site "cache.windows" for every processed-window list
-  /// a match brings into existence — published into a shared cache or
-  /// computed into a reader's own buffer — so the cap holds for every
-  /// motif shape (core/window_cursor.h, SharedWindowCache::Reader).
-  /// Cache *hits* are not re-charged.
+  /// Maximum window-list elements the query computes. Charged at site
+  /// "cache.windows" for every processed-window list a match reads, a
+  /// repeated (first, last) pair included, so the cap holds for every
+  /// motif shape (core/window_cursor.h, WindowReader).
   int64_t max_window_elements = -1;
 
   /// Soft memory cap in bytes, charged for window-list storage at the
@@ -178,7 +176,7 @@ class QueryControl {
   /// matches plus whatever the throttle admits, never a multiple of it.
   bool CheckAtBoundary(const char* site);
 
-  /// Budget charges from the shared window cache. Thread-safe; the
+  /// Budget charges for computed window lists. Thread-safe; the
   /// first charge that crosses a limit requests kBudgetExceeded.
   void ChargeWindowElements(int64_t elements, const char* site);
   void ChargeMemoryBytes(int64_t bytes, const char* site);

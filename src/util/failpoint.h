@@ -42,7 +42,7 @@ inline constexpr char kSigTask[] = "sig.task";            // per ensemble task
 inline constexpr char kSweepRecord[] = "sweep.record";    // per recorded match
 inline constexpr char kSweepCell[] = "sweep.cell";        // per grid cell
 inline constexpr char kStreamRevisit[] = "stream.revisit";  // per seal revisit
-inline constexpr char kCacheWindows[] = "cache.windows";  // per cached list
+inline constexpr char kCacheWindows[] = "cache.windows";  // per window list
 inline constexpr char kServeAdmit[] = "serve.admit";      // per Submit admission
 
 /// Every registered site name, for tests that iterate the inventory.

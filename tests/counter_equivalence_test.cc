@@ -1,7 +1,7 @@
 // Byte-identical equivalence of the cursor-based counting path
 // (core/counter.cc: per-level window cursors from the shared
 // core/window_cursor layer, galloping next-edge advances, reused memo
-// maps, SharedWindowCache window lists) against a retained naive
+// maps, WindowReader window lists) against a retained naive
 // reference: the pre-rewrite counting recursion — a fresh
 // UpperBound(window.end) per recursion call, LowerBound(window.start)
 // per window, two binary searches per prefix-domination probe, and a
@@ -247,9 +247,9 @@ TEST(CounterEquivalenceTest, SingleElementSeries) {
 }
 
 TEST(CounterEquivalenceTest, EngineCountMatchesReferenceAcrossThreads) {
-  // The engine's kCount batches, reading window lists through the
-  // per-query SharedWindowCache from concurrent workers, must reproduce
-  // the naive reference for every thread count.
+  // The engine's kCount batches, each computing its matches' window
+  // lists on its own reader from concurrent workers, must reproduce the
+  // naive reference for every thread count.
   for (uint64_t seed : {7u, 21u}) {
     const TimeSeriesGraph graph = RandomGraph(seed, 6, 90, 50);
     for (const char* name : {"M(3,2)", "M(3,3)", "M(4,3)", "M(5,4)"}) {

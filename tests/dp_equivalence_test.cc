@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/enumerator.h"
@@ -23,6 +24,8 @@
 #include "core/topk.h"
 #include "engine/query_engine.h"
 #include "test_util.h"
+#include "util/cancellation.h"
+#include "util/failpoint.h"
 #include "util/random.h"
 
 namespace flowmotif {
@@ -395,9 +398,7 @@ TEST(DpEquivalenceTest, EngineTop1MatchesReferenceAcrossThreads) {
 
 TEST(DpEquivalenceTest, ScratchReuseAcrossMatchRangesIsIdentical) {
   // One shared Scratch across many RunOnMatches calls (the engine's
-  // batch pattern) vs fresh scratches: identical results. M(3,3) has no
-  // interior node, so this also pins the memo-off path: the searcher
-  // must not own a window cache at all.
+  // batch pattern) vs fresh scratches: identical results.
   const TimeSeriesGraph graph = RandomGraph(33, 6, 90, 50);
   const Motif motif = *MotifCatalog::ByName("M(3,3)");
   const StructuralMatcher matcher(graph, motif);
@@ -423,8 +424,6 @@ TEST(DpEquivalenceTest, ScratchReuseAcrossMatchRangesIsIdentical) {
                        "right split=" + std::to_string(split));
     if (testing::Test::HasFailure()) return;
   }
-  EXPECT_EQ(searcher.window_cache(), nullptr)
-      << "M(3,3) has no interior node; the window cache must stay off";
 }
 
 /// Complete-bipartite layers L0 -> L1 -> ... with one interaction per
@@ -450,14 +449,12 @@ TimeSeriesGraph LayeredGraph(const std::vector<int>& layer_sizes) {
   return TimeSeriesGraph::Build(g);
 }
 
-TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
-  // M(5,4) (path 0-1-2-3-4) has an interior node, so the window cache
-  // is live. The layered graph yields 6*6*2*6*6 = 2592 matches over
-  // 36*36 = 1296 distinct (first, last) series pairs: more than the
-  // 1024-entry default generation, so the cache rotates; each pair
-  // repeats (|L2| = 2 interior choices), so hits happen, and the same
-  // injected cache carries across chunked RunOnMatches calls and across
-  // searchers.
+TEST(DpEquivalenceTest, RepeatedPairsAcrossChunksStayIdentical) {
+  // M(5,4) (path 0-1-2-3-4) has an interior node. The layered graph
+  // yields 6*6*2*6*6 = 2592 matches over 36*36 = 1296 distinct
+  // (first, last) series pairs, each repeated (|L2| = 2 interior
+  // choices); full and chunked RunOnMatches calls, on one shared
+  // Scratch and on fresh ones, must equal the reference.
   const TimeSeriesGraph graph = LayeredGraph({6, 6, 2, 6, 6});
   const Motif motif = *MotifCatalog::ByName("M(5,4)");
   const StructuralMatcher matcher(graph, motif);
@@ -468,28 +465,15 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
       ReferenceRunOnMatches(graph, motif, 40, matches);
   ASSERT_TRUE(expected.found);
 
-  SharedWindowCache cache(/*delta=*/40);
-  const MaxFlowDpSearcher searcher(graph, motif, 40, &cache);
-  ASSERT_EQ(searcher.window_cache(), &cache);
-
+  const MaxFlowDpSearcher searcher(graph, motif, 40);
   const MatchList list = MatchList::FromBindings(matches, motif.num_nodes());
   const int64_t n = list.size();
   MaxFlowDpSearcher::Scratch shared;
   ExpectResultsEqual(searcher.RunOnMatches(list, 0, n, &shared), expected,
                      "shared pass 1");
-  // Second full pass reads the warm (rotated) cache.
   ExpectResultsEqual(searcher.RunOnMatches(list, 0, n, &shared), expected,
-                     "shared pass 2 (warm cache)");
-  // The 1296 distinct pairs must have rotated the 1024-entry generation.
-  EXPECT_GT(cache.num_rotations(), 0);
-
-  // A drastically smaller cap — almost every miss rotates — still
-  // yields identical results.
-  SharedWindowCache tiny_cache(/*delta=*/40, /*max_entries=*/16);
-  const MaxFlowDpSearcher tiny_searcher(graph, motif, 40, &tiny_cache);
-  ExpectResultsEqual(tiny_searcher.RunOnMatches(matches), expected,
-                     "tiny cache");
-  EXPECT_LE(tiny_cache.size(), 2 * 16u);
+                     "shared pass 2");
+  ExpectResultsEqual(searcher.RunOnMatches(matches), expected, "bindings");
 
   // Chunked calls on the same Scratch vs fresh scratches per chunk.
   constexpr int64_t kChunk = 500;
@@ -507,8 +491,8 @@ TEST(DpEquivalenceTest, WindowCacheHitsAndSaturationStayIdentical) {
 }
 
 /// Retained reference for the engine's kCount and kTopK: every match
-/// enumerated over its brute-force window list (no window cache or
-/// reader involved), instances in serial discovery order.
+/// enumerated over its brute-force window list (no WindowReader
+/// involved), instances in serial discovery order.
 std::vector<TopKEntry> ReferenceInstances(
     const TimeSeriesGraph& graph, const Motif& motif, Timestamp delta,
     const std::vector<MatchBinding>& matches) {
@@ -533,12 +517,10 @@ std::vector<TopKEntry> ReferenceInstances(
   return instances;
 }
 
-TEST(DpEquivalenceTest, EngineModesMatchReferenceThroughRotatingQueryCache) {
-  // The previous workload end to end: its 1296 distinct pairs rotate
-  // the engine's per-query cache (1024 entries per generation) while,
-  // at four threads, every batch's reader shares it. kTop1, kCount and
-  // kTopK through Run and RunOnMatches must equal the retained
-  // references at threads {1, 4}.
+TEST(DpEquivalenceTest, EngineModesMatchReferenceOnRepeatedPairs) {
+  // The previous workload end to end: kTop1, kCount and kTopK through
+  // Run and RunOnMatches must equal the retained references at threads
+  // {1, 4}.
   const TimeSeriesGraph graph = LayeredGraph({6, 6, 2, 6, 6});
   const Motif motif = *MotifCatalog::ByName("M(5,4)");
   const std::vector<MatchBinding> matches =
@@ -599,6 +581,75 @@ TEST(DpEquivalenceTest, EngineModesMatchReferenceThroughRotatingQueryCache) {
         if (testing::Test::HasFailure()) return;
       }
     }
+  }
+}
+
+TEST(DpEquivalenceTest, WindowBudgetChargesEveryMatchList) {
+  // Every match is charged for the window list it reads, whether or
+  // not an earlier match had the same (first, last) pair: on the
+  // layered graph every pair repeats, and a window budget of exactly
+  // the per-match total completes while one less stops at
+  // "cache.windows", for every P2 mode and for the sweep's recording.
+  const TimeSeriesGraph graph = LayeredGraph({6, 6, 2, 6, 6});
+  const Motif motif = *MotifCatalog::ByName("M(5,4)");
+  const std::vector<MatchBinding> matches =
+      StructuralMatcher(graph, motif).FindAllMatches();
+  ASSERT_EQ(matches.size(), 2592u);
+  constexpr Timestamp kDelta = 40;
+  const std::vector<Timestamp> sweep_deltas = {40, 30, 20};
+  int64_t per_match_total = 0;
+  int64_t sweep_total = 0;
+  std::vector<std::vector<Window>> multi;
+  for (const MatchBinding& binding : matches) {
+    const std::vector<const EdgeSeries*> series =
+        ResolveSeries(graph, motif, binding);
+    per_match_total += static_cast<int64_t>(
+        ComputeProcessedWindows(*series.front(), *series.back(), kDelta)
+            .size());
+    ComputeProcessedWindowsMulti(*series.front(), *series.back(),
+                                 sweep_deltas, &multi);
+    for (const std::vector<Window>& per_delta : multi) {
+      sweep_total += static_cast<int64_t>(per_delta.size());
+    }
+  }
+  ASSERT_EQ(per_match_total, 2592);
+
+  const auto expect_budget_edge = [](const Termination& fits,
+                                     const Termination& over,
+                                     const std::string& label) {
+    EXPECT_TRUE(fits.complete()) << label << " " << fits.ToString();
+    EXPECT_EQ(over.code, TerminationCode::kBudgetExceeded)
+        << label << " " << over.ToString();
+    EXPECT_EQ(over.stopped_at, failpoint::kCacheWindows) << label;
+  };
+  const QueryEngine engine(graph);
+  for (const int threads : {1, 4}) {
+    QueryOptions options;
+    options.delta = kDelta;
+    options.k = 7;
+    options.num_threads = threads;
+    for (const QueryMode mode :
+         {QueryMode::kCount, QueryMode::kTopK, QueryMode::kTop1}) {
+      options.mode = mode;
+      options.budget.max_window_elements = per_match_total;
+      const QueryResult fits = engine.Run(motif, options);
+      options.budget.max_window_elements = per_match_total - 1;
+      const QueryResult over = engine.Run(motif, options);
+      expect_budget_edge(fits.termination, over.termination,
+                         "mode=" + std::to_string(static_cast<int>(mode)) +
+                             " threads=" + std::to_string(threads));
+    }
+
+    SweepQuery sweep;
+    sweep.deltas = sweep_deltas;
+    sweep.phis = {0.0, 2.0};
+    options.budget.max_window_elements = sweep_total;
+    const SweepResult fits = engine.RunSweep(motif, sweep, options);
+    EXPECT_EQ(fits.num_replayed_deltas, 3) << "threads=" << threads;
+    options.budget.max_window_elements = sweep_total - 1;
+    const SweepResult over = engine.RunSweep(motif, sweep, options);
+    expect_budget_edge(fits.termination, over.termination,
+                       "sweep threads=" + std::to_string(threads));
   }
 }
 

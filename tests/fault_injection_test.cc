@@ -394,10 +394,10 @@ TEST_F(FaultInjectionTest, P1HardStopFoldsNothingOnEveryEntryPoint) {
   }
 }
 
-TEST_F(FaultInjectionTest, WindowElementBudgetStopsThroughCache) {
-  // The cache-routed flavour of the window budget: M(5,4) has an
-  // interior node, so its window lists materialize through the shared
-  // cache and the charge lands on the cache-insert path.
+TEST_F(FaultInjectionTest, WindowElementBudgetStopsInteriorNodeMotifs) {
+  // The window budget on a motif with an interior node, M(5,4), whose
+  // matches can repeat a (first, last) pair: every match's list is
+  // charged where the match reads it.
   const Workload& w = SharedWorkload();
   const QueryEngine engine(w.graph);
   const Motif motif = *MotifCatalog::ByName("M(5,4)");
@@ -419,14 +419,13 @@ TEST_F(FaultInjectionTest, WindowElementBudgetStopsThroughCache) {
 }
 
 TEST_F(FaultInjectionTest, WindowBudgetHoldsForNonInteriorMotifs) {
-  // Regression: the window/memory budget used to be charged only at
-  // SharedWindowCache materialization, and the engine routes through
-  // the cache only for motifs with an interior node — so M(2,1)/M(3,2)
-  // computed their window lists privately, entirely unbudgeted. The
-  // charge now lands uniformly at "cache.windows" for every list a
-  // match materializes, cached or private, so the cap binds for every
-  // motif shape. This test fails on the pre-fix engine (the query
-  // completes as if no budget were set).
+  // Regression: the window/memory budget was once charged only where a
+  // window cache materialized a list, and only interior-node motifs
+  // read through one — so M(2,1)/M(3,2) computed their window lists
+  // entirely unbudgeted. The charge lands at "cache.windows" for every
+  // list a match reads, so the cap binds for every motif shape. This
+  // test fails on that engine (the query completes as if no budget
+  // were set).
   const Workload& w = SharedWorkload();  // M(3,2): no interior node
   const QueryEngine engine(w.graph);
   for (QueryMode mode : {QueryMode::kCount, QueryMode::kEnumerate}) {

@@ -1,13 +1,12 @@
 // Byte-identical equivalence of the significance analyzer's one
 // ensemble pass (skeleton replay against flat prefix arenas, or
-// enumeration on flow views sharing timestamp storage through one
-// cross-graph SharedWindowCache) against a retained pre-refactor
-// reference: deep-copying WithPermutedFlows (fresh timestamp/topology
-// storage per randomized graph) plus per-graph enumeration with no
-// shared cache. Real counts, random counts, z-scores, and p-values must
-// match exactly across ~50 seeded random graphs, every catalog motif,
-// replayed and enumerated motifs mixed in one pass, and pool sizes
-// {1, 2, 4, 8}.
+// enumeration on flow views sharing timestamp storage) against a
+// retained pre-refactor reference: deep-copying WithPermutedFlows
+// (fresh timestamp/topology storage per randomized graph) plus
+// per-graph enumeration. Real counts, random counts, z-scores, and
+// p-values must match exactly across ~50 seeded random graphs, every
+// catalog motif, replayed and enumerated motifs mixed in one pass, and
+// pool sizes {1, 2, 4, 8}.
 #include "core/significance.h"
 
 #include <gtest/gtest.h>

@@ -4,7 +4,12 @@
 
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
+
+#include "core/window_cursor.h"
+#include "util/cancellation.h"
+#include "util/failpoint.h"
 
 namespace flowmotif {
 namespace {
@@ -182,6 +187,57 @@ TEST(SlidingWindowTest, WindowsAreOrderedAndNonRedundant) {
     EdgeSeries last_copy = Series({3, 9, 12});
     EXPECT_TRUE(last_copy.HasElementInOpenClosed(windows[i - 1].end,
                                                  windows[i].end));
+  }
+}
+
+TEST(SlidingWindowTest, WindowReaderComputesAndChargesEveryList) {
+  // WindowReader::Get is ComputeProcessedWindows, and it charges every
+  // list at "cache.windows", a repeated (first, last) pair included:
+  // a window budget of exactly the lists' total completes, one less
+  // stops there.
+  std::mt19937 rng(20261020);
+  const auto random_series = [&rng] {
+    std::vector<Timestamp> times;
+    Timestamp t = rng() % 50;
+    for (size_t i = 0, n = 1 + rng() % 10; i < n; ++i) {
+      times.push_back(t += rng() % 7);
+    }
+    return Series(times);
+  };
+  std::vector<std::pair<EdgeSeries, EdgeSeries>> pairs;
+  for (int trial = 0; trial < 60; ++trial) {
+    EdgeSeries first = random_series();
+    pairs.emplace_back(std::move(first), random_series());
+  }
+  constexpr Timestamp kDelta = 6;
+  int64_t total = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& [first, last] : pairs) {
+      total += static_cast<int64_t>(
+          ComputeProcessedWindows(first, last, kDelta).size());
+    }
+  }
+  ASSERT_GT(total, 0);
+
+  for (const int64_t budget : {total, total - 1}) {
+    WorkBudget caps;
+    caps.max_window_elements = budget;
+    QueryControl control(nullptr, QueryDeadline(), caps);
+    WindowReader reader(kDelta, &control);
+    EXPECT_EQ(reader.charge(), &control);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& [first, last] : pairs) {
+        EXPECT_EQ(reader.Get(first, last),
+                  ComputeProcessedWindows(first, last, kDelta));
+      }
+    }
+    const Termination termination = control.Finish();
+    if (budget == total) {
+      EXPECT_TRUE(termination.complete()) << termination.ToString();
+    } else {
+      EXPECT_EQ(termination.code, TerminationCode::kBudgetExceeded);
+      EXPECT_EQ(termination.stopped_at, failpoint::kCacheWindows);
+    }
   }
 }
 

@@ -29,7 +29,6 @@
 #include "test_util.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
-#include "util/partition.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -301,20 +300,15 @@ TEST(SweepEquivalenceTest, PooledRecordingAbandonsTheSameDeltaOnBudget) {
   }
 }
 
-/// What the one-range recorder charges at "cache.windows": every delta's
-/// window list of each match whose (first, last) timestamp identities
-/// differ from the previous match's, counted independently here.
+/// What the recorder charges at "cache.windows": every delta's window
+/// list of every match, counted independently here.
 int64_t OneRangeWindowCharge(const TimeSeriesGraph& graph, const Motif& motif,
                              const std::vector<Timestamp>& deltas,
-                             const MatchList& matches,
-                             std::vector<uint8_t>* repeats) {
+                             const MatchList& matches) {
   const auto [first_src, first_dst] = motif.edge(0);
   const auto [last_src, last_dst] = motif.edge(motif.num_edges() - 1);
   int64_t total = 0;
-  StorageIdentity prev_first;
-  StorageIdentity prev_last;
   std::vector<std::vector<Window>> windows;
-  repeats->assign(static_cast<size_t>(matches.size()), 0);
   for (int64_t i = 0; i < matches.size(); ++i) {
     const MatchRef binding = matches[i];
     const EdgeSeries* first =
@@ -323,17 +317,10 @@ int64_t OneRangeWindowCharge(const TimeSeriesGraph& graph, const Motif& motif,
     const EdgeSeries* last =
         graph.FindSeries(binding[static_cast<size_t>(last_src)],
                          binding[static_cast<size_t>(last_dst)]);
-    if (first->timestamp_identity() == prev_first &&
-        last->timestamp_identity() == prev_last) {
-      (*repeats)[static_cast<size_t>(i)] = 1;
-      continue;
-    }
     ComputeProcessedWindowsMulti(*first, *last, deltas, &windows);
     for (const std::vector<Window>& per_delta : windows) {
       total += static_cast<int64_t>(per_delta.size());
     }
-    prev_first = first->timestamp_identity();
-    prev_last = last->timestamp_identity();
   }
   return total;
 }
@@ -353,22 +340,14 @@ bool NoneRecorded(const std::vector<EnumerationSkeleton>& skeletons) {
 }
 
 TEST(SweepEquivalenceTest, PooledRecordingStopsExactlyAsOneRange) {
-  // Consecutive kite matches share their (first, last) series, so some
-  // range of a 4-thread pool starts on a repeat and must not charge its
-  // lists again.
+  // Consecutive kite matches share their (first, last) series; each is
+  // charged for its lists all the same, in whichever range it falls.
   const TimeSeriesGraph graph = RandomGraph(9, 8, 260, 160);
   const Motif motif = Kite();
   const std::vector<Timestamp> deltas = {30, 12, 5};
   const MatchList matches = Matches(graph, motif);
-  std::vector<uint8_t> repeats;
-  const int64_t charge =
-      OneRangeWindowCharge(graph, motif, deltas, matches, &repeats);
+  const int64_t charge = OneRangeWindowCharge(graph, motif, deltas, matches);
   ASSERT_GT(charge, 0);
-  int repeated_range_starts = 0;
-  for (const IndexRange& range : PartitionIndexSpace(matches.size(), 4)) {
-    repeated_range_starts += repeats[static_cast<size_t>(range.begin)];
-  }
-  ASSERT_GT(repeated_range_starts, 0);
 
   for (const int threads : {1, 4}) {
     const std::string label = "pool=" + std::to_string(threads);
