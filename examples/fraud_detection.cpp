@@ -21,7 +21,9 @@
 // Run: ./build/examples/fraud_detection [--scale=0.2] [--delta=600]
 //      [--k=5] [--batch=400] [--horizon=2592000]
 #include <algorithm>
+#include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "core/motif_catalog.h"
@@ -45,9 +47,27 @@ int main(int argc, char** argv) {
     std::cerr << s << "\n" << flags.HelpString();
     return 1;
   }
+  // Validate the numeric flags before generating anything: a bad value
+  // gets one line naming the flag, not a library CHECK abort or (for
+  // --batch) an endless run of empty epochs.
+  const auto reject = [](const std::string& message) {
+    std::cerr << "INVALID_ARGUMENT: " << message << "\n";
+    return 1;
+  };
+  const double scale = flags.GetDouble("scale");
+  if (!(scale > 0.0) || !std::isfinite(scale)) {  // NaN too
+    return reject("--scale must be positive and finite");
+  }
+  if (flags.GetInt64("delta") < 0) {
+    return reject("--delta must be non-negative");
+  }
+  if (flags.GetInt64("batch") < 1) return reject("--batch must be >= 1");
+  if (flags.GetInt64("horizon") < 0) {
+    return reject("--horizon must be non-negative");
+  }
 
   const DatasetPreset& preset = GetPreset(DatasetKind::kBitcoin);
-  const TimeSeriesGraph full = GenerateDataset(preset, flags.GetDouble("scale"));
+  const TimeSeriesGraph full = GenerateDataset(preset, scale);
   std::cout << "Transaction trace: " << full.DebugString() << "\n";
 
   // Flatten the generated graph back into its transfer trace, ordered

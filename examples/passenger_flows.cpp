@@ -10,8 +10,10 @@
 //     per-window top-1 extensibility of Sec. 5.1).
 //
 // Run: ./build/examples/passenger_flows [--scale=0.4] [--delta=900]
+#include <cmath>
 #include <iomanip>
 #include <iostream>
+#include <string>
 
 #include "core/dp.h"
 #include "core/enumerator.h"
@@ -31,12 +33,22 @@ int main(int argc, char** argv) {
     std::cerr << s << "\n" << flags.HelpString();
     return 1;
   }
+  // Validate the numeric flags before generating anything: a bad value
+  // gets one line naming the flag, not a library CHECK abort.
+  const auto reject = [](const std::string& message) {
+    std::cerr << "INVALID_ARGUMENT: " << message << "\n";
+    return 1;
+  };
+  const double scale = flags.GetDouble("scale");
+  if (!(scale > 0.0) || !std::isfinite(scale)) {  // NaN too
+    return reject("--scale must be positive and finite");
+  }
+  const Timestamp delta = flags.GetInt64("delta");
+  if (delta < 0) return reject("--delta must be non-negative");
 
   const DatasetPreset& preset = GetPreset(DatasetKind::kPassenger);
-  TimeSeriesGraph graph = GenerateDataset(preset, flags.GetDouble("scale"));
+  TimeSeriesGraph graph = GenerateDataset(preset, scale);
   std::cout << "Zone network: " << graph.DebugString() << "\n\n";
-
-  const Timestamp delta = flags.GetInt64("delta");
 
   // --- 1. Chains dominate cycles in passenger traffic. ------------------
   std::cout << "Motif prevalence (delta=" << delta

@@ -4,15 +4,18 @@
 // per motif (the Fig. 14 analysis in miniature).
 //
 // The whole catalog is analyzed with ONE AnalyzeAll call, the paper's
-// setup: a single permutation ensemble (and one cross-graph window
-// cache) serves every motif instead of being regenerated per motif.
+// setup: a single permutation ensemble serves every motif instead of
+// being regenerated per motif.
 // The record/replay columns show where the time goes under skeleton
 // replay — the timestamp-only trace is recorded once on the real graph,
 // then the whole ensemble is answered by dense flow replays.
 //
 // Run: ./build/examples/significance_study [--scale=0.15] [--randomizations=10]
+#include <cmath>
 #include <iomanip>
 #include <iostream>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/motif_catalog.h"
@@ -32,14 +35,30 @@ int main(int argc, char** argv) {
     std::cerr << s << "\n" << flags.HelpString();
     return 1;
   }
+  // Validate the numeric flags before generating anything: a bad value
+  // gets one line naming the flag, not a library CHECK abort.
+  const auto reject = [](const std::string& message) {
+    std::cerr << "INVALID_ARGUMENT: " << message << "\n";
+    return 1;
+  };
+  const double scale = flags.GetDouble("scale");
+  if (!(scale > 0.0) || !std::isfinite(scale)) {  // NaN too
+    return reject("--scale must be positive and finite");
+  }
+  // Validated before the narrowing cast: 4294967297 would wrap to 1.
+  const int64_t randomizations = flags.GetInt64("randomizations");
+  if (randomizations < 1 ||
+      randomizations > std::numeric_limits<int>::max()) {
+    return reject("--randomizations must be between 1 and " +
+                  std::to_string(std::numeric_limits<int>::max()));
+  }
 
   const DatasetPreset& preset = GetPreset(DatasetKind::kFacebook);
-  TimeSeriesGraph graph = GenerateDataset(preset, flags.GetDouble("scale"));
+  TimeSeriesGraph graph = GenerateDataset(preset, scale);
   std::cout << "Interaction network: " << graph.DebugString() << "\n\n";
 
   SignificanceAnalyzer::Options options;
-  options.num_random_graphs =
-      static_cast<int>(flags.GetInt64("randomizations"));
+  options.num_random_graphs = static_cast<int>(randomizations);
   options.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
   options.delta = preset.default_delta;
   options.phi = preset.default_phi;

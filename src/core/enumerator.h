@@ -54,8 +54,8 @@ struct EnumerationOptions {
 
   /// Lifecycle control (non-owning, may be null) that NewReader's
   /// readers bill for every window list a match reads, at site
-  /// "cache.windows", so WorkBudget's window and memory caps hold for
-  /// every motif shape.
+  /// "cache.windows", so WorkBudget's window cap holds for every motif
+  /// shape.
   QueryControl* query_control = nullptr;
 };
 
@@ -177,8 +177,8 @@ class FlowMotifEnumerator {
   /// Phase P2 for a single match over an explicit window span instead of
   /// the match's own processed-window list. The windows must be (a
   /// contiguous run of) processed windows of this match in list order —
-  /// the streaming monitor feeds the settled/hot spans produced by
-  /// AdvanceProcessedWindows, whose concatenation is exactly the batch
+  /// the streaming monitor feeds the settled/hot spans of its per-match
+  /// WindowScan, whose concatenation is exactly the batch
   /// list, so instances come out byte-identical to EnumerateMatch across
   /// the whole sequence of calls. Returns false on visitor stop.
   bool EnumerateMatchWindows(MatchRef binding, const Window* windows_begin,

@@ -213,23 +213,39 @@ JoinMotifEnumerator::Result JoinMotifEnumerator::Run(
 
   // ---- Anchor novelty: keep only instances whose anchor is a processed
   // window position for their (e1, em) series pair, the list every
-  // two-phase path computes for the same match. ---------------------------
+  // two-phase path computes for the same match. Partials are checked
+  // grouped by (first pair, last pair), so each pair's list is computed
+  // once however many partials share it; instances are then counted and
+  // visited in frontier order. ------------------------------------------
+  const auto pair_key = [&frontier](size_t i) {
+    return std::make_pair(frontier[i].slices.front().first,
+                          frontier[i].slices.back().first);
+  };
+  std::vector<size_t> by_pair(frontier.size());
+  for (size_t i = 0; i < by_pair.size(); ++i) by_pair[i] = i;
+  std::stable_sort(by_pair.begin(), by_pair.end(),
+                   [&pair_key](size_t a, size_t b) {
+                     return pair_key(a) < pair_key(b);
+                   });
+  std::vector<bool> novel(frontier.size(), false);
   WindowReader reader(delta_);
-  for (const Partial& partial : frontier) {
-    const EdgeSeries& first_series =
-        graph_.pair(partial.slices.front().first).series;
-    const EdgeSeries& last_series =
-        graph_.pair(partial.slices.back().first).series;
-    const std::vector<Window>& windows =
-        reader.Get(first_series, last_series);
-    const auto window_at = std::partition_point(
-        windows.begin(), windows.end(), [&partial](const Window& w) {
-          return w.start < partial.anchor;
-        });
-    if (window_at == windows.end() || window_at->start != partial.anchor) {
-      continue;
+  const std::vector<Window>* windows = nullptr;
+  for (size_t g = 0; g < by_pair.size(); ++g) {
+    const size_t i = by_pair[g];
+    if (g == 0 || pair_key(by_pair[g - 1]) != pair_key(i)) {
+      windows = &reader.Get(graph_.pair(pair_key(i).first).series,
+                            graph_.pair(pair_key(i).second).series);
     }
+    const Timestamp anchor = frontier[i].anchor;
+    const auto window_at = std::partition_point(
+        windows->begin(), windows->end(),
+        [anchor](const Window& w) { return w.start < anchor; });
+    novel[i] = window_at != windows->end() && window_at->start == anchor;
+  }
 
+  for (size_t f = 0; f < frontier.size(); ++f) {
+    if (!novel[f]) continue;
+    const Partial& partial = frontier[f];
     ++result.num_instances;
     if (visitor) {
       MotifInstance instance;

@@ -33,12 +33,12 @@ namespace flowmotif {
 /// split, last edge extended to the window end, window anchor novelty)
 /// make the final instance set *identical* to FlowMotifEnumerator's
 /// paper-faithful output — which the property tests verify. The
-/// anchor-novelty check computes each surviving instance's window list
-/// with the same WindowReader the two-phase paths use, so Fig. 8
-/// comparisons measure the join strategy, not a different window
-/// source. The cost profile is the paper's: a large number of
-/// intermediate sub-motif instances is produced and most never
-/// contribute to a final instance.
+/// anchor-novelty check groups the surviving instances by their (first,
+/// last) series pair and reads one window list per pair, with the same
+/// WindowReader the two-phase paths use, so Fig. 8 comparisons measure
+/// the join strategy, not a different window source. The cost profile
+/// is the paper's: a large number of intermediate sub-motif instances is
+/// produced and most never contribute to a final instance.
 class JoinMotifEnumerator {
  public:
   /// Visitor over materialized instances; return false to stop.

@@ -430,51 +430,35 @@ bool EnumerationSkeleton::Recorder::RecordRange(
   rec.memo_gen.resize(static_cast<size_t>(m));
   rec.scratch.resize(static_cast<size_t>(m));
 
-  // Only the boundary series gate a match (the window lists depend on
-  // nothing else), so interior series resolve lazily — most structural
-  // matches die at the empty-window check and never pay those binary
-  // searches.
-  const auto [first_src, first_dst] = motif.edge(0);
-  const auto [last_src, last_dst] = motif.edge(m - 1);
-  const auto bound_series = [&graph, &motif](MatchRef binding, int src,
-                                             int dst) {
-    const EdgeSeries* s = graph.FindSeries(binding[static_cast<size_t>(src)],
-                                           binding[static_cast<size_t>(dst)]);
-    FLOWMOTIF_CHECK(s != nullptr)
-        << "binding is not a structural match of " << motif.name();
-    return s;
-  };
-
-  // Per-match window lists, one per delta, out of a single scan of the
-  // match's boundary series, charged like every list a match reads.
-  std::vector<std::vector<Window>> windows;
+  // One window reader per delta, each charging its own lists like every
+  // list a match reads.
+  std::vector<WindowReader> readers;
+  readers.reserve(n);
+  for (const Timestamp delta : deltas) readers.emplace_back(delta, control);
+  std::vector<const std::vector<Window>*> windows(n);
 
   for (int64_t match_index = range.begin; match_index < range.end;
        ++match_index) {
     if (control != nullptr && control->CheckAt(failpoint::kSweepRecord)) {
       return false;
     }
-    const MatchRef binding = matches[match_index];
-    const EdgeSeries* first_series =
-        bound_series(binding, first_src, first_dst);
-    const EdgeSeries* last_series = bound_series(binding, last_src, last_dst);
-    ComputeProcessedWindowsMulti(*first_series, *last_series, deltas,
-                                 &windows);
-    size_t computed = 0;
-    for (const std::vector<Window>& per_delta : windows) {
-      computed += per_delta.size();
-    }
-    ChargeComputedWindows(control, computed);
-    // No windows at the largest delta means none at any delta (a window
+    // Only the boundary series gate a match (the window lists depend on
+    // nothing else), so interior series resolve lazily. No windows at
+    // the largest delta (index 0) means none at any delta (a window
     // needs an R(em) element within [anchor, anchor + delta], and that
     // interval only shrinks) — most structural matches die right here,
-    // before any per-level set-up.
-    if (windows.front().empty()) continue;
-    series.front() = first_series;
-    series.back() = last_series;
+    // before any other list or per-level set-up.
+    const MatchRef binding = matches[match_index];
+    series.front() = ResolveEdgeSeries(graph, motif, binding, 0);
+    series.back() = ResolveEdgeSeries(graph, motif, binding, m - 1);
+    windows[0] = &readers[0].Get(*series.front(), *series.back());
+    if (windows[0]->empty()) continue;
+    for (size_t d = 1; d < n; ++d) {
+      windows[d] = &readers[d].Get(*series.front(), *series.back());
+    }
     for (int i = 1; i < m - 1; ++i) {
-      const auto [src, dst] = motif.edge(i);
-      series[static_cast<size_t>(i)] = bound_series(binding, src, dst);
+      series[static_cast<size_t>(i)] =
+          ResolveEdgeSeries(graph, motif, binding, i);
     }
     for (int k = 0; k < m; ++k) {
       base[static_cast<size_t>(k)] =
@@ -497,7 +481,7 @@ bool EnumerationSkeleton::Recorder::RecordRange(
       rec.out = &fragment;
       rec.over_budget = false;
       const bool any_root =
-          rec.RecordMatchWindows(&cursors, series, windows[d]);
+          rec.RecordMatchWindows(&cursors, series, *windows[d]);
       const size_t emitted = fragment.edges.size() - before;
       // Either test proves the delta's whole trace exceeds the budget:
       // this fragment alone, or the completed matches of every range.

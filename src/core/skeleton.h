@@ -169,11 +169,12 @@ class EnumerationSkeleton {
   /// with one delta. Two things make a grid cheaper than one recording
   /// per delta:
   ///
-  ///  * shared per-match work: series resolution, arena offsets, and
-  ///    the window scan (ComputeProcessedWindowsMulti walks the match's
-  ///    two boundary series once for the whole grid) are paid per
-  ///    match, not per (match, delta), and every delta's recursion runs
-  ///    while the match's series are cache-hot;
+  ///  * shared per-match work: series resolution and arena offsets are
+  ///    paid per match, not per (match, delta); the widest delta's
+  ///    window list gates the match (empty there means empty at every
+  ///    delta), so only a match with windows reads the other deltas'
+  ///    lists, each through its own WindowReader; and every delta's
+  ///    recursion runs while the match's series are cache-hot;
   ///  * cascaded viability: within a match, deltas are visited largest
   ///    first, and a delta that yields no roots (no phi = 0 completion)
   ///    proves the match dead for every remaining smaller delta — so

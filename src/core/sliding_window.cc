@@ -1,5 +1,6 @@
 #include "core/sliding_window.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace flowmotif {
@@ -21,15 +22,40 @@ std::vector<Window> ComputeProcessedWindows(const EdgeSeries& first,
 
 void ComputeProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
                              Timestamp delta, std::vector<Window>* out) {
-  std::vector<Window>& windows = *out;
-  windows.clear();
+  out->clear();
+  WindowScan().AdvanceToEnd(first, last, delta, out);
+}
+
+void WindowScan::AdvanceBefore(const EdgeSeries& first, const EdgeSeries& last,
+                               Timestamp delta, Timestamp end_before,
+                               std::vector<Window>* out) {
+  // Window ends are non-decreasing in anchor order, so the anchors whose
+  // windows end below end_before are a prefix of the remaining ones.
+  // (A saturated end equals the maximum timestamp, which is why "no
+  // bound" is AdvanceToEnd and not end_before = max.)
+  const Timestamp* const times = first.times().data();
+  const Timestamp* const stop = std::partition_point(
+      times + anchor_idx_, times + first.size(), [&](Timestamp anchor) {
+        return WindowEndSaturating(anchor, delta) < end_before;
+      });
+  Advance(first, last, delta, static_cast<size_t>(stop - times), out);
+}
+
+void WindowScan::AdvanceToEnd(const EdgeSeries& first, const EdgeSeries& last,
+                              Timestamp delta, std::vector<Window>* out) {
+  Advance(first, last, delta, first.size(), out);
+}
+
+void WindowScan::Advance(const EdgeSeries& first, const EdgeSeries& last,
+                         Timestamp delta, size_t stop,
+                         std::vector<Window>* out) {
   // "No window processed yet" is tracked explicitly: encoding it as
   // numeric_limits::min() sentinels collided with a legal first anchor
   // at exactly that timestamp, which was then dropped as a "duplicate"
   // and whose `anchor - 1` probe underflowed.
-  bool have_processed = false;
-  Timestamp prev_end = 0;
-  Timestamp prev_anchor = 0;
+  bool have_processed = have_processed_;
+  Timestamp prev_end = prev_end_;
+  Timestamp prev_anchor = prev_anchor_;
 
   // One monotone cursor into R(em) replaces the per-anchor binary
   // search: before the first processed window it trails the anchor (the
@@ -39,173 +65,37 @@ void ComputeProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
   // non-decreasing, and prev_end >= the anchor that set it, so the
   // cursor never moves backwards when the rule switches — the whole
   // scan is O(|R(e1)| + |R(em)|).
-  size_t cursor = 0;
+  size_t cursor = em_cursor_;
+  const size_t num_last = last.size();
 
-  for (size_t i = 0; i < first.size(); ++i) {
+  for (size_t i = anchor_idx_; i < stop; ++i) {
     const Timestamp anchor = first.time(i);
     if (have_processed && anchor == prev_anchor) {
       continue;  // duplicate anchor timestamp
     }
     const Timestamp end = WindowEndSaturating(anchor, delta);
     if (have_processed) {
-      while (cursor < last.size() && last.time(cursor) <= prev_end) ++cursor;
+      while (cursor < num_last && last.time(cursor) <= prev_end) ++cursor;
     } else {
-      while (cursor < last.size() && last.time(cursor) < anchor) ++cursor;
+      while (cursor < num_last && last.time(cursor) < anchor) ++cursor;
     }
-    // No R(em) element remains beyond the threshold: no later anchor can
-    // produce a novel window either.
-    if (cursor >= last.size()) break;
+    // No R(em) element remains beyond the threshold. Jump to the stop:
+    // no anchor before it can produce a novel window, now or after an
+    // append, since its end is below end_before and appends arrive at or
+    // after it (a run to the end has no later call).
+    if (cursor >= num_last) break;
     if (last.time(cursor) > end) continue;
-    windows.push_back(Window{anchor, end});
+    out->push_back(Window{anchor, end});
     prev_end = end;
     prev_anchor = anchor;
     have_processed = true;
   }
-}
 
-void ComputeProcessedWindowsMulti(const EdgeSeries& first,
-                                  const EdgeSeries& last,
-                                  const std::vector<Timestamp>& deltas,
-                                  std::vector<std::vector<Window>>* out) {
-  const size_t n = deltas.size();
-  out->resize(n);
-  for (std::vector<Window>& w : *out) w.clear();
-  if (n == 0) return;
-
-  // The largest delta runs first, alone: a window needs an R(em)
-  // element inside [anchor, anchor + delta], and that interval only
-  // shrinks with delta, so an empty list at the maximum proves every
-  // other list empty. Sweep recording calls this once per structural
-  // match and most matches die exactly here — they pay one single-delta
-  // scan instead of a |deltas|-wide one.
-  size_t widest = 0;
-  for (size_t d = 1; d < n; ++d) {
-    if (deltas[d] > deltas[widest]) widest = d;
-  }
-  ComputeProcessedWindows(first, last, deltas[widest], &(*out)[widest]);
-  if (n == 1 || (*out)[widest].empty()) return;
-
-  // Per-delta copies of the single-delta scan's state (one contiguous
-  // struct per delta — the inner loop touches every field of each);
-  // the anchor walk and the R(em) reads are shared across all of them.
-  // `done` mirrors the single-delta early break (cursor ran off R(em));
-  // the shared loop stops once every delta is done. The state lives in
-  // a small stack buffer: this runs once per structural match, and a
-  // heap vector here was a measurable slice of sweep recording.
-  struct DeltaScan {
-    Timestamp delta;
-    Timestamp prev_end;
-    Timestamp prev_anchor;
-    size_t cursor;
-    size_t list;
-    bool have;
-    bool done;
-  };
-  constexpr size_t kInlineDeltas = 15;
-  DeltaScan inline_scans[kInlineDeltas];
-  std::vector<DeltaScan> heap_scans;
-  DeltaScan* scans = inline_scans;
-  const size_t num_scans = n - 1;  // `widest` is already done
-  if (num_scans > kInlineDeltas) {
-    heap_scans.resize(num_scans);
-    scans = heap_scans.data();
-  }
-  for (size_t d = 0, k = 0; d < n; ++d) {
-    if (d == widest) continue;
-    scans[k++] = DeltaScan{deltas[d], 0, 0, 0, d, false, false};
-  }
-  size_t num_done = 0;
-  const size_t last_size = last.size();
-  for (size_t i = 0; i < first.size() && num_done < num_scans; ++i) {
-    const Timestamp anchor = first.time(i);
-    for (size_t k = 0; k < num_scans; ++k) {
-      DeltaScan& s = scans[k];
-      if (s.done) continue;
-      if (s.have && anchor == s.prev_anchor) continue;
-      const Timestamp end = WindowEndSaturating(anchor, s.delta);
-      size_t c = s.cursor;
-      if (s.have) {
-        while (c < last_size && last.time(c) <= s.prev_end) ++c;
-      } else {
-        while (c < last_size && last.time(c) < anchor) ++c;
-      }
-      s.cursor = c;
-      if (c >= last_size) {
-        s.done = true;
-        ++num_done;
-        continue;
-      }
-      if (last.time(c) > end) continue;
-      (*out)[s.list].push_back(Window{anchor, end});
-      s.prev_end = end;
-      s.prev_anchor = anchor;
-      s.have = true;
-    }
-  }
-}
-
-void AdvanceProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
-                             Timestamp delta, Timestamp settle_before,
-                             WindowScanState* state,
-                             std::vector<Window>* settled,
-                             std::vector<Window>* hot) {
-  hot->clear();
-  const size_t num_anchors = first.size();
-  const size_t num_last = last.size();
-
-  // Settled phase: the batch loop of ComputeProcessedWindows, mutating
-  // the persistent state, stopping at the first anchor whose window end
-  // reaches settle_before (ends are non-decreasing in anchor order, so
-  // the anchors split into a clean settled prefix / hot suffix). Two
-  // deviations from the batch loop, both final for settled anchors:
-  // running the R(em) cursor off the series is a per-anchor skip rather
-  // than a scan-wide break (later hot anchors may gain elements in a
-  // future epoch; this anchor cannot — everything with time <= its end
-  // is already here), and duplicate-anchor skips advance anchor_idx
-  // permanently.
-  size_t i = state->anchor_idx;
-  for (; i < num_anchors; ++i) {
-    const Timestamp anchor = first.time(i);
-    const Timestamp end = WindowEndSaturating(anchor, delta);
-    if (end >= settle_before) break;
-    if (state->have_processed && anchor == state->prev_anchor) continue;
-    size_t c = state->em_cursor;
-    if (state->have_processed) {
-      while (c < num_last && last.time(c) <= state->prev_end) ++c;
-    } else {
-      while (c < num_last && last.time(c) < anchor) ++c;
-    }
-    state->em_cursor = c;
-    if (c >= num_last || last.time(c) > end) continue;
-    settled->push_back(Window{anchor, end});
-    state->prev_end = end;
-    state->prev_anchor = anchor;
-    state->have_processed = true;
-  }
-  state->anchor_idx = i;
-
-  // Hot phase: replay the rest of the scan on a throwaway copy. Here
-  // the batch early-break is restored verbatim — it only prunes work
-  // the next call redoes anyway.
-  WindowScanState s = *state;
-  for (; i < num_anchors; ++i) {
-    const Timestamp anchor = first.time(i);
-    if (s.have_processed && anchor == s.prev_anchor) continue;
-    const Timestamp end = WindowEndSaturating(anchor, delta);
-    size_t c = s.em_cursor;
-    if (s.have_processed) {
-      while (c < num_last && last.time(c) <= s.prev_end) ++c;
-    } else {
-      while (c < num_last && last.time(c) < anchor) ++c;
-    }
-    s.em_cursor = c;
-    if (c >= num_last) break;
-    if (last.time(c) > end) continue;
-    hot->push_back(Window{anchor, end});
-    s.prev_end = end;
-    s.prev_anchor = anchor;
-    s.have_processed = true;
-  }
+  anchor_idx_ = stop;
+  em_cursor_ = cursor;
+  have_processed_ = have_processed;
+  prev_end_ = prev_end;
+  prev_anchor_ = prev_anchor;
 }
 
 std::vector<Window> ComputeAllWindows(const EdgeSeries& first,

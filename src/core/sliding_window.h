@@ -24,7 +24,7 @@ struct Window {
 /// be signed-overflow UB (the mirror of the min-sentinel underflow
 /// fixed in PR 2). Saturation keeps the semantics — a window clamped at
 /// the time axis's end simply cannot gain later elements. Shared by the
-/// window scans below and the join baseline's duration filters.
+/// window scan below and the join baseline's duration filters.
 Timestamp WindowEndSaturating(Timestamp anchor, Timestamp delta);
 
 /// Computes the window positions Algorithm 1 actually processes for one
@@ -46,8 +46,9 @@ std::vector<Window> ComputeProcessedWindows(const EdgeSeries& first,
                                             const EdgeSeries& last,
                                             Timestamp delta);
 
-/// Same, into a caller-owned buffer (cleared first) — the DP's
-/// per-match path reuses one buffer instead of allocating per match.
+/// Same, into a caller-owned buffer (cleared first) — WindowReader
+/// reuses one buffer instead of allocating per match. Both overloads are
+/// a fresh WindowScan run to the end.
 void ComputeProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
                              Timestamp delta, std::vector<Window>* windows);
 
@@ -58,62 +59,53 @@ void ComputeProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
 std::vector<Window> ComputeAllWindows(const EdgeSeries& first,
                                       Timestamp delta);
 
-/// Persistent position of one match's window scan across the epochs of
-/// an appending stream (graph/epoch_log.h): the anchor index into
-/// R(e1), the monotone R(em) novelty cursor, and the last processed
-/// window — exactly the loop state of ComputeProcessedWindows frozen at
-/// the settled/hot boundary. Element indices stay valid across seals
-/// because appends are time-monotone: every new element sorts at or
-/// after the stream watermark, and the state only ever refers to
-/// elements strictly before it.
-struct WindowScanState {
-  size_t anchor_idx = 0;
-  size_t em_cursor = 0;
-  bool have_processed = false;
-  Timestamp prev_end = 0;
-  Timestamp prev_anchor = 0;
+/// One match's processed-window scan (the ComputeProcessedWindows rule)
+/// as a resumable position: the anchor index into R(e1), the monotone
+/// R(em) novelty cursor, and the last processed window. Every
+/// processed-window list is produced by one of these — the batch list
+/// is a fresh scan run to the end, and the streaming monitor keeps one
+/// per match across the epochs of an appending stream
+/// (graph/epoch_log.h), advancing it to the watermark at every seal and
+/// running a copy to the end for the windows that may still change.
+///
+/// A scan resumed across calls yields exactly the batch list of the
+/// series it last saw, split at the call boundaries, provided that
+///  * every call passes the same delta,
+///  * the series grow only past the watermark: each element appended
+///    between calls has time >= the previous AdvanceBefore's
+///    `end_before`, so elements below it keep their indices (the scan
+///    only ever refers to those), and
+///  * AdvanceToEnd is the last call (the monitor runs it on a copy).
+/// A copy of a scan is an independent scan from the same position.
+class WindowScan {
+ public:
+  /// Appends the windows of the remaining anchors whose end is below
+  /// `end_before`, and stops at the first anchor whose end reaches it.
+  /// Those windows are final: every element that could fall inside one,
+  /// or decide its novelty, has time < end_before.
+  void AdvanceBefore(const EdgeSeries& first, const EdgeSeries& last,
+                     Timestamp delta, Timestamp end_before,
+                     std::vector<Window>* out);
+
+  /// Appends the windows of every remaining anchor.
+  void AdvanceToEnd(const EdgeSeries& first, const EdgeSeries& last,
+                    Timestamp delta, std::vector<Window>* out);
+
+ private:
+  /// The scan loop over anchors [anchor_idx_, stop). Inline (defined in
+  /// sliding_window.cc, its only user) so that ComputeProcessedWindows
+  /// compiles a fresh scan's loop with its state in registers: called
+  /// out of line, a long list scanned 10-20% slower.
+  inline void Advance(const EdgeSeries& first, const EdgeSeries& last,
+                      Timestamp delta, size_t stop,
+                      std::vector<Window>* out);
+
+  size_t anchor_idx_ = 0;
+  size_t em_cursor_ = 0;
+  bool have_processed_ = false;
+  Timestamp prev_end_ = 0;
+  Timestamp prev_anchor_ = 0;
 };
-
-/// Incremental ComputeProcessedWindows: resumes one match's window scan
-/// from `state` against the current (extended) series pair and splits
-/// the remaining windows at `settle_before` — the stream watermark.
-///
-/// * Windows with end < settle_before are **settled**: every element
-///   that could fall inside them is already present (future appends
-///   carry time >= settle_before), so the window — and the novelty-rule
-///   decision that produced or skipped it — is final. They are appended
-///   to `settled` and the scan state advances past them permanently.
-/// * Windows with end >= settle_before are **hot**: a future epoch can
-///   still add elements inside them, possibly changing their contents
-///   or the novelty decisions downstream of them. They are written to
-///   `hot` (cleared first) by replaying the scan on a throwaway copy of
-///   the state; the next call recomputes them from the settled
-///   boundary.
-///
-/// Invariant (the byte-identity contract of the streaming subsystem):
-/// after any number of calls with non-decreasing settle_before values,
-/// the concatenation of all `settled` output plus the current `hot`
-/// list equals ComputeProcessedWindows(first, last, delta) on the
-/// current series pair, element for element.
-void AdvanceProcessedWindows(const EdgeSeries& first, const EdgeSeries& last,
-                             Timestamp delta, Timestamp settle_before,
-                             WindowScanState* state,
-                             std::vector<Window>* settled,
-                             std::vector<Window>* hot);
-
-/// ComputeProcessedWindows for several deltas in one anchor scan:
-/// (*out)[d] receives exactly the list ComputeProcessedWindows(first,
-/// last, deltas[d]) would return (each delta keeps its own novelty
-/// state, so the per-delta outputs are element-for-element identical).
-/// Sweep recording uses this because the scan's cost is dominated by
-/// walking the two series — shared here — not by the per-delta
-/// bookkeeping; a delta grid then pays one pass over the match's series
-/// instead of one per grid point. `out` is resized to deltas.size() and
-/// each list cleared first.
-void ComputeProcessedWindowsMulti(const EdgeSeries& first,
-                                  const EdgeSeries& last,
-                                  const std::vector<Timestamp>& deltas,
-                                  std::vector<std::vector<Window>>* out);
 
 }  // namespace flowmotif
 

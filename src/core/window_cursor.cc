@@ -6,19 +6,25 @@
 
 namespace flowmotif {
 
-void ChargeComputedWindows(QueryControl* control, size_t num_windows) {
-  if (control == nullptr) return;
-  const int64_t elements = static_cast<int64_t>(num_windows);
-  control->ChargeWindowElements(elements, failpoint::kCacheWindows);
-  control->ChargeMemoryBytes(elements * static_cast<int64_t>(sizeof(Window)),
-                             failpoint::kCacheWindows);
-}
-
 const std::vector<Window>& WindowReader::Get(const EdgeSeries& first,
                                              const EdgeSeries& last) {
   ComputeProcessedWindows(first, last, delta_, &windows_);
-  ChargeComputedWindows(charge_, windows_.size());
+  if (charge_ != nullptr) {
+    charge_->ChargeWindowElements(static_cast<int64_t>(windows_.size()),
+                                  failpoint::kCacheWindows);
+  }
   return windows_;
+}
+
+const EdgeSeries* ResolveEdgeSeries(const TimeSeriesGraph& graph,
+                                    const Motif& motif, MatchRef binding,
+                                    int edge) {
+  const auto [src, dst] = motif.edge(edge);
+  const EdgeSeries* s = graph.FindSeries(binding[static_cast<size_t>(src)],
+                                         binding[static_cast<size_t>(dst)]);
+  FLOWMOTIF_CHECK(s != nullptr)
+      << "binding is not a structural match of " << motif.name();
+  return s;
 }
 
 void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
@@ -27,12 +33,8 @@ void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
   const int m = motif.num_edges();
   series->resize(static_cast<size_t>(m));
   for (int i = 0; i < m; ++i) {
-    const auto [src, dst] = motif.edge(i);
-    const EdgeSeries* s = graph.FindSeries(binding[static_cast<size_t>(src)],
-                                           binding[static_cast<size_t>(dst)]);
-    FLOWMOTIF_CHECK(s != nullptr)
-        << "binding is not a structural match of " << motif.name();
-    (*series)[static_cast<size_t>(i)] = s;
+    (*series)[static_cast<size_t>(i)] =
+        ResolveEdgeSeries(graph, motif, binding, i);
   }
 }
 

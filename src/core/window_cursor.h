@@ -26,12 +26,17 @@ namespace flowmotif {
 
 class QueryControl;
 
-/// Resolves one structural match's per-level series: the motif's
-/// label-ordered edges mapped through `binding` via graph.FindSeries.
-/// Shared by every per-match evaluation path (enumerator, counter, DP,
-/// skeleton recorder) so the binding-to-series contract — and its
-/// not-a-match check — cannot drift between them. `series` is resized
-/// to the motif's edge count.
+/// The series of motif edge `edge` (label order) under `binding`, via
+/// graph.FindSeries. The one binding-to-series lookup of every
+/// per-match path (enumerator, counter, DP, skeleton recorder, streaming
+/// monitor), so the contract — and its not-a-match check — cannot drift
+/// between them.
+const EdgeSeries* ResolveEdgeSeries(const TimeSeriesGraph& graph,
+                                    const Motif& motif, MatchRef binding,
+                                    int edge);
+
+/// Resolves one structural match's per-level series: ResolveEdgeSeries
+/// of every motif edge. `series` is resized to the motif's edge count.
 void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
                         MatchRef binding,
                         std::vector<const EdgeSeries*>* series);
@@ -118,13 +123,15 @@ class TimelineOffsets {
 };
 
 /// One thread's window-list source: delta, the query control it bills
-/// at site "cache.windows", and one reusable buffer. Every match
-/// computes its processed-window list where it reads it and is charged
-/// for it, whether or not an earlier match had the same (first, last)
-/// pair: a list depends only on the two series and delta, lists average
-/// well under one window, and on the benchmark graphs a pair repeats
-/// too rarely for any cache to pay (DESIGN.md Sec. 6, "One window
-/// source").
+/// at site "cache.windows", and one reusable buffer. Get is the one place
+/// a processed-window list is computed and charged: every evaluation
+/// path, the sweep recorder (one reader per delta) and the join baseline
+/// read their lists here. Every match computes its list where it reads
+/// it and is charged for it, whether or not an earlier match had the
+/// same (first, last) pair: a list depends only on the two series and
+/// delta, lists average well under one window, and on the benchmark
+/// graphs a pair repeats too rarely for any cache to pay (DESIGN.md
+/// Sec. 6, "One window source").
 ///
 /// A returned list stays valid until this reader's next Get (or its
 /// destruction). Not thread-safe: one reader per thread, or per batch.
@@ -134,7 +141,8 @@ class WindowReader {
       : delta_(delta), charge_(charge) {}
 
   /// The processed-window list of (first, last) at delta
-  /// (ComputeProcessedWindows), computed into the buffer and charged.
+  /// (ComputeProcessedWindows), computed into the buffer and charged
+  /// against the control's max_window_elements, one element per window.
   const std::vector<Window>& Get(const EdgeSeries& first,
                                  const EdgeSeries& last);
 
@@ -145,13 +153,6 @@ class WindowReader {
   QueryControl* charge_;  // may be null
   std::vector<Window> windows_;
 };
-
-/// Bills `num_windows` computed windows against `control`'s WorkBudget
-/// at site "cache.windows" — the one charging point of WindowReader::Get
-/// and the sweep recorder's multi-delta scan, so max_window_elements /
-/// max_memory_bytes hold for every motif shape and every list a match
-/// reads. Null control = no-op.
-void ChargeComputedWindows(QueryControl* control, size_t num_windows);
 
 }  // namespace flowmotif
 

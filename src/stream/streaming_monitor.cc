@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "core/structural_match.h"
+#include "core/window_cursor.h"
 #include "util/cancellation.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
@@ -312,20 +313,19 @@ void StreamingMotifMonitor::RevisitMatch(
   }
   hot_instances_ -= static_cast<int64_t>(m.hot.size());
 
-  const auto [f_src, f_dst] = motif_.edge(0);
-  const auto [l_src, l_dst] = motif_.edge(motif_.num_edges() - 1);
-  const EdgeSeries* first =
-      graph.FindSeries(m.binding[static_cast<size_t>(f_src)],
-                       m.binding[static_cast<size_t>(f_dst)]);
-  const EdgeSeries* last =
-      graph.FindSeries(m.binding[static_cast<size_t>(l_src)],
-                       m.binding[static_cast<size_t>(l_dst)]);
-  FLOWMOTIF_CHECK(first != nullptr && last != nullptr)
-      << "structural match lost its series";
+  const EdgeSeries& first = *ResolveEdgeSeries(graph, motif_, m.binding, 0);
+  const EdgeSeries& last =
+      *ResolveEdgeSeries(graph, motif_, m.binding, motif_.num_edges() - 1);
 
+  // Windows ending below the watermark are settled and the scan advances
+  // past them for good; a copy of the scan runs on to the end for the hot
+  // windows, which the next revisit recomputes from the settled boundary.
   settled_windows_scratch_.clear();
-  AdvanceProcessedWindows(*first, *last, options_.delta, settle_before,
-                          &m.scan, &settled_windows_scratch_, &m.hot_windows);
+  m.scan.AdvanceBefore(first, last, options_.delta, settle_before,
+                       &settled_windows_scratch_);
+  m.hot_windows.clear();
+  WindowScan(m.scan).AdvanceToEnd(first, last, options_.delta,
+                                  &m.hot_windows);
 
   if (!settled_windows_scratch_.empty()) {
     const InstanceVisitor visitor = [&](const InstanceView& view) {

@@ -55,16 +55,17 @@ struct StreamOptions {
 /// built static graph.
 ///
 /// The incremental decomposition rests on the stream's monotone-time
-/// contract. Each structural match carries a persistent WindowScanState;
-/// a seal advances it (AdvanceProcessedWindows), splitting the match's
-/// processed windows at the stream watermark into a **settled** prefix —
-/// final forever; enumerated exactly once, feeding the cumulative count,
-/// the bounded settled top-k pool, the horizon ring buffer, and
-/// exactly-once alerts — and a **hot** suffix that is re-enumerated on
-/// each revisit. A seal revisits only the matches that can have changed:
-/// those bound to a pair the seal appended to (via a pair -> matches
-/// index), those whose earliest hot window fell behind the new watermark
-/// (via a min-hot-end queue), and newly created structural matches.
+/// contract. Each structural match carries a persistent WindowScan. A
+/// seal advances it to the stream watermark and runs a copy on to the
+/// end, which splits the match's processed windows into a **settled**
+/// prefix — final forever; enumerated exactly once, feeding the
+/// cumulative count, the bounded settled top-k pool, the horizon ring
+/// buffer, and exactly-once alerts — and a **hot** suffix that is
+/// re-enumerated on each revisit. A seal revisits only the matches that
+/// can have changed: those bound to a pair the seal appended to (via a
+/// pair -> matches index), those whose earliest hot window fell behind
+/// the new watermark (via a min-hot-end queue), and newly created
+/// structural matches.
 ///
 /// Topology-changing seals (new pairs or vertices) re-derive the match
 /// list. P1's enumeration order is append-stable — origins in vertex
@@ -184,7 +185,7 @@ class StreamingMotifMonitor {
   /// Persistent per-structural-match streaming state.
   struct MatchState {
     MatchBinding binding;
-    WindowScanState scan;
+    WindowScan scan;
     std::vector<Window> hot_windows;  // recomputed on revisit
     int64_t settled_emits = 0;  // emissions settled so far (= next index)
     std::vector<HotInstance> hot;

@@ -138,15 +138,6 @@ void QueryControl::ChargeWindowElements(int64_t elements, const char* site) {
   }
 }
 
-void QueryControl::ChargeMemoryBytes(int64_t bytes, const char* site) {
-  const int64_t total =
-      memory_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  if (budget_.max_memory_bytes >= 0 && total > budget_.max_memory_bytes) {
-    RequestStop(TerminationCode::kBudgetExceeded, site, Status::OK(),
-                "max_memory_bytes");
-  }
-}
-
 void QueryControl::RequestStop(TerminationCode code, const char* site,
                                Status status, const std::string& detail) {
   int expected = 0;

@@ -130,16 +130,13 @@ struct WorkBudget {
   /// Maximum window-list elements the query computes. Charged at site
   /// "cache.windows" for every processed-window list a match reads, a
   /// repeated (first, last) pair included, so the cap holds for every
-  /// motif shape (core/window_cursor.h, WindowReader).
+  /// motif shape (core/window_cursor.h, WindowReader). It bounds work,
+  /// not memory: each list lives in a reused reader buffer, and no
+  /// budget charges the memory a run holds.
   int64_t max_window_elements = -1;
 
-  /// Soft memory cap in bytes, charged for window-list storage at the
-  /// same uniform site as max_window_elements.
-  int64_t max_memory_bytes = -1;
-
   bool active() const {
-    return max_matches >= 0 || max_window_elements >= 0 ||
-           max_memory_bytes >= 0;
+    return max_matches >= 0 || max_window_elements >= 0;
   }
 };
 
@@ -176,10 +173,9 @@ class QueryControl {
   /// matches plus whatever the throttle admits, never a multiple of it.
   bool CheckAtBoundary(const char* site);
 
-  /// Budget charges for computed window lists. Thread-safe; the
-  /// first charge that crosses a limit requests kBudgetExceeded.
+  /// Budget charge for computed window lists. Thread-safe; the first
+  /// charge that crosses max_window_elements requests kBudgetExceeded.
   void ChargeWindowElements(int64_t elements, const char* site);
-  void ChargeMemoryBytes(int64_t bytes, const char* site);
 
   /// Requests a hard stop (first request wins). Every later CheckAt /
   /// ShouldStop returns true.
@@ -211,7 +207,6 @@ class QueryControl {
   std::atomic<bool> truncated_{false};  // soft outcome recorded
   std::atomic<uint64_t> check_count_{0};
   std::atomic<int64_t> window_elements_{0};
-  std::atomic<int64_t> memory_bytes_{0};
 
   mutable std::mutex mu_;  // guards the stop/truncation details below
   std::string stop_site_;

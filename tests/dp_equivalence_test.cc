@@ -599,17 +599,16 @@ TEST(DpEquivalenceTest, WindowBudgetChargesEveryMatchList) {
   const std::vector<Timestamp> sweep_deltas = {40, 30, 20};
   int64_t per_match_total = 0;
   int64_t sweep_total = 0;
-  std::vector<std::vector<Window>> multi;
   for (const MatchBinding& binding : matches) {
     const std::vector<const EdgeSeries*> series =
         ResolveSeries(graph, motif, binding);
     per_match_total += static_cast<int64_t>(
         ComputeProcessedWindows(*series.front(), *series.back(), kDelta)
             .size());
-    ComputeProcessedWindowsMulti(*series.front(), *series.back(),
-                                 sweep_deltas, &multi);
-    for (const std::vector<Window>& per_delta : multi) {
-      sweep_total += static_cast<int64_t>(per_delta.size());
+    for (const Timestamp delta : sweep_deltas) {
+      sweep_total += static_cast<int64_t>(
+          ComputeProcessedWindows(*series.front(), *series.back(), delta)
+              .size());
     }
   }
   ASSERT_EQ(per_match_total, 2592);

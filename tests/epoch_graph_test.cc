@@ -2,14 +2,18 @@
 // EpochLog seals produce graphs byte-identical to batch builds while
 // sharing untouched storage by identity; time slices cut exactly at
 // epoch segment boundaries; graph_io round-trips an epoched graph so a
-// reloaded log can re-seal and continue the stream; and the incremental
-// window scan equals the batch scan across any settle schedule.
+// reloaded log can re-seal and continue the stream; seeded append/seal
+// sequences hold the log to a reference; and the resumable window
+// scan equals the batch scan across any settle schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sliding_window.h"
@@ -221,70 +225,229 @@ TEST(EpochGraphTest, SaveReloadAndResealContinuesTheStream) {
   ExpectSameGraph(*resealed.graph, batch, "reseal");
 }
 
-TEST(EpochGraphTest, AdvanceProcessedWindowsEqualsBatchScanOnAnySchedule) {
-  // Random series pairs and random settle schedules: the concatenated
-  // settled output plus the final hot list must equal the batch window
-  // scan element for element, at every intermediate step.
+TEST(EpochGraphTest, SeededAppendSealSequencesKeepTheLogInvariants) {
+  // Seeded operation sequences over the ingest boundary: valid appends
+  // (times at the watermark and new vertices included), malformed
+  // appends, and seals (empty-tail seals included), checked against a
+  // plain vector of the accepted edges after every operation.
+  constexpr Flow kInf = std::numeric_limits<Flow>::infinity();
+  const std::vector<Flow> bad_flows = {
+      0.0, -1.0, std::numeric_limits<Flow>::quiet_NaN(), kInf, -kInf};
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    EpochLog log;
+    std::vector<InteractionGraph::Edge> accepted;
+    std::vector<InteractionGraph::Edge> tail;  // accepted since the seal
+    Timestamp sealed_watermark = std::numeric_limits<Timestamp>::min();
+    int real_seals = 0;
+    for (int op = 0; op < 2000; ++op) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " op " + std::to_string(op);
+      const uint64_t kind = rng() % 10;
+      if (kind == 0 || op == 1999) {
+        const std::shared_ptr<const TimeSeriesGraph> before = log.Snapshot();
+        const EpochId epoch_before = log.epoch();
+        const EpochLog::SealInfo info = log.SealEpoch();
+        if (tail.empty()) {
+          ASSERT_EQ(info.num_appended, 0u) << where;
+          ASSERT_EQ(info.epoch, epoch_before) << where;
+          ASSERT_EQ(log.epoch(), epoch_before) << where;
+          ASSERT_EQ(info.graph.get(), before.get()) << where;
+          ASSERT_EQ(log.Snapshot().get(), before.get()) << where;
+          continue;
+        }
+        ++real_seals;
+        ASSERT_EQ(info.epoch, epoch_before + 1) << where;
+        ASSERT_EQ(log.Snapshot().get(), info.graph.get()) << where;
+        ASSERT_EQ(info.num_appended, tail.size()) << where;
+        InteractionGraph multigraph;
+        for (const InteractionGraph::Edge& e : accepted) {
+          ASSERT_TRUE(multigraph.AddEdge(e.src, e.dst, e.t, e.f).ok());
+        }
+        ExpectSameGraph(*info.graph, TimeSeriesGraph::Build(multigraph),
+                        where);
+
+        std::vector<std::pair<VertexId, VertexId>> dirty;
+        for (const InteractionGraph::Edge& e : tail) {
+          dirty.emplace_back(e.src, e.dst);
+        }
+        std::sort(dirty.begin(), dirty.end());
+        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+        ASSERT_EQ(info.dirty_pairs, dirty) << where;
+        std::vector<std::pair<VertexId, VertexId>> fresh;
+        for (const auto& [src, dst] : dirty) {
+          if (before->FindPairIndex(src, dst) < 0) fresh.emplace_back(src, dst);
+        }
+        ASSERT_EQ(info.new_pairs, fresh) << where;
+        ASSERT_EQ(info.topology_changed,
+                  !fresh.empty() ||
+                      info.graph->num_vertices() != before->num_vertices())
+            << where;
+        ASSERT_EQ(info.min_new_time, tail.front().t) << where;
+        ASSERT_EQ(info.watermark, accepted.back().t) << where;
+
+        // Untouched pairs keep their storage. Every element below the
+        // previous seal's watermark keeps its index, time and flow;
+        // elements at that watermark may reorder, since equal times sort
+        // by flow. This is what a resumed WindowScan relies on.
+        for (const TimeSeriesGraph::PairEdge& old_pair : before->pairs()) {
+          const EdgeSeries& old_series = old_pair.series;
+          const EdgeSeries* new_series =
+              info.graph->FindSeries(old_pair.src, old_pair.dst);
+          ASSERT_NE(new_series, nullptr) << where;
+          if (!std::binary_search(dirty.begin(), dirty.end(),
+                                  std::make_pair(old_pair.src,
+                                                 old_pair.dst))) {
+            ASSERT_EQ(new_series->timestamp_identity(),
+                      old_series.timestamp_identity())
+                << where;
+          }
+          for (size_t i = 0; i < old_series.size() &&
+                             old_series.time(i) < sealed_watermark;
+               ++i) {
+            ASSERT_EQ(new_series->time(i), old_series.time(i)) << where;
+            ASSERT_EQ(new_series->flow(i), old_series.flow(i)) << where;
+          }
+        }
+        sealed_watermark = info.watermark;
+        tail.clear();
+        continue;
+      }
+
+      const size_t tail_before = log.tail_size();
+      const Timestamp watermark_before = log.watermark();
+      const int64_t vertices_before = log.num_vertices();
+      const EpochId epoch_before = log.epoch();
+      // Ids reach one past the current universe, so vertices grow.
+      const auto vertex = [&] {
+        return static_cast<VertexId>(rng() % (vertices_before + 2));
+      };
+      VertexId src = vertex();
+      VertexId dst = vertex();
+      Timestamp t = accepted.empty()
+                        ? 1000
+                        : watermark_before + static_cast<Timestamp>(rng() % 3);
+      Flow f = 0.5 * static_cast<Flow>(1 + rng() % 6);
+      const bool malformed = kind <= 2;
+      if (malformed) {
+        switch (rng() % 4) {
+          case 0:
+            (rng() % 2 == 0 ? src : dst) =
+                -1 - static_cast<VertexId>(rng() % 3);
+            break;
+          case 1:
+          case 2:
+            f = bad_flows[rng() % bad_flows.size()];
+            break;
+          default:
+            if (accepted.empty()) {
+              src = -1;
+            } else {
+              t = watermark_before - 1 - static_cast<Timestamp>(rng() % 5);
+            }
+        }
+      }
+      const Status status = log.Append(src, dst, t, f);
+      if (malformed) {
+        ASSERT_EQ(status.code(), StatusCode::kInvalidArgument) << where;
+        ASSERT_EQ(log.tail_size(), tail_before) << where;
+        ASSERT_EQ(log.watermark(), watermark_before) << where;
+        ASSERT_EQ(log.num_vertices(), vertices_before) << where;
+        ASSERT_EQ(log.epoch(), epoch_before) << where;
+        continue;
+      }
+      ASSERT_TRUE(status.ok()) << where << " " << status.ToString();
+      accepted.push_back(InteractionGraph::Edge{src, dst, t, f});
+      tail.push_back(accepted.back());
+      ASSERT_EQ(log.tail_size(), tail.size()) << where;
+      ASSERT_EQ(log.watermark(), t) << where;
+    }
+    EXPECT_GT(real_seals, 100) << "seed " << seed;
+  }
+}
+
+TEST(EpochGraphTest, WindowScanEqualsBatchScanOnAnySchedule) {
+  // Random series pairs and random settle schedules, split as the
+  // streaming monitor splits them: advance the scan to the watermark
+  // (settled), then run a copy to the end (hot). At every step the
+  // settled output so far plus the hot list must equal the batch scan of
+  // the visible series. A third of the trials sit at the top of the time
+  // axis, where window ends saturate; timestamps repeat, and either
+  // series may be empty.
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
   std::mt19937_64 rng(7);
-  for (int trial = 0; trial < 200; ++trial) {
+  int saturated = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const bool near_max = trial % 3 == 2;
+    const Timestamp origin = near_max ? kMax - 24 : 0;
     // Build a full edge timeline, then reveal prefixes in random steps.
-    std::vector<Interaction> first_all;
-    std::vector<Interaction> last_all;
-    Timestamp t = 0;
-    const size_t nf = 1 + rng() % 12;
-    const size_t nl = 1 + rng() % 12;
-    for (size_t i = 0; i < nf; ++i) {
-      t += static_cast<Timestamp>(rng() % 3);
-      first_all.push_back({t, 1.0});
-    }
-    t = 0;
-    for (size_t i = 0; i < nl; ++i) {
-      t += static_cast<Timestamp>(rng() % 3);
-      last_all.push_back({t, 1.0});
-    }
-    const Timestamp delta = static_cast<Timestamp>(rng() % 6);
+    Timestamp latest = origin;
+    const auto timeline = [&] {
+      std::vector<Interaction> all;
+      Timestamp t = origin;
+      for (size_t i = 0, n = rng() % 13; i < n; ++i) {
+        t += static_cast<Timestamp>(rng() % 3);
+        all.push_back({t, 1.0});
+      }
+      latest = std::max(latest, t);
+      return all;
+    };
+    const std::vector<Interaction> first_all = timeline();
+    const std::vector<Interaction> last_all = timeline();
+    const Timestamp delta = static_cast<Timestamp>(rng() % (near_max ? 40 : 6));
+    const auto visible = [](const std::vector<Interaction>& all,
+                            Timestamp w) {
+      std::vector<Interaction> shown;
+      for (const Interaction& x : all) {
+        if (x.t < w) shown.push_back(x);
+      }
+      return EdgeSeries(shown);
+    };
 
     // Watermark steps: reveal every element with time < w, settle
     // windows with end < w — the exact seal semantics.
     std::vector<Timestamp> watermarks;
-    for (Timestamp w = 1; w <= t + delta + 2;
+    const Timestamp horizon = WindowEndSaturating(latest, delta + 2);
+    for (Timestamp w = origin + 1; w <= horizon && w <= kMax - 3;
          w += 1 + static_cast<Timestamp>(rng() % 3)) {
       watermarks.push_back(w);
     }
-    watermarks.push_back(std::numeric_limits<Timestamp>::max());
+    watermarks.push_back(kMax);
 
-    WindowScanState state;
-    std::vector<Window> settled_all;
+    WindowScan scan;
+    std::vector<Window> settled;
     std::vector<Window> hot;
     for (const Timestamp w : watermarks) {
-      std::vector<Interaction> f_vis, l_vis;
-      for (const Interaction& x : first_all) {
-        if (x.t < w) f_vis.push_back(x);
-      }
-      for (const Interaction& x : last_all) {
-        if (x.t < w) l_vis.push_back(x);
-      }
-      const EdgeSeries first(f_vis);
-      const EdgeSeries last(l_vis);
-      std::vector<Window> settled;
-      AdvanceProcessedWindows(first, last, delta, w, &state, &settled, &hot);
-      settled_all.insert(settled_all.end(), settled.begin(), settled.end());
+      const EdgeSeries first = visible(first_all, w);
+      const EdgeSeries last = visible(last_all, w);
+      scan.AdvanceBefore(first, last, delta, w, &settled);
+      hot.clear();
+      WindowScan(scan).AdvanceToEnd(first, last, delta, &hot);
 
-      // Invariant at every step: settled-so-far + hot == batch scan of
-      // the currently visible series.
-      std::vector<Window> batch = ComputeProcessedWindows(first, last, delta);
-      std::vector<Window> incremental = settled_all;
+      std::vector<Window> incremental = settled;
       incremental.insert(incremental.end(), hot.begin(), hot.end());
-      ASSERT_EQ(incremental.size(), batch.size())
+      ASSERT_EQ(incremental, ComputeProcessedWindows(first, last, delta))
           << "trial " << trial << " watermark " << w;
-      for (size_t i = 0; i < batch.size(); ++i) {
-        ASSERT_EQ(incremental[i], batch[i])
-            << "trial " << trial << " watermark " << w << " window " << i;
-      }
     }
-    // Terminal watermark: everything settled, nothing hot.
-    ASSERT_TRUE(hot.empty()) << "trial " << trial;
+    // Terminal watermark: nothing is hot but a window that ends at the
+    // top of the time axis, which no watermark can pass.
+    for (const Window& window : hot) {
+      ASSERT_EQ(window.end, kMax) << "trial " << trial;
+      ++saturated;
+    }
+    if (!near_max) {
+      ASSERT_TRUE(hot.empty()) << "trial " << trial;
+    }
+
+    // The stream ends: elements at the top of the axis arrive, and the
+    // scan itself runs to the end.
+    const EdgeSeries first(first_all);
+    const EdgeSeries last(last_all);
+    scan.AdvanceToEnd(first, last, delta, &settled);
+    ASSERT_EQ(settled, ComputeProcessedWindows(first, last, delta))
+        << "trial " << trial;
   }
+  EXPECT_GT(saturated, 0);
 }
 
 }  // namespace

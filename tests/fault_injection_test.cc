@@ -419,7 +419,7 @@ TEST_F(FaultInjectionTest, WindowElementBudgetStopsInteriorNodeMotifs) {
 }
 
 TEST_F(FaultInjectionTest, WindowBudgetHoldsForNonInteriorMotifs) {
-  // Regression: the window/memory budget was once charged only where a
+  // Regression: the window budget was once charged only where a
   // window cache materialized a list, and only interior-node motifs
   // read through one — so M(2,1)/M(3,2) computed their window lists
   // entirely unbudgeted. The charge lands at "cache.windows" for every

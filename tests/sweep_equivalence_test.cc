@@ -301,14 +301,15 @@ TEST(SweepEquivalenceTest, PooledRecordingAbandonsTheSameDeltaOnBudget) {
 }
 
 /// What the recorder charges at "cache.windows": every delta's window
-/// list of every match, counted independently here.
+/// list of every match, counted independently here. (The recorder skips
+/// the other deltas of a match whose widest list is empty; those lists
+/// are empty too, so the sum is the same.)
 int64_t OneRangeWindowCharge(const TimeSeriesGraph& graph, const Motif& motif,
                              const std::vector<Timestamp>& deltas,
                              const MatchList& matches) {
   const auto [first_src, first_dst] = motif.edge(0);
   const auto [last_src, last_dst] = motif.edge(motif.num_edges() - 1);
   int64_t total = 0;
-  std::vector<std::vector<Window>> windows;
   for (int64_t i = 0; i < matches.size(); ++i) {
     const MatchRef binding = matches[i];
     const EdgeSeries* first =
@@ -317,9 +318,9 @@ int64_t OneRangeWindowCharge(const TimeSeriesGraph& graph, const Motif& motif,
     const EdgeSeries* last =
         graph.FindSeries(binding[static_cast<size_t>(last_src)],
                          binding[static_cast<size_t>(last_dst)]);
-    ComputeProcessedWindowsMulti(*first, *last, deltas, &windows);
-    for (const std::vector<Window>& per_delta : windows) {
-      total += static_cast<int64_t>(per_delta.size());
+    for (const Timestamp delta : deltas) {
+      total += static_cast<int64_t>(
+          ComputeProcessedWindows(*first, *last, delta).size());
     }
   }
   return total;
