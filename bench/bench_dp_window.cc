@@ -11,7 +11,10 @@
 //  * fanout — a hub with `kLeaves` out-edges; the general motif 0>1,0>2
 //    exercises the same DP on per-first-edge matches.
 //
-// A delta sweep scales the per-window timeline length tau. Run with
+// A delta sweep scales the per-window timeline length tau.
+// BM_MatchWindowGate times the other end: the per-match gate that every
+// P2 evaluator runs before any set-up, over a sparse bitcoin-like match
+// list where most matches have no window. Run with
 //   bench_dp_window --benchmark_format=json
 // to emit the JSON consumed by the CI perf-smoke step; the repo root's
 // BENCH_baseline.json is the committed first point of the trajectory
@@ -22,9 +25,12 @@
 #include <vector>
 
 #include "core/dp.h"
+#include "core/match_list.h"
 #include "core/motif_catalog.h"
 #include "core/sliding_window.h"
 #include "core/structural_match.h"
+#include "core/window_cursor.h"
+#include "gen/presets.h"
 #include "graph/interaction_graph.h"
 #include "graph/time_series_graph.h"
 #include "util/logging.h"
@@ -160,6 +166,39 @@ BENCHMARK(BM_ComputeProcessedWindows)
     ->Arg(2000)
     ->Arg(30000)
     ->Unit(benchmark::kMicrosecond);
+
+/// The per-match gate of every P2 evaluator over one whole match list:
+/// per match, the two boundary ResolveEdgeSeries calls and one
+/// WindowReader::Get — the list of M(4,4)C on bitcoin x1 at the preset's
+/// delta, where about 2% of the matches have a window. Timing a whole
+/// list per iteration resolves changes that one ~4 us scan
+/// (BM_ComputeProcessedWindows) cannot.
+void BM_MatchWindowGate(benchmark::State& state) {
+  static const TimeSeriesGraph* const graph = new TimeSeriesGraph(
+      GenerateDataset(GetPreset(DatasetKind::kBitcoin), 1.0));
+  const Motif motif = *MotifCatalog::ByName("M(4,4)C");
+  static const MatchList* const matches = new MatchList(MatchList::FromBindings(
+      StructuralMatcher(*graph, motif).FindAllMatches(), motif.num_nodes()));
+  const int last = motif.num_edges() - 1;
+  WindowReader windows(GetPreset(DatasetKind::kBitcoin).default_delta);
+  int64_t with_windows = 0;
+  for (auto _ : state) {
+    with_windows = 0;
+    for (int64_t i = 0; i < matches->size(); ++i) {
+      const MatchRef match = (*matches)[i];
+      const EdgeSeries* first = ResolveEdgeSeries(*graph, motif, match, 0);
+      const EdgeSeries* last_series =
+          ResolveEdgeSeries(*graph, motif, match, last);
+      if (!windows.Get(*first, *last_series).empty()) ++with_windows;
+    }
+    benchmark::DoNotOptimize(with_windows);
+  }
+  state.counters["matches"] =
+      benchmark::Counter(static_cast<double>(matches->size()));
+  state.counters["with_windows"] =
+      benchmark::Counter(static_cast<double>(with_windows));
+}
+BENCHMARK(BM_MatchWindowGate)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace flowmotif

@@ -3,7 +3,8 @@
 //    data-structure ablation behind Eq. 2's O(1) flow([tj,ti],k));
 //  * structural matching throughput (phase P1);
 //  * window computation (the sliding/skip logic);
-//  * phase P2 on one structural match.
+//  * phase P2 on one structural match, on the frame and reader the
+//    engine's batch loop carries across matches.
 //  * cancellation-check overhead in the DP / counter hot loops — the
 //    same loop with a null control vs an active never-tripping
 //    QueryControl, gated < 1% as a same-run pair by
@@ -118,11 +119,13 @@ void BM_Phase2PerMatch(benchmark::State& state) {
   options.delta = 900;
   options.phi = 2.0;
   FlowMotifEnumerator enumerator(graph, motif, options);
+  WindowReader windows = enumerator.NewReader();
+  FlowMotifEnumerator::Scratch scratch;
   size_t cursor = 0;
   for (auto _ : state) {
     EnumerationResult result;
     enumerator.EnumerateMatch(matches[cursor % matches.size()], nullptr,
-                              &result);
+                              &result, &windows, &scratch);
     benchmark::DoNotOptimize(result.num_instances);
     ++cursor;
   }
@@ -175,7 +178,8 @@ void BM_DpMatchLoop_Control(benchmark::State& state) {
 BENCHMARK(BM_DpMatchLoop_Control);
 
 // The kCount hot path: the engine's per-batch loop checks site
-// "p2.batch" once per structural match around CountMatch.
+// "p2.batch" once per structural match around CountMatch, with one
+// reader and one Scratch per batch.
 void RunCountMatchLoop(benchmark::State& state, QueryControl* control) {
   constexpr Timestamp kDelta = 900;
   const Motif motif = *MotifCatalog::ByName("M(3,2)");
@@ -184,9 +188,10 @@ void RunCountMatchLoop(benchmark::State& state, QueryControl* control) {
   for (auto _ : state) {
     InstanceCounter::Result result;
     WindowReader windows(kDelta);
+    InstanceCounter::Scratch scratch;
     for (int64_t i = 0; i < matches.size(); ++i) {
       if (control != nullptr && control->CheckAt(failpoint::kP2Batch)) break;
-      counter.CountMatch(matches[i], &result, &windows);
+      counter.CountMatch(matches[i], &result, &windows, &scratch);
     }
     benchmark::DoNotOptimize(result.num_instances);
   }

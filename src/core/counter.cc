@@ -1,7 +1,6 @@
 #include "core/counter.h"
 
 #include <optional>
-#include <unordered_map>
 
 #include "core/sliding_window.h"
 #include "util/logging.h"
@@ -12,22 +11,18 @@ namespace {
 
 /// Counting state for one match. The window-dependent bounds (per-level
 /// admissible index ranges) live in the cursor arrays and are advanced
-/// once per window; the memo is cleared — not reallocated — between
-/// windows, because its entries are only valid for one window end.
+/// once per window; the memo starts empty in every window (BeginWindow),
+/// because its entries are only valid for one window end.
 struct WindowCounter {
   const std::vector<const EdgeSeries*>* series;
   const std::vector<size_t>* lo;     // per level, LowerBound(window.start)
   const std::vector<size_t>* limit;  // per level, UpperBound(window.end)
   Flow phi;
   int num_edges;
-  // memo[level] maps the first usable element index of that level's
-  // series to the number of valid suffix instantiations.
-  std::vector<std::unordered_map<size_t, int64_t>> memo;
+  // Maps (level, first usable element index of that level's series) to
+  // the number of valid suffix instantiations.
+  WindowMemo<int64_t>* memo = nullptr;
   int64_t memo_hits = 0;
-
-  void BeginWindow() {
-    for (auto& level_memo : memo) level_memo.clear();
-  }
 
   int64_t Count(int level, size_t first) {
     const EdgeSeries& s = *(*series)[static_cast<size_t>(level)];
@@ -40,10 +35,10 @@ struct WindowCounter {
       return s.FlowSum(first, level_limit - 1) >= phi ? 1 : 0;
     }
 
-    auto& level_memo = memo[static_cast<size_t>(level)];
-    if (auto it = level_memo.find(first); it != level_memo.end()) {
+    if (const int64_t* memoized =
+            memo->Find(static_cast<size_t>(level), first)) {
       ++memo_hits;
-      return it->second;
+      return *memoized;
     }
 
     const EdgeSeries& next = *(*series)[static_cast<size_t>(level) + 1];
@@ -73,7 +68,7 @@ struct WindowCounter {
       if (prefix_flow < phi) continue;  // Algorithm 1 line 16
       total += Count(level + 1, next_after);
     }
-    level_memo.emplace(first, total);
+    memo->Store(static_cast<size_t>(level), first, total);
     return total;
   }
 };
@@ -89,34 +84,42 @@ InstanceCounter::InstanceCounter(const TimeSeriesGraph& graph,
 }
 
 int64_t InstanceCounter::CountMatch(MatchRef binding, Result* result,
-                                    WindowReader* windows) const {
-  const int m = motif_.num_edges();
-  std::vector<const EdgeSeries*> series;
-  ResolveMatchSeries(graph_, motif_, binding, &series);
-
+                                    WindowReader* windows,
+                                    Scratch* scratch) const {
   std::optional<WindowReader> one_match;
   if (windows == nullptr) windows = &one_match.emplace(delta_);
-  const std::vector<Window>& match_windows =
-      windows->Get(*series.front(), *series.back());
+  FLOWMOTIF_CHECK_EQ(windows->delta(), delta_)
+      << "window reader at another delta than the counter's";
+
+  // The gate: only the boundary series decide the window list, and a
+  // match without windows needs nothing else.
+  const int m = motif_.num_edges();
+  const EdgeSeries* first = ResolveEdgeSeries(graph_, motif_, binding, 0);
+  const EdgeSeries* last = ResolveEdgeSeries(graph_, motif_, binding, m - 1);
+  const std::vector<Window>& match_windows = windows->Get(*first, *last);
   if (result != nullptr) {
     result->num_windows += static_cast<int64_t>(match_windows.size());
   }
+  if (match_windows.empty()) return 0;
 
-  WindowCursorSet cursors;
-  cursors.Reset(series);
+  std::optional<Scratch> one_scratch;
+  if (scratch == nullptr) scratch = &one_scratch.emplace();
+  ResolveMatchSeries(graph_, motif_, binding, first, last, &scratch->series);
+  WindowCursorSet& cursors = scratch->cursors;
+  cursors.Reset(scratch->series);
 
   WindowCounter counter;
-  counter.series = &series;
+  counter.series = &scratch->series;
   counter.lo = &cursors.lo_indices();
   counter.limit = &cursors.hi_indices();
   counter.phi = phi_;
   counter.num_edges = m;
-  counter.memo.resize(static_cast<size_t>(m));
+  counter.memo = &scratch->memo;
 
   int64_t count = 0;
   for (const Window& window : match_windows) {
     cursors.AdvanceTo(window);
-    counter.BeginWindow();
+    scratch->memo.BeginWindow(cursors);
     count += counter.Count(0, cursors.lo(0));
   }
   if (result != nullptr) result->memo_hits += counter.memo_hits;
@@ -127,9 +130,10 @@ InstanceCounter::Result InstanceCounter::RunOnMatches(
     const std::vector<MatchBinding>& matches) const {
   Result result;
   WindowReader windows(delta_);
+  Scratch scratch;
   for (const MatchBinding& binding : matches) {
     ++result.num_structural_matches;
-    result.num_instances += CountMatch(binding, &result, &windows);
+    result.num_instances += CountMatch(binding, &result, &windows, &scratch);
   }
   return result;
 }

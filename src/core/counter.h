@@ -33,8 +33,9 @@ namespace flowmotif {
 /// The per-window machinery rides the shared core/window_cursor layer:
 /// each match's window list comes out of a WindowReader, the per-level
 /// window bounds slide on a WindowCursorSet instead of one UpperBound
-/// per recursion call, and the recursion's per-element next-edge
-/// searches are monotone galloping advances.
+/// per recursion call, the memo is a generation-stamped WindowMemo, and
+/// the recursion's per-element next-edge searches are monotone
+/// galloping advances.
 class InstanceCounter {
  public:
   struct Result {
@@ -42,6 +43,18 @@ class InstanceCounter {
     int64_t num_structural_matches = 0;
     int64_t num_windows = 0;
     int64_t memo_hits = 0;  // branches answered from the memo
+  };
+
+  /// CountMatch's per-match state — the match's series, its window
+  /// cursors and the recursion memo — which a caller looping over
+  /// matches keeps across them (one per loop; never shared by two
+  /// calls in flight), so a match allocates nothing once the buffers
+  /// have grown. Reuse never changes results: every field is rebound
+  /// per match, and a Scratch may cross motifs, deltas and graphs.
+  struct Scratch {
+    std::vector<const EdgeSeries*> series;
+    WindowCursorSet cursors;
+    WindowMemo<int64_t> memo;
   };
 
   InstanceCounter(const TimeSeriesGraph& graph, const Motif& motif,
@@ -57,12 +70,16 @@ class InstanceCounter {
   Result RunOnMatches(const std::vector<MatchBinding>& matches) const;
 
   /// Counts within a single structural match. The match's window list
-  /// is computed by `windows` — a reader at this counter's delta that a
-  /// caller looping over matches keeps across them, and which carries
-  /// the query control charged for every list — or, when null, by an
-  /// uncharged reader made for this one match.
+  /// is computed by `windows` — a reader at this counter's delta
+  /// (checked) that a caller looping over matches keeps across them,
+  /// and which carries the query control charged for every list — or,
+  /// when null, by an uncharged reader made for this one match. The
+  /// list is read from the boundary series alone, and a match without
+  /// windows returns before any other lookup or set-up; otherwise the
+  /// match runs on `scratch`, or on a Scratch of its own when null.
   int64_t CountMatch(MatchRef binding, Result* result,
-                     WindowReader* windows = nullptr) const;
+                     WindowReader* windows = nullptr,
+                     Scratch* scratch = nullptr) const;
 
  private:
   const TimeSeriesGraph& graph_;

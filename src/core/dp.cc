@@ -35,14 +35,19 @@ void MaxFlowDpSearcher::CheckScratch(Scratch* scratch,
 
 const std::vector<Window>& MaxFlowDpSearcher::BeginMatch(
     MatchRef binding, Scratch* scratch) const {
-  std::vector<const EdgeSeries*>& series = scratch->series;
-  ResolveMatchSeries(graph_, motif_, binding, &series);
+  // The gate: only the boundary series decide the window list, and a
+  // match without windows needs nothing else.
+  const int m = motif_.num_edges();
+  const EdgeSeries* first = ResolveEdgeSeries(graph_, motif_, binding, 0);
+  const EdgeSeries* last = ResolveEdgeSeries(graph_, motif_, binding, m - 1);
+  const std::vector<Window>& windows = scratch->windows->Get(*first, *last);
+  if (windows.empty()) return windows;
 
+  ResolveMatchSeries(graph_, motif_, binding, first, last, &scratch->series);
   // Window cursors restart from the series fronts for every match; they
   // only ever move forward within one match's window sweep.
-  scratch->cursors.Reset(series);
-
-  return scratch->windows->Get(*series.front(), *series.back());
+  scratch->cursors.Reset(scratch->series);
+  return windows;
 }
 
 Flow MaxFlowDpSearcher::DpOverWindow(MatchRef binding, const Window& window,

@@ -75,8 +75,8 @@ class MaxFlowDpSearcher {
   /// first use and checked on every run. Scratch reuse never changes
   /// results: all per-window state is fully overwritten.
   struct Scratch {
-    // Per-match series resolution (ResolveSeries target, one motif edge
-    // per entry).
+    // Per-match series resolution (ResolveMatchSeries target, one motif
+    // edge per entry), filled only for a match with windows.
     std::vector<const EdgeSeries*> series;
 
     // Sliding per-series window cursors (core/window_cursor.h).
@@ -143,9 +143,10 @@ class MaxFlowDpSearcher {
   Flow DpOverWindow(MatchRef binding, const Window& window, Scratch* scratch,
                     Result* result) const;
 
-  /// Resolves the match's per-edge series into scratch->series, resets
-  /// the window cursors, and returns the match's processed-window list
-  /// (through scratch->windows).
+  /// Returns the match's processed-window list (through
+  /// scratch->windows), read from its boundary series alone. Only when
+  /// the list is non-empty does it resolve the match's per-edge series
+  /// into scratch->series and reset the window cursors.
   const std::vector<Window>& BeginMatch(MatchRef binding,
                                         Scratch* scratch) const;
 

@@ -24,10 +24,11 @@ MotifInstance InstanceView::Materialize() const {
   return instance;
 }
 
-/// Per-run mutable state threaded through the recursion.
+/// Per-match mutable state threaded through the recursion, bound to the
+/// frame of a Scratch.
 struct FlowMotifEnumerator::Context {
-  std::vector<const EdgeSeries*> series;  // per motif edge, this match
-  std::vector<EdgeSlice> slices;          // current partial assignment
+  const std::vector<const EdgeSeries*>& series;  // per motif edge
+  std::vector<EdgeSlice>& slices;  // current partial assignment
   Window window{0, 0};
   Flow min_flow_so_far = 0.0;  // min prefix flow over slices chosen so far
   MatchRef binding{nullptr, 0};
@@ -42,19 +43,21 @@ struct FlowMotifEnumerator::Context {
   // the first. Window starts/ends are non-decreasing across a match, so
   // AdvanceToWindow slides monotone galloping cursors (O(log gap) per
   // window).
-  std::vector<size_t> level_limit;
+  std::vector<size_t>& level_limit;
   size_t level0_first = 0;
 
-  /// The per-match frame: the match's series, one slice and one cursor
-  /// per motif edge.
-  Context(const TimeSeriesGraph& graph, const Motif& motif, MatchRef b,
-          const InstanceVisitor& v, EnumerationResult* r)
-      : slices(static_cast<size_t>(motif.num_edges())),
+  /// Rebinds `frame`, whose series already hold this match's, to the
+  /// match: one slice and one cursor per motif edge, rewound.
+  Context(Scratch* frame, MatchRef b, const InstanceVisitor& v,
+          EnumerationResult* r)
+      : series(frame->series),
+        slices(frame->slices),
         binding(b),
         visitor(&v),
         result(r),
-        level_limit(static_cast<size_t>(motif.num_edges()), 0) {
-    ResolveMatchSeries(graph, motif, binding, &series);
+        level_limit(frame->level_limit) {
+    slices.assign(series.size(), EdgeSlice{});
+    level_limit.assign(series.size(), 0);
   }
 
   void AdvanceToWindow(const Window& w) {
@@ -180,14 +183,26 @@ WindowReader FlowMotifEnumerator::NewReader() const {
 bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
                                          const InstanceVisitor& visitor,
                                          EnumerationResult* result,
-                                         WindowReader* windows) const {
-  Context ctx(graph_, motif_, binding, visitor, result);
+                                         WindowReader* windows,
+                                         Scratch* scratch) const {
   // The match's processed-window list; the reader keeps it valid for
   // the whole sweep below (the visitor never reads through it).
   std::optional<WindowReader> one_match;
   if (windows == nullptr) windows = &one_match.emplace(NewReader());
-  const std::vector<Window>& processed =
-      windows->Get(*ctx.series.front(), *ctx.series.back());
+  FLOWMOTIF_CHECK_EQ(windows->delta(), options_.delta)
+      << "window reader at another delta than the enumerator's";
+  const int m = motif_.num_edges();
+  const EdgeSeries* first = ResolveEdgeSeries(graph_, motif_, binding, 0);
+  const EdgeSeries* last = ResolveEdgeSeries(graph_, motif_, binding, m - 1);
+  const std::vector<Window>& processed = windows->Get(*first, *last);
+  // The gate: a match sweeps exactly its processed windows, so one
+  // without windows needs nothing else.
+  if (processed.empty() && !options_.ablation_no_window_skip) return true;
+
+  std::optional<Scratch> one_frame;
+  if (scratch == nullptr) scratch = &one_frame.emplace();
+  ResolveMatchSeries(graph_, motif_, binding, first, last, &scratch->series);
+  Context ctx(scratch, binding, visitor, result);
   if (!options_.ablation_no_window_skip) {
     return SweepWindows(&ctx, processed.data(),
                         processed.data() + processed.size(), nullptr);
@@ -195,7 +210,7 @@ bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
   // Ablation: run every anchor position; remember which ones the skip
   // rule would have processed so redundant emissions can be counted.
   const std::vector<Window> all_windows =
-      ComputeAllWindows(*ctx.series.front(), options_.delta);
+      ComputeAllWindows(*first, options_.delta);
   return SweepWindows(&ctx, all_windows.data(),
                       all_windows.data() + all_windows.size(), &processed);
 }
@@ -203,8 +218,14 @@ bool FlowMotifEnumerator::EnumerateMatch(MatchRef binding,
 bool FlowMotifEnumerator::EnumerateMatchWindows(
     MatchRef binding, const Window* windows_begin,
     const Window* windows_end, const InstanceVisitor& visitor,
-    EnumerationResult* result) const {
-  Context ctx(graph_, motif_, binding, visitor, result);
+    EnumerationResult* result, Scratch* scratch) const {
+  std::optional<Scratch> one_frame;
+  if (scratch == nullptr) scratch = &one_frame.emplace();
+  ResolveMatchSeries(
+      graph_, motif_, binding, ResolveEdgeSeries(graph_, motif_, binding, 0),
+      ResolveEdgeSeries(graph_, motif_, binding, motif_.num_edges() - 1),
+      &scratch->series);
+  Context ctx(scratch, binding, visitor, result);
   return SweepWindows(&ctx, windows_begin, windows_end, nullptr);
 }
 
@@ -236,12 +257,13 @@ EnumerationResult FlowMotifEnumerator::Run(
   double phase2_seconds = 0.0;
 
   WindowReader windows = NewReader();
+  Scratch scratch;
   StructuralMatcher matcher(graph_, motif_);
   matcher.FindAll([&](const MatchBinding& binding) {
     ++result.num_structural_matches;
     WallTimer p2_timer;
     const bool keep_going =
-        EnumerateMatch(binding, visitor, &result, &windows);
+        EnumerateMatch(binding, visitor, &result, &windows, &scratch);
     phase2_seconds += p2_timer.ElapsedSeconds();
     return keep_going;
   });
@@ -258,9 +280,10 @@ EnumerationResult FlowMotifEnumerator::RunOnMatches(
   EnumerationResult result;
   WallTimer timer;
   WindowReader windows = NewReader();
+  Scratch scratch;
   for (const MatchBinding& binding : matches) {
     ++result.num_structural_matches;
-    if (!EnumerateMatch(binding, visitor, &result, &windows)) break;
+    if (!EnumerateMatch(binding, visitor, &result, &windows, &scratch)) break;
   }
   result.phase2_seconds = timer.ElapsedSeconds();
   return result;

@@ -161,14 +161,32 @@ class FlowMotifEnumerator {
                                  const InstanceVisitor& visitor = nullptr)
       const;
 
+  /// The per-match frame of EnumerateMatch and EnumerateMatchWindows —
+  /// the match's series, its partial slice assignment and its per-level
+  /// window bounds — which a caller looping over matches keeps across
+  /// them (one per loop; never shared by two enumerations in flight,
+  /// such as a visitor that enumerates again on the same Scratch), so
+  /// the frame is rebound per match instead of allocated. Reuse never
+  /// changes results, and a Scratch may cross motifs and graphs.
+  struct Scratch {
+    std::vector<const EdgeSeries*> series;  // per motif edge, this match
+    std::vector<EdgeSlice> slices;          // current partial assignment
+    std::vector<size_t> level_limit;  // per level, UpperBound(window.end)
+  };
+
   /// Phase P2 for a single structural match, accumulating into `result`.
   /// Returns false if the visitor requested a stop. The match's window
-  /// list is computed by `windows` — a reader a caller looping over
-  /// matches keeps across them (NewReader) — or, when null, by a reader
-  /// made for this one match.
+  /// list is computed by `windows` — a reader at options().delta
+  /// (checked) that a caller looping over matches keeps across them
+  /// (NewReader) — or, when null, by a reader made for this one match.
+  /// The list is read from the boundary series alone, and a match
+  /// without windows returns before any other lookup or set-up (unless
+  /// ablation_no_window_skip sweeps every anchor); otherwise the match
+  /// runs on `scratch`, or on a frame of its own when null.
   bool EnumerateMatch(MatchRef binding, const InstanceVisitor& visitor,
                       EnumerationResult* result,
-                      WindowReader* windows = nullptr) const;
+                      WindowReader* windows = nullptr,
+                      Scratch* scratch = nullptr) const;
 
   /// A window reader at options().delta, charging
   /// options().query_control. One per thread.
@@ -180,11 +198,13 @@ class FlowMotifEnumerator {
   /// the streaming monitor feeds the settled/hot spans of its per-match
   /// WindowScan, whose concatenation is exactly the batch
   /// list, so instances come out byte-identical to EnumerateMatch across
-  /// the whole sequence of calls. Returns false on visitor stop.
+  /// the whole sequence of calls. Returns false on visitor stop. Runs on
+  /// `scratch` as EnumerateMatch does.
   bool EnumerateMatchWindows(MatchRef binding, const Window* windows_begin,
                              const Window* windows_end,
                              const InstanceVisitor& visitor,
-                             EnumerationResult* result) const;
+                             EnumerationResult* result,
+                             Scratch* scratch = nullptr) const;
 
   /// Convenience: runs and materializes every instance.
   std::vector<MotifInstance> CollectAll() const;

@@ -92,10 +92,12 @@ int64_t SignificanceAnalyzer::CountEnsemble(
     for (const size_t m : enumerated) {
       const FlowMotifEnumerator enumerator(target, motifs[m], enum_options);
       WindowReader windows = enumerator.NewReader();
+      FlowMotifEnumerator::Scratch scratch;
       EnumerationResult result;
       const MatchList& matches = prepared[m].matches;
       for (int64_t i = 0; i < matches.size(); ++i) {
-        enumerator.EnumerateMatch(matches[i], nullptr, &result, &windows);
+        enumerator.EnumerateMatch(matches[i], nullptr, &result, &windows,
+                                  &scratch);
       }
       (*counts)[m][static_cast<size_t>(task)] = result.num_instances;
     }

@@ -260,33 +260,14 @@ struct EnumerationSkeleton::Recorder {
   int num_edges = 0;
   size_t max_edges = 0;
   bool over_budget = false;
-  // memo[level] maps a level's first admissible index to its state id
+  // Maps (level, first admissible index) to its state id
   // (kInvalidState = no viable completion), valid within one window —
-  // exactly the counting recursion's memo keyed the same way. The keys
-  // are bounded by the level's series size, so the memo is a flat
-  // array with a per-entry generation stamp instead of a hash map:
-  // invalidating it at a window boundary is one counter bump, not an
-  // O(buckets) clear, and a recording touches millions of windows.
-  std::vector<std::vector<uint32_t>> memo_state;
-  std::vector<std::vector<uint64_t>> memo_gen;
-  uint64_t window_gen = 0;  // 0 never matches: bumped before first use
+  // exactly the counting recursion's memo keyed the same way, and the
+  // same stamped WindowMemo: a recording touches millions of windows.
+  WindowMemo<uint32_t> memo;
   // Per-level edge scratch: the recursion visits levels strictly
   // deeper, so level k's buffer is never aliased by a recursive call.
   std::vector<std::vector<EdgeRec>> scratch;
-
-  /// Sizes the memo arrays for the bound series (index domain is
-  /// [0, size]); stale entries stay — the generation stamp guards them.
-  void BeginMatch(const std::vector<const EdgeSeries*>& bound) {
-    for (size_t k = 0; k < memo_state.size(); ++k) {
-      const size_t need = bound[k]->size() + 1;
-      if (memo_state[k].size() < need) {
-        memo_state[k].resize(need);
-        memo_gen[k].resize(need, 0);
-      }
-    }
-  }
-
-  void BeginWindow() { ++window_gen; }
 
   /// Appends one state with `edges` (checked against the budget) and
   /// returns its fragment-local id.
@@ -307,12 +288,10 @@ struct EnumerationSkeleton::Recorder {
     if (first >= level_limit) return kInvalidState;
     const size_t level_base = base[static_cast<size_t>(level)];
 
-    // The recursion only recurses into deeper levels, so these slots
-    // cannot be invalidated (or the arrays resized) before the writes
-    // at the bottom of this call.
-    uint32_t& memo_slot = memo_state[static_cast<size_t>(level)][first];
-    uint64_t& gen_slot = memo_gen[static_cast<size_t>(level)][first];
-    if (gen_slot == window_gen) return memo_slot;
+    if (const uint32_t* memoized =
+            memo.Find(static_cast<size_t>(level), first)) {
+      return *memoized;
+    }
 
     uint32_t state = kInvalidState;
     if (level == num_edges - 1) {
@@ -356,16 +335,14 @@ struct EnumerationSkeleton::Recorder {
       if (!edges.empty()) state = EmitState(edges.data(), edges.size());
     }
     if (over_budget) return kInvalidState;
-    gen_slot = window_gen;
-    memo_slot = state;
+    memo.Store(static_cast<size_t>(level), first, state);
     return state;
   }
 
   /// Records one match's window sweep into `out`; returns whether any
   /// window produced a root (the match's phi = 0 viability at this
-  /// delta). The caller has bound `series`/`base` and sized the memo
-  /// (BeginMatch); on over_budget the return value is partial and the
-  /// fragment must be discarded.
+  /// delta). The caller has bound `series`/`base`; on over_budget the
+  /// return value is partial and the fragment must be discarded.
   bool RecordMatchWindows(WindowCursorSet* cursors,
                           const std::vector<const EdgeSeries*>& bound,
                           const std::vector<Window>& windows) {
@@ -388,7 +365,7 @@ struct EnumerationSkeleton::Recorder {
         }
       }
       if (!feasible) continue;
-      BeginWindow();
+      memo.BeginWindow(*cursors);
       const uint32_t root = RecordState(0, lo[0]);
       if (over_budget) return any_root;
       if (root != kInvalidState) {
@@ -426,8 +403,6 @@ bool EnumerationSkeleton::Recorder::RecordRange(
   rec.base = base.data();
   rec.num_edges = m;
   rec.max_edges = sweep->max_edges;
-  rec.memo_state.resize(static_cast<size_t>(m));
-  rec.memo_gen.resize(static_cast<size_t>(m));
   rec.scratch.resize(static_cast<size_t>(m));
 
   // One window reader per delta, each charging its own lists like every
@@ -456,15 +431,12 @@ bool EnumerationSkeleton::Recorder::RecordRange(
     for (size_t d = 1; d < n; ++d) {
       windows[d] = &readers[d].Get(*series.front(), *series.back());
     }
-    for (int i = 1; i < m - 1; ++i) {
-      series[static_cast<size_t>(i)] =
-          ResolveEdgeSeries(graph, motif, binding, i);
-    }
+    ResolveMatchSeries(graph, motif, binding, series.front(), series.back(),
+                       &series);
     for (int k = 0; k < m; ++k) {
       base[static_cast<size_t>(k)] =
           sweep->offsets[series_pair_index(series[static_cast<size_t>(k)])];
     }
-    rec.BeginMatch(series);
 
     // Largest delta first; `alive` carries the cascade — no roots at a
     // (successfully recorded) delta proves there is no phi = 0

@@ -9,7 +9,7 @@ namespace flowmotif {
 const std::vector<Window>& WindowReader::Get(const EdgeSeries& first,
                                              const EdgeSeries& last) {
   ComputeProcessedWindows(first, last, delta_, &windows_);
-  if (charge_ != nullptr) {
+  if (charge_ != nullptr && !windows_.empty()) {
     charge_->ChargeWindowElements(static_cast<int64_t>(windows_.size()),
                                   failpoint::kCacheWindows);
   }
@@ -28,11 +28,14 @@ const EdgeSeries* ResolveEdgeSeries(const TimeSeriesGraph& graph,
 }
 
 void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
-                        MatchRef binding,
+                        MatchRef binding, const EdgeSeries* first,
+                        const EdgeSeries* last,
                         std::vector<const EdgeSeries*>* series) {
   const int m = motif.num_edges();
   series->resize(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) {
+  series->front() = first;
+  series->back() = last;
+  for (int i = 1; i < m - 1; ++i) {
     (*series)[static_cast<size_t>(i)] =
         ResolveEdgeSeries(graph, motif, binding, i);
   }

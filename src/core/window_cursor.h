@@ -2,6 +2,7 @@
 #define FLOWMOTIF_CORE_WINDOW_CURSOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/match_list.h"
@@ -35,10 +36,17 @@ const EdgeSeries* ResolveEdgeSeries(const TimeSeriesGraph& graph,
                                     const Motif& motif, MatchRef binding,
                                     int edge);
 
-/// Resolves one structural match's per-level series: ResolveEdgeSeries
-/// of every motif edge. `series` is resized to the motif's edge count.
+/// Resolves one structural match's per-level series into `series`
+/// (resized to the motif's edge count), given its boundary series
+/// `first` = R(e1) and `last` = R(em): only the interior edges are
+/// looked up. Every per-match P2 evaluator (counter, enumerator, DP,
+/// sweep recorder) resolves the boundary series alone, reads the
+/// match's window list from them (all the list depends on), and calls
+/// this only when the list is non-empty — most structural matches have
+/// no window, and cost two lookups and one scan.
 void ResolveMatchSeries(const TimeSeriesGraph& graph, const Motif& motif,
-                        MatchRef binding,
+                        MatchRef binding, const EdgeSeries* first,
+                        const EdgeSeries* last,
                         std::vector<const EdgeSeries*>* series);
 
 /// Per-series sliding cursors over one match's window sweep:
@@ -76,6 +84,57 @@ class WindowCursorSet {
   const std::vector<const EdgeSeries*>* series_ = nullptr;
   std::vector<size_t> lo_;
   std::vector<size_t> hi_;
+};
+
+/// The memo of one window's suffix recursion — the counter's counts
+/// (core/counter.cc), the sweep recorder's state ids (core/skeleton.cc)
+/// — keyed by (level, first admissible index). Within a window, level
+/// k's keys lie in [lo(k), hi(k)) of the window's cursors, so each level
+/// is a flat array over that span with a generation stamp per entry:
+/// BeginWindow invalidates every entry with one counter bump instead
+/// of a clear, and the arrays only grow to the widest span seen, so one
+/// memo serves every window of every match of a loop without
+/// allocating once warm.
+template <typename Value>
+class WindowMemo {
+ public:
+  /// Starts a window at the cursors' position: sizes level k for the
+  /// keys [lo(k), hi(k)) and drops every entry.
+  void BeginWindow(const WindowCursorSet& cursors) {
+    const size_t m = cursors.num_series();
+    if (levels_.size() < m) levels_.resize(m);
+    for (size_t k = 0; k < m; ++k) {
+      Level& level = levels_[k];
+      level.base = cursors.lo(k);
+      const size_t span = cursors.hi(k) - level.base;
+      if (level.entries.size() < span) level.entries.resize(span);
+    }
+    ++generation_;
+  }
+
+  /// The value stored for (level, first) in this window, or null.
+  const Value* Find(size_t level, size_t first) const {
+    const Level& l = levels_[level];
+    const Entry& entry = l.entries[first - l.base];
+    return entry.generation == generation_ ? &entry.value : nullptr;
+  }
+
+  void Store(size_t level, size_t first, Value value) {
+    Level& l = levels_[level];
+    l.entries[first - l.base] = Entry{generation_, value};
+  }
+
+ private:
+  struct Entry {
+    uint64_t generation = 0;  // never current: bumped before first use
+    Value value{};
+  };
+  struct Level {
+    size_t base = 0;  // lo(k) of the current window
+    std::vector<Entry> entries;
+  };
+  std::vector<Level> levels_;
+  uint64_t generation_ = 0;
 };
 
 /// Union timeline t1..t_tau of the current window: a k-way merge of the
@@ -131,7 +190,7 @@ class TimelineOffsets {
 /// same (first, last) pair: a list depends only on the two series and
 /// delta, lists average well under one window, and on the benchmark
 /// graphs a pair repeats too rarely for any cache to pay (DESIGN.md
-/// Sec. 6, "One window source").
+/// Sec. 6, "One window source"). An empty list charges nothing.
 ///
 /// A returned list stays valid until this reader's next Get (or its
 /// destruction). Not thread-safe: one reader per thread, or per batch.
@@ -143,9 +202,12 @@ class WindowReader {
   /// The processed-window list of (first, last) at delta
   /// (ComputeProcessedWindows), computed into the buffer and charged
   /// against the control's max_window_elements, one element per window.
+  /// A zero charge is skipped: it can never be the first to cross the
+  /// cap, and on a sparse graph most lists are empty.
   const std::vector<Window>& Get(const EdgeSeries& first,
                                  const EdgeSeries& last);
 
+  Timestamp delta() const { return delta_; }
   QueryControl* charge() const { return charge_; }
 
  private:

@@ -300,6 +300,7 @@ void EnumerateBatches(const ModeRun& run) {
   run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     EnumerationResult stats;
     WindowReader windows = enumerator.NewReader();
+    FlowMotifEnumerator::Scratch scratch;
     std::vector<MotifInstance> collected;
     InstanceVisitor visitor;  // stays null (counters only) when limit == 0
     if (limit != 0) {
@@ -312,7 +313,8 @@ void EnumerateBatches(const ModeRun& run) {
     }
     const int64_t processed = ForEachMatch(
         matches, begin, end, run.control, [&](MatchRef match, int64_t) {
-          enumerator.EnumerateMatch(match, visitor, &stats, &windows);
+          enumerator.EnumerateMatch(match, visitor, &stats, &windows,
+                                    &scratch);
         });
     return BatchOutput{
         processed,
@@ -337,9 +339,11 @@ void CountBatches(const ModeRun& run) {
   run.Execute([&](const MatchList& matches, int64_t begin, int64_t end) {
     InstanceCounter::Result counts;
     WindowReader windows(run.options.delta, run.control);
+    InstanceCounter::Scratch scratch;
     const int64_t processed = ForEachMatch(
         matches, begin, end, run.control, [&](MatchRef match, int64_t) {
-          counts.num_instances += counter.CountMatch(match, &counts, &windows);
+          counts.num_instances +=
+              counter.CountMatch(match, &counts, &windows, &scratch);
         });
     return BatchOutput{processed, [result, counts] {
                          result->stats.num_instances += counts.num_instances;
@@ -376,6 +380,7 @@ void TopKBatches(const ModeRun& run) {
     };
     const FlowMotifEnumerator enumerator(run.graph, run.motif, eopts);
     WindowReader windows = enumerator.NewReader();
+    FlowMotifEnumerator::Scratch scratch;
     TopKCollector local(k);
     EnumerationResult stats;
     const int64_t processed = ForEachMatch(
@@ -389,7 +394,7 @@ void TopKBatches(const ModeRun& run) {
                 threshold->Observe(view.flow);
                 return true;
               },
-              &stats, &windows);
+              &stats, &windows, &scratch);
         });
     return BatchOutput{
         processed,

@@ -351,7 +351,7 @@ void StreamingMotifMonitor::RevisitMatch(
     enumerator.EnumerateMatchWindows(
         m.binding, settled_windows_scratch_.data(),
         settled_windows_scratch_.data() + settled_windows_scratch_.size(),
-        visitor, &enum_stats_);
+        visitor, &enum_stats_, &enumeration_scratch_);
   }
 
   m.hot.clear();
@@ -367,7 +367,8 @@ void StreamingMotifMonitor::RevisitMatch(
     };
     enumerator.EnumerateMatchWindows(
         m.binding, m.hot_windows.data(),
-        m.hot_windows.data() + m.hot_windows.size(), visitor, &enum_stats_);
+        m.hot_windows.data() + m.hot_windows.size(), visitor, &enum_stats_,
+        &enumeration_scratch_);
     hot_queue_.insert({m.hot_windows.front().end, id});
   }
   hot_instances_ += static_cast<int64_t>(m.hot.size());

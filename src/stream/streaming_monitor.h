@@ -259,6 +259,9 @@ class StreamingMotifMonitor {
   std::deque<HorizonSegment> horizon_;
 
   std::vector<Window> settled_windows_scratch_;
+  // The enumeration frame every revisit rebinds (the monitor is
+  // single-threaded).
+  FlowMotifEnumerator::Scratch enumeration_scratch_;
   EnumerationResult enum_stats_;  // cumulative enumeration counters
 
   /// Match ids whose revisit a stopped seal deferred; drained (merged

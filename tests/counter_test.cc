@@ -122,5 +122,22 @@ TEST(CounterDeathTest, NegativeParametersAbort) {
   EXPECT_DEATH(InstanceCounter(g, M33(), 10, -1.0), "Check failed");
 }
 
+TEST(CounterDeathTest, ReaderAtAnotherDeltaAborts) {
+  // A reader at another delta would count that delta's windows; the
+  // counter checks the reader it is handed, whether or not the match
+  // has windows.
+  TimeSeriesGraph g = PaperFig2Graph();
+  InstanceCounter counter(g, M33(), 10, 0.0);
+  InstanceCounter::Result result;
+  WindowReader same(10);
+  EXPECT_EQ(counter.CountMatch(MatchBinding{2, 0, 1}, &result, &same),
+            counter.CountMatch(MatchBinding{2, 0, 1}, nullptr));
+  WindowReader other(11);
+  EXPECT_DEATH(counter.CountMatch(MatchBinding{2, 0, 1}, &result, &other),
+               "another delta");
+  EXPECT_DEATH(counter.CountMatch(MatchBinding{0, 1, 2}, &result, &other),
+               "another delta");
+}
+
 }  // namespace
 }  // namespace flowmotif

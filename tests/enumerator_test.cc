@@ -230,5 +230,23 @@ TEST(EnumeratorDeathTest, NegativeDeltaAborts) {
   EXPECT_DEATH(FlowMotifEnumerator(g, m, Opts(-1, 0.0)), "delta");
 }
 
+TEST(EnumeratorDeathTest, ReaderAtAnotherDeltaAborts) {
+  // A reader at another delta would enumerate that delta's windows; the
+  // enumerator checks the reader it is handed.
+  TimeSeriesGraph g = testing_util::PaperFig2Graph();
+  Motif m = *Motif::FromSpanningPath({0, 1, 2, 0});
+  FlowMotifEnumerator enumerator(g, m, Opts(10, 0.0));
+  EnumerationResult result;
+  WindowReader same = enumerator.NewReader();
+  EXPECT_TRUE(
+      enumerator.EnumerateMatch(MatchBinding{2, 0, 1}, nullptr, &result,
+                                &same));
+  EXPECT_GT(result.num_instances, 0);
+  WindowReader other(9);
+  EXPECT_DEATH(enumerator.EnumerateMatch(MatchBinding{2, 0, 1}, nullptr,
+                                         &result, &other),
+               "another delta");
+}
+
 }  // namespace
 }  // namespace flowmotif

@@ -5,18 +5,29 @@
 // output — the same instance sets, the same deterministic counters, the
 // same top-k entries — with the single documented exception of the
 // top-k pruning counters, which depend on how fast the floating
-// threshold tightened.
+// threshold tightened. Likewise, the per-match evaluators' reused
+// scratch and their window-list gate never change any result.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/counter.h"
+#include "core/dp.h"
+#include "core/enumerator.h"
 #include "core/match_list.h"
 #include "core/motif_catalog.h"
+#include "core/sliding_window.h"
 #include "core/structural_match.h"
 #include "engine/match_list_cache.h"
 #include "engine/query_engine.h"
 #include "gen/presets.h"
+#include "graph/interaction_graph.h"
+#include "util/cancellation.h"
+#include "util/failpoint.h"
+#include "util/random.h"
 #include "util/thread_pool.h"
 
 namespace flowmotif {
@@ -349,6 +360,217 @@ TEST(ParallelEquivalenceTest, ExplicitSmallBatchesStayIdentical) {
   for (size_t i = 0; i < serial.topk.size(); ++i) {
     ASSERT_DOUBLE_EQ(parallel.topk[i].flow, serial.topk[i].flow) << i;
     ASSERT_EQ(parallel.topk[i].instance, serial.topk[i].instance) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Scratch reuse and the window-list gate
+// ---------------------------------------------------------------------------
+
+/// One emitted view, copied: binding, per-edge slices, window and flow.
+struct ViewRecord {
+  MatchBinding binding;
+  std::vector<std::tuple<const EdgeSeries*, size_t, size_t>> slices;
+  Window window;
+  Flow flow;
+
+  friend bool operator==(const ViewRecord& a, const ViewRecord& b) {
+    return a.binding == b.binding && a.slices == b.slices &&
+           a.window == b.window && a.flow == b.flow;
+  }
+};
+
+ViewRecord Record(const InstanceView& view) {
+  ViewRecord record{view.binding.ToBinding(), {}, view.window, view.flow};
+  for (const EdgeSlice& slice : *view.slices) {
+    record.slices.emplace_back(slice.series, slice.begin, slice.end);
+  }
+  return record;
+}
+
+/// Random small graph with integer flows and a narrow time range, so
+/// repeated timestamps and phi ties are common.
+TimeSeriesGraph RandomGraph(uint64_t seed) {
+  Rng rng(seed);
+  InteractionGraph g;
+  const int num_vertices = 4 + static_cast<int>(seed % 3);
+  for (int i = 0; i < 70; ++i) {
+    const auto src = static_cast<VertexId>(
+        rng.NextBounded(static_cast<uint64_t>(num_vertices)));
+    auto dst = static_cast<VertexId>(
+        rng.NextBounded(static_cast<uint64_t>(num_vertices)));
+    if (dst == src) dst = (dst + 1) % num_vertices;
+    const auto t = static_cast<Timestamp>(rng.NextBounded(60));
+    const Flow f = 1.0 + static_cast<Flow>(rng.NextBounded(5));
+    EXPECT_TRUE(g.AddEdge(src, dst, t, f).ok());
+  }
+  return TimeSeriesGraph::Build(g);
+}
+
+/// Exactly `expected` window elements were charged to `control`: the
+/// run completed under a cap of `expected`, and one more element
+/// crosses it.
+void ExpectCharged(QueryControl* control, int64_t expected,
+                   const std::string& label) {
+  EXPECT_TRUE(control->Finish().complete()) << label;
+  control->ChargeWindowElements(1, failpoint::kCacheWindows);
+  EXPECT_EQ(control->Finish().code, TerminationCode::kBudgetExceeded)
+      << label << ": fewer than " << expected << " elements charged";
+}
+
+TEST(ParallelEquivalenceTest, ScratchReuseAndWindowGateAreInvisible) {
+  // The counter, the enumerator and the DP each carry ONE scratch (and
+  // one charging reader) across the matches of every catalog motif and
+  // the fan-out shape, in a shuffled motif order, and must equal a fresh
+  // scratch and reader per match. The bitcoin-like graph is the sparse
+  // case, where the gate ends most matches before any set-up.
+  std::vector<std::pair<std::string, TimeSeriesGraph>> graphs;
+  for (const uint64_t seed : {3u, 17u, 41u}) {
+    graphs.emplace_back("random seed=" + std::to_string(seed),
+                        RandomGraph(seed));
+  }
+  graphs.emplace_back(
+      "bitcoin", GenerateDataset(GetPreset(DatasetKind::kBitcoin), 0.05));
+  constexpr Flow kPhi = 2.0;
+  Rng shuffle_rng(5);
+
+  for (const auto& [graph_name, graph] : graphs) {
+    int64_t num_matches = 0;
+    int64_t gated_matches = 0;  // matches without windows
+    for (const Timestamp delta :
+         {Timestamp{0}, Timestamp{10}, Timestamp{1000}}) {
+      const std::string at =
+          graph_name + " delta=" + std::to_string(delta) + " ";
+      std::vector<Motif> motifs = MotifCatalog::All();
+      motifs.push_back(*Motif::Parse("0>1,0>2", "fanout"));
+      for (size_t i = motifs.size() - 1; i > 0; --i) {
+        std::swap(motifs[i], motifs[shuffle_rng.NextBounded(i + 1)]);
+      }
+      std::vector<MatchList> lists;
+      int64_t total_elements = 0;
+      for (const Motif& motif : motifs) {
+        lists.push_back(MatchList::FromBindings(
+            StructuralMatcher(graph, motif).FindAllMatches(),
+            motif.num_nodes()));
+        for (int64_t i = 0; i < lists.back().size(); ++i) {
+          const MatchRef match = lists.back()[i];
+          const EdgeSeries* first =
+              ResolveEdgeSeries(graph, motif, match, 0);
+          const EdgeSeries* last =
+              ResolveEdgeSeries(graph, motif, match, motif.num_edges() - 1);
+          const int64_t size = static_cast<int64_t>(
+              ComputeProcessedWindows(*first, *last, delta).size());
+          total_elements += size;
+          ++num_matches;
+          if (size == 0) ++gated_matches;
+        }
+      }
+      WorkBudget cap;
+      cap.max_window_elements = total_elements;
+      QueryControl counter_control(nullptr, QueryDeadline(), cap);
+      QueryControl enum_control(nullptr, QueryDeadline(), cap);
+      QueryControl dp_control(nullptr, QueryDeadline(), cap);
+      WindowReader counter_windows(delta, &counter_control);
+      WindowReader enum_windows(delta, &enum_control);
+      InstanceCounter::Scratch counter_scratch;
+      FlowMotifEnumerator::Scratch enum_scratch;
+      MaxFlowDpSearcher::Scratch dp_scratch;
+
+      for (size_t m = 0; m < motifs.size(); ++m) {
+        const Motif& motif = motifs[m];
+        const MatchList& matches = lists[m];
+        const std::string label = at + motif.name();
+
+        const InstanceCounter counter(graph, motif, delta, kPhi);
+        InstanceCounter::Result reused;
+        InstanceCounter::Result fresh;
+        for (int64_t i = 0; i < matches.size(); ++i) {
+          ASSERT_EQ(counter.CountMatch(matches[i], &reused, &counter_windows,
+                                       &counter_scratch),
+                    counter.CountMatch(matches[i], &fresh))
+              << label << " match " << i;
+        }
+        EXPECT_EQ(reused.num_windows, fresh.num_windows) << label;
+        EXPECT_EQ(reused.memo_hits, fresh.memo_hits) << label;
+
+        EnumerationOptions eopts;
+        eopts.delta = delta;
+        eopts.phi = kPhi;
+        eopts.query_control = &enum_control;
+        const FlowMotifEnumerator enumerator(graph, motif, eopts);
+        eopts.query_control = nullptr;
+        const FlowMotifEnumerator uncharged(graph, motif, eopts);
+        std::vector<ViewRecord> reused_views;
+        std::vector<ViewRecord> fresh_views;
+        EnumerationResult reused_stats;
+        EnumerationResult fresh_stats;
+        for (int64_t i = 0; i < matches.size(); ++i) {
+          enumerator.EnumerateMatch(
+              matches[i],
+              [&](const InstanceView& view) {
+                reused_views.push_back(Record(view));
+                return true;
+              },
+              &reused_stats, &enum_windows, &enum_scratch);
+          uncharged.EnumerateMatch(
+              matches[i],
+              [&](const InstanceView& view) {
+                fresh_views.push_back(Record(view));
+                return true;
+              },
+              &fresh_stats);
+        }
+        ASSERT_EQ(reused_views, fresh_views) << label;
+        EXPECT_EQ(reused_stats.num_instances, fresh_stats.num_instances);
+        EXPECT_EQ(reused_stats.num_windows_processed,
+                  fresh_stats.num_windows_processed)
+            << label;
+        EXPECT_EQ(reused_stats.num_phi_prunes, fresh_stats.num_phi_prunes);
+        EXPECT_EQ(reused_stats.num_domination_skips,
+                  fresh_stats.num_domination_skips);
+        EXPECT_EQ(reused_stats.num_windows_processed, reused.num_windows);
+
+        // The DP's own loop over the list on the carried Scratch, against
+        // each match on a fresh one, folded as the engine folds batches.
+        const MaxFlowDpSearcher searcher(graph, motif, delta);
+        const MaxFlowDpSearcher::Result carried = searcher.RunOnMatches(
+            matches, 0, matches.size(), &dp_scratch, &dp_control);
+        MaxFlowDpSearcher::Result folded;
+        for (int64_t i = 0; i < matches.size(); ++i) {
+          MaxFlowDpSearcher::Result one = searcher.RunOnMatch(matches[i]);
+          folded.num_windows += one.num_windows;
+          if (one.found && (!folded.found || one.max_flow > folded.max_flow)) {
+            folded.found = true;
+            folded.max_flow = one.max_flow;
+            folded.best = std::move(one.best);
+            folded.binding = std::move(one.binding);
+            folded.window = one.window;
+          }
+        }
+        ASSERT_EQ(carried.found, folded.found) << label;
+        EXPECT_EQ(carried.num_windows, folded.num_windows) << label;
+        EXPECT_EQ(carried.num_windows, reused.num_windows) << label;
+        EXPECT_EQ(carried.matches_processed, matches.size()) << label;
+        if (carried.found) {
+          EXPECT_EQ(carried.max_flow, folded.max_flow) << label;
+          EXPECT_EQ(carried.best, folded.best) << label;
+          EXPECT_EQ(carried.binding, folded.binding) << label;
+          EXPECT_TRUE(carried.window == folded.window) << label;
+        }
+        if (testing::Test::HasFailure()) return;
+      }
+      // Every list was charged once per evaluator, empty ones for 0.
+      ExpectCharged(&counter_control, total_elements, at + "counter");
+      ExpectCharged(&enum_control, total_elements, at + "enumerator");
+      ExpectCharged(&dp_control, total_elements, at + "dp");
+    }
+    // Both sides of the gate ran; on the sparse graph most matches
+    // stopped at it.
+    EXPECT_GT(gated_matches, 0) << graph_name;
+    EXPECT_LT(gated_matches, num_matches) << graph_name;
+    if (graph_name == "bitcoin") {
+      EXPECT_GT(2 * gated_matches, num_matches);
+    }
   }
 }
 
